@@ -17,7 +17,7 @@ import numpy as np
 
 from dvae import data, oracle, trainer
 from dvae.distributions import Rng
-from dvae.model import uniform_params
+from dvae.model import CHUNK_ROWS, uniform_params
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -62,6 +62,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _check_count(n: int, available: int | None = None) -> None:
+    """--n must be non-negative and, given a dataset, no larger than it."""
+    if n < 0 or (available is not None and n > available):
+        limit = "" if available is None else f" and at most {available}"
+        raise ValueError(f"--n must be non-negative{limit}, got {n}")
+
+
 def cmd_reconstruct(args) -> int:
     ckpt = trainer.load_checkpoint(args.model)
     model = ckpt.model
@@ -71,15 +78,18 @@ def cmd_reconstruct(args) -> int:
     dataset = data.load_binarized(args.images, threshold=threshold)
     if dataset.p != model.p:
         raise ValueError(f"model expects {model.p} pixels, images have {dataset.p}")
+    _check_count(args.n, dataset.n)
+    u = Rng(args.seed).uniforms(args.n * model.d).reshape(args.n, model.d)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = Rng(args.seed)
-    for i in range(args.n):
-        x = dataset.images[i]
-        z = model.sample_latent(model.encode(x), rng)
-        xhat = model.decode(z)
-        write_pgm(out / f"input_{i:03d}.pgm", _to_gray(x, dataset.rows, dataset.cols))
-        write_pgm(out / f"recon_{i:03d}.pgm", _to_gray(xhat, dataset.rows, dataset.cols))
+    for start in range(0, args.n, CHUNK_ROWS):
+        x = dataset.images[start:min(start + CHUNK_ROWS, args.n)]
+        xhat = model.decode(model.sample_latent(model.encode(x), u[start:start + CHUNK_ROWS]))
+        for i in range(len(x)):
+            write_pgm(out / f"input_{start + i:03d}.pgm",
+                      _to_gray(x[i], dataset.rows, dataset.cols))
+            write_pgm(out / f"recon_{start + i:03d}.pgm",
+                      _to_gray(xhat[i], dataset.rows, dataset.cols))
     return 0
 
 
@@ -87,16 +97,18 @@ def cmd_sample(args) -> int:
     ckpt = trainer.load_checkpoint(args.model)
     model = ckpt.model
     rows, cols = _raster_shape(model.p)
+    _check_count(args.n)
+    u = Rng(args.seed).uniforms(args.n * model.d).reshape(args.n, model.d)
+    prior = uniform_params(model.d, model.k)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = Rng(args.seed)
-    prior = uniform_params(model.d, model.k)
-    for i in range(args.n):
-        z = model.sample_latent(prior, rng)
-        if args.dump_indices:
-            print(f"sample {i}: {' '.join(str(j) for j in z.indices)}")
+    for start in range(0, args.n, CHUNK_ROWS):
+        z = model.sample_latent(prior, u[start:start + CHUNK_ROWS])
         xhat = model.decode(z)
-        write_pgm(out / f"sample_{i:03d}.pgm", _to_gray(xhat, rows, cols))
+        for i in range(len(xhat)):
+            if args.dump_indices:
+                print(f"sample {start + i}: {' '.join(str(j) for j in z.indices[i])}")
+            write_pgm(out / f"sample_{start + i:03d}.pgm", _to_gray(xhat[i], rows, cols))
     return 0
 
 

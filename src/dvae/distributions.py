@@ -1,5 +1,5 @@
-"""Probability kernels: Bernoulli/categorical mass functions, sampling,
-entropy, cross-entropy, binary cross-entropy, their aggregate (summed) forms,
+"""Probability kernels: the SplitMix64 generator, categorical sampling,
+entropy, the aggregate (summed) entropy and binary cross-entropy of the ELBO,
 and the closed-form KL divergence against a uniform categorical.
 
 Conventions used throughout:
@@ -22,6 +22,32 @@ from dvae.tensor import ShapeError
 EPS = 1e-7
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def stream_uniforms(first_seed: int, n_streams: int, n: int) -> np.ndarray:
+    """(n_streams, n): the first n uniform() draws of Rng(first_seed + i) for
+    each i in range(n_streams), computed without stepping any generator.
+
+    SplitMix64 draw j (1-based) of a stream is mix(seed + j * gamma) in
+    64-bit wrap-around arithmetic, so whole blocks are one numpy expression.
+    """
+    seeds = np.uint64(first_seed & _MASK64) + np.arange(n_streams, dtype=np.uint64)
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z = seeds[:, None] + z
+    # In place, so a block the size of a weight matrix needs two such arrays.
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0 ** -53
+    return out
 
 
 class Rng:
@@ -43,15 +69,22 @@ class Rng:
 
     def next_uint64(self) -> int:
         """Next raw 64-bit output."""
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0 ** -53
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n uniform() draws as one array, bit-identical to n calls
+        and advancing the state by n draws."""
+        out = stream_uniforms(self.state, 1, n)[0]
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        return out
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Uses floor(u * n); the bias is
@@ -65,33 +98,17 @@ class Rng:
             indices[i], indices[j] = indices[j], indices[i]
 
 
-def bernoulli_log_pmf(x: float, p: float) -> float:
-    """log of the two-outcome mass function: x*ln(p) + (1-x)*ln(1-p).
+def categorical_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the rows of probs (..., K), one per uniform in
+    u; probs broadcasts against u[..., None]. Returns int indices in [0, K).
 
-    x must be 0 or 1; p must lie in [0, 1] and is clipped to [EPS, 1-EPS]
-    before the logs.
+    The cumulative sum runs left to right, and the index is the first
+    category whose running sum exceeds u; the last category absorbs any
+    rounding residue.
     """
-    if x not in (0, 1):
-        raise ValueError(f"binary value expected, got {x!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p!r}")
-    p = min(max(p, EPS), 1.0 - EPS)
-    return x * math.log(p) + (1.0 - x) * math.log(1.0 - p)
-
-
-def categorical_sample(p: np.ndarray, rng: Rng) -> int:
-    """Draw an index in [0, K) with probability p[i], by inverse CDF.
-
-    The cumulative sum runs left to right over one uniform draw; the last
-    category absorbs any rounding residue.
-    """
-    u = rng.uniform()
-    acc = 0.0
-    for i, pi in enumerate(p):
-        acc += pi
-        if u < acc:
-            return i
-    return len(p) - 1
+    acc = np.cumsum(probs, axis=-1)
+    k = acc.shape[-1]
+    return np.minimum((acc <= np.asarray(u)[..., None]).sum(axis=-1), k - 1)
 
 
 def entropy(p: np.ndarray) -> float:
@@ -101,40 +118,23 @@ def entropy(p: np.ndarray) -> float:
     return float(-(p[nz] * np.log(p[nz])).sum())
 
 
-def cross_entropy(a: np.ndarray, b: np.ndarray) -> float:
-    """-sum(a * ln b) in nats; b is clipped to >= EPS inside the log."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(-(a * np.log(np.maximum(b, EPS))).sum())
-
-
-def bce(target: float, prediction: float) -> float:
-    """Binary cross-entropy -t*ln(y) - (1-t)*ln(1-y) for a single outcome.
-
-    The target t may be any value in [0, 1]; the prediction y is clipped to
-    [EPS, 1-EPS] before the logs.
-    """
-    y = min(max(prediction, EPS), 1.0 - EPS)
-    return -target * math.log(y) - (1.0 - target) * math.log1p(-y)
-
-
-def aggregate_entropy(probs: np.ndarray) -> float:
-    """Sum of per-row entropies of a (D, K) array of probability rows."""
+def aggregate_entropy(probs: np.ndarray) -> np.ndarray:
+    """Sum of the row entropies of each (D, K) array of probability rows;
+    one value per leading (batch) index."""
     probs = np.asarray(probs, dtype=np.float64)
     masked = np.where(probs > 0.0, probs, 1.0)  # ln(1) = 0 stands in for 0*ln(0)
-    return float(-(probs * np.log(masked)).sum())
+    return -(probs * np.log(masked)).sum(axis=(-2, -1))
 
 
-def aggregate_bce(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Sum of per-element binary cross-entropies, targets against predictions."""
+def aggregate_bce(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of binary cross-entropies, targets against
+    predictions; the two broadcast over leading (batch) axes."""
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape:
+    if predictions.shape[-1:] != targets.shape[-1:]:
         raise ShapeError(f"length mismatch: {predictions.shape} vs {targets.shape}")
     y = np.clip(predictions, EPS, 1.0 - EPS)
-    return float(-(targets * np.log(y) + (1.0 - targets) * np.log1p(-y)).sum())
+    return -(targets * np.log(y) + (1.0 - targets) * np.log1p(-y)).sum(axis=-1)
 
 
 def kl_categorical_vs_uniform(p: np.ndarray) -> float:

@@ -28,63 +28,48 @@ from dvae.distributions import EPS, Rng, aggregate_bce, aggregate_entropy, categ
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.tensor import ShapeError
 
+# Rows per forward-only pass (evaluation, enumeration), bounding the size of
+# the activations a whole dataset or latent table would otherwise allocate.
+CHUNK_ROWS = 100
+
 
 @dataclass
 class CategoricalParams:
-    """D rows of K category probabilities (each row sums to 1)."""
+    """Rows of K category probabilities, (..., D, K); each row sums to 1."""
 
     probs: np.ndarray
 
     @property
     def d(self) -> int:
-        return self.probs.shape[0]
+        return self.probs.shape[-2]
 
     @property
     def k(self) -> int:
-        return self.probs.shape[1]
+        return self.probs.shape[-1]
 
 
 @dataclass
 class LatentSample:
-    """One categorical draw per latent: one-hot matrix plus the raw indices."""
+    """One categorical draw per latent: one-hot rows plus the raw indices."""
 
-    one_hot: np.ndarray   # (D, K) of {0.0, 1.0}
-    indices: np.ndarray   # (D,) ints, indices[d] = selected category
+    one_hot: np.ndarray   # (..., D, K) of {0.0, 1.0}
+    indices: np.ndarray   # (..., D) ints, indices[..., d] = selected category
 
 
 @dataclass(frozen=True)
 class ElboBreakdown:
-    """The three ELBO terms and their sum (added left to right, in order)."""
+    """The three ELBO terms and their sum (added left to right, in order).
+    Each is a float, or one value per example for a batch."""
 
-    entropy_term: float
+    entropy_term: float | np.ndarray
     prior_term: float
-    recon_term: float
-    total: float
+    recon_term: float | np.ndarray
+    total: float | np.ndarray
 
     @classmethod
-    def from_terms(cls, entropy_term: float, prior_term: float,
-                   recon_term: float) -> "ElboBreakdown":
-        entropy_term = float(entropy_term)
-        prior_term = float(prior_term)
-        recon_term = float(recon_term)
+    def from_terms(cls, entropy_term, prior_term, recon_term) -> "ElboBreakdown":
         return cls(entropy_term, prior_term, recon_term,
                    entropy_term + prior_term + recon_term)
-
-
-@dataclass
-class GradientReport:
-    """Live gradient accumulators plus the score-function bookkeeping.
-
-    encoder_grads / decoder_grads are references to the networks' buffers,
-    not copies; they reflect everything accumulated since zero_grads().
-    mc_coefficient is the detached reconstruction coefficient c multiplying
-    grad log q, and log_q the log-probability of the drawn latent.
-    """
-
-    encoder_grads: list[np.ndarray]
-    decoder_grads: list[np.ndarray]
-    mc_coefficient: float
-    log_q: float
 
 
 def uniform_params(d: int, k: int) -> CategoricalParams:
@@ -95,7 +80,8 @@ def uniform_params(d: int, k: int) -> CategoricalParams:
 def elbo_estimate(x: np.ndarray, params: CategoricalParams,
                   xhat: np.ndarray) -> ElboBreakdown:
     """Single-sample ELBO estimate for input x, encoder output params and
-    reconstruction xhat (already decoded from one latent draw)."""
+    reconstruction xhat (already decoded from one latent draw); per example
+    for a batch."""
     entropy_term = aggregate_entropy(params.probs)
     prior_term = -params.d * math.log(params.k)
     recon_term = -aggregate_bce(xhat, x)
@@ -112,22 +98,27 @@ def d_entropy_d_probs(probs: np.ndarray) -> np.ndarray:
     return -(np.log(np.maximum(probs, EPS)) + 1.0)
 
 
+def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
+    """(..., D, K) one-hot rows of the (..., D) category indices."""
+    return (np.arange(k) == np.asarray(indices)[..., None]).astype(np.float64)
+
+
 def d_logq_d_probs(probs: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Gradient of log q(z|x) = sum_d ln(probs[d, k(d)]) w.r.t. the matrix.
 
     Matches the clipped objective: 1/p at each selected entry with p >= EPS,
     and 0 where the clip is active (the clipped log is flat there).
     """
-    d = probs.shape[0]
-    rows = np.arange(d)
-    grad = np.zeros_like(probs)
-    sel = probs[rows, indices]
-    grad[rows, indices] = np.where(sel >= EPS, 1.0 / np.maximum(sel, EPS), 0.0)
-    return grad
+    picked = one_hot(indices, probs.shape[-1]) > 0.0
+    return np.where(picked & (probs >= EPS), 1.0 / np.maximum(probs, EPS), 0.0)
 
 
 class DiscreteVae:
-    """Encoder/decoder pair over D categorical latents with K categories."""
+    """Encoder/decoder pair over D categorical latents with K categories.
+
+    Every method takes a batch: leading axes of x, of the uniforms u and of
+    the returned arrays are batch axes, and a single example has none.
+    """
 
     def __init__(self, encoder: Mlp, decoder: Mlp, d: int, k: int):
         if encoder.head != HEAD_SOFTMAX or encoder.softmax_shape != (d, k):
@@ -159,36 +150,33 @@ class DiscreteVae:
         """Categorical parameters for input x (entries expected in [0, 1])."""
         return CategoricalParams(self.encoder.forward(np.asarray(x, dtype=np.float64)))
 
-    def sample_latent(self, params: CategoricalParams, rng: Rng) -> LatentSample:
-        """One independent categorical draw per latent row."""
-        indices = np.empty(params.d, dtype=np.int64)
-        one_hot = np.zeros((params.d, params.k))
-        for d in range(params.d):
-            idx = categorical_sample(params.probs[d], rng)
-            indices[d] = idx
-            one_hot[d, idx] = 1.0
-        return LatentSample(one_hot, indices)
+    def sample_latent(self, params: CategoricalParams, u: np.ndarray) -> LatentSample:
+        """One independent categorical draw per latent row, by inverse CDF of
+        the uniforms u, shaped (..., D) like the rows; params broadcast."""
+        indices = categorical_sample(params.probs, u)
+        return LatentSample(one_hot(indices, params.k), indices)
 
     def decode(self, z: LatentSample) -> np.ndarray:
-        """Pixel-wise Bernoulli means for the flattened one-hot latent."""
-        return self.decoder.forward(z.one_hot.reshape(-1))
+        """Pixel-wise Bernoulli means for the flattened one-hot latents."""
+        return self.decoder.forward(z.one_hot.reshape(*z.one_hot.shape[:-2], self.d * self.k))
 
-    def log_q(self, params: CategoricalParams, z: LatentSample) -> float:
+    def log_q(self, params: CategoricalParams, z: LatentSample) -> np.ndarray:
         """log q(z|x) = sum_d ln(probs[d, k(d)]), clipped away from ln(0)."""
-        sel = params.probs[np.arange(params.d), z.indices]
-        return float(np.log(np.maximum(sel, EPS)).sum())
+        sel = np.take_along_axis(params.probs, z.indices[..., None], axis=-1)[..., 0]
+        return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
-    def compute_gradients(self, x: np.ndarray, rng: Rng) -> tuple[GradientReport, ElboBreakdown]:
-        """One full pass: encode, sample one latent, decode, accumulate both
-        ascent gradients into the networks' buffers.
+    def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
+        """One full pass: encode, sample one latent per example from its
+        uniforms u (..., D), decode, and accumulate both ascent gradients,
+        summed over the batch, into the networks' buffers.
 
         Accumulation is += on top of whatever is already in the buffers;
-        callers decide when to zero_grads(). Exactly one Monte Carlo latent
-        draw is used per call.
+        callers decide when to zero_grads(). Returns the per-example terms;
+        recon_term is the detached score coefficient c of each example.
         """
         x = np.asarray(x, dtype=np.float64)
         params = self.encode(x)
-        z = self.sample_latent(params, rng)
+        z = self.sample_latent(params, u)
         xhat = self.decode(z)
         breakdown = elbo_estimate(x, params, xhat)
 
@@ -202,14 +190,7 @@ class DiscreteVae:
         # Encoder: entropy gradient plus the score-function term with the
         # reconstruction coefficient detached. Both reach the probabilities,
         # so a single backward with the summed upstream accumulates them.
-        coeff = breakdown.recon_term
+        coeff = np.asarray(breakdown.recon_term)[..., None, None]
         up_enc = d_entropy_d_probs(params.probs) + coeff * d_logq_d_probs(params.probs, z.indices)
         self.encoder.backward(up_enc)
-
-        report = GradientReport(
-            encoder_grads=self.encoder.grad_arrays(),
-            decoder_grads=self.decoder.grad_arrays(),
-            mc_coefficient=coeff,
-            log_q=self.log_q(params, z),
-        )
-        return report, breakdown
+        return breakdown

@@ -19,7 +19,8 @@ HEAD_SOFTMAX = "softmax"
 
 
 class LinearLayer:
-    """Affine map y = W x + b with gradient accumulators and input cache."""
+    """Affine map y = x W^T + b over the last axis of x, with gradient
+    accumulators and an input cache. Leading axes of x are batch axes."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -37,34 +38,40 @@ class LinearLayer:
         """Symmetric fan-scaled init: weights uniform in +-sqrt(6/(fan_in+fan_out)),
         biases zero. Draws are consumed in row-major order."""
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = np.empty((fan_out, fan_in))
-        for i in range(fan_out):
-            for j in range(fan_in):
-                w[i, j] = (2.0 * rng.uniform() - 1.0) * limit
+        w = rng.uniforms(fan_out * fan_in).reshape(fan_out, fan_in)
+        w *= 2.0
+        w -= 1.0
+        w *= limit
         return cls(w, np.zeros(fan_out))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.weights.shape[1],):
+        if x.shape[-1:] != (self.weights.shape[1],):
             raise ShapeError(
                 f"input {x.shape} does not match weights {self.weights.shape}"
             )
         self.cached_input = x
-        return self.weights @ x + self.bias
+        out = x @ self.weights.T
+        out += self.bias
+        return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Accumulate the parameter gradients, summed over the batch."""
         if self.cached_input is None:
             raise RuntimeError("backward before forward")
-        self.grad_weights += np.outer(grad_out, self.cached_input)
-        self.grad_bias += grad_out
-        return self.weights.T @ grad_out
+        x2 = self.cached_input.reshape(-1, self.weights.shape[1])
+        g2 = grad_out.reshape(-1, self.weights.shape[0])
+        self.grad_weights += g2.T @ x2
+        self.grad_bias += g2.sum(axis=0)
 
 
 class Mlp:
     """Linear layers joined by rectifiers, finished by a sigmoid or softmax head.
 
     For the softmax head, the final layer's output is reshaped to
-    softmax_shape = (rows, cols) and each row is normalized independently, so
-    forward() returns a 2-D array; the sigmoid head returns a 1-D array.
+    (..., rows, cols) with softmax_shape = (rows, cols), and each row is
+    normalized independently; the sigmoid head keeps the final layer's shape.
+    Leading input axes are batch axes, and an unbatched vector is a batch
+    with no leading axis.
     """
 
     def __init__(self, layers: list[LinearLayer], head: str,
@@ -88,7 +95,6 @@ class Mlp:
         self.layers = layers
         self.head = head
         self.softmax_shape = softmax_shape
-        self._preacts: list[np.ndarray] | None = None
         self._output: np.ndarray | None = None
 
     @classmethod
@@ -103,30 +109,28 @@ class Mlp:
         return self.layers[0].weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Affine / rectifier chain then head; caches every pre-activation."""
-        x = np.asarray(x, dtype=np.float64)
-        preacts = []
-        h = x
+        """Affine / rectifier chain then head; each layer caches its input
+        and the net caches its output."""
+        h = np.asarray(x, dtype=np.float64)
         for i, layer in enumerate(self.layers):
-            z = layer.forward(h)
-            preacts.append(z)
-            h = np.maximum(z, 0.0) if i < len(self.layers) - 1 else z
+            h = layer.forward(h)
+            if i < len(self.layers) - 1:
+                np.maximum(h, 0.0, out=h)
         if self.head == HEAD_SIGMOID:
             out = sigmoid(h)
         else:
-            out = rowwise_softmax(h.reshape(self.softmax_shape))
-        self._preacts = preacts
+            out = rowwise_softmax(h.reshape(*h.shape[:-1], *self.softmax_shape))
         self._output = out
         return out
 
-    def backward(self, upstream_grad: np.ndarray) -> np.ndarray:
+    def backward(self, upstream_grad: np.ndarray) -> None:
         """Accumulate parameter gradients for the last forward pass.
 
         upstream_grad is the gradient of the objective with respect to the
-        head OUTPUT (same shape as forward's return). Returns the gradient
-        with respect to the network input.
+        head OUTPUT (same shape as forward's return); the parameter gradients
+        accumulate its sum over the batch.
         """
-        if self._preacts is None or self._output is None:
+        if self._output is None:
             raise RuntimeError("backward before forward")
         y = self._output
         if self.head == HEAD_SIGMOID:
@@ -134,13 +138,15 @@ class Mlp:
         else:
             # Row-block-diagonal softmax Jacobian: dz = y * (g - <g, y>) per row.
             u = np.asarray(upstream_grad, dtype=np.float64)
-            inner = (u * y).sum(axis=1, keepdims=True)
-            g = (y * (u - inner)).reshape(-1)
+            inner = (u * y).sum(axis=-1, keepdims=True)
+            g = (y * (u - inner)).reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1])
         for i in range(len(self.layers) - 1, -1, -1):
-            if i < len(self.layers) - 1:
-                g = g * (self._preacts[i] > 0.0)  # rectifier subgradient, 0 at the kink
-            g = self.layers[i].backward(g)
-        return g
+            layer = self.layers[i]
+            layer.backward(g)
+            if i > 0:
+                # Rectifier subgradient, 0 at the kink: a rectified input is
+                # positive exactly where its pre-activation was.
+                g = (g @ layer.weights) * (layer.cached_input > 0.0)
 
     def zero_grads(self) -> None:
         for layer in self.layers:

@@ -19,15 +19,19 @@ import numpy as np
 
 from dvae.distributions import EPS, Rng, aggregate_bce, aggregate_entropy
 from dvae.model import (
+    CHUNK_ROWS,
     CategoricalParams,
     DiscreteVae,
     LatentSample,
     d_entropy_d_probs,
+    one_hot,
 )
 from dvae.network import flat_grads, flat_params, set_flat_params
 
 # Full enumeration beyond this many latent configurations is refused.
 CAPACITY_LIMIT = 10 ** 6
+# Uniforms drawn per block, in latent rows, by the Monte Carlo suite.
+DRAW_BLOCK = 10_000
 
 
 class CapacityError(ValueError):
@@ -38,18 +42,15 @@ class CapacityError(ValueError):
 class EnumerationTable:
     """All K^D latent configurations with their q(z|x) and log p(x|z)."""
 
-    latents: list[LatentSample]
+    latents: np.ndarray          # (K^D, D) category indices, table order
     q_probs: np.ndarray          # (K^D,), products of encoder row probabilities
     log_px_given_z: np.ndarray   # (K^D,), Bernoulli log-likelihood of x per z
 
 
-def lexicographic_indices(d: int, k: int, flat: int) -> np.ndarray:
-    """Decode a flat table position into per-latent category indices."""
-    out = np.empty(d, dtype=np.int64)
-    for j in range(d - 1, -1, -1):
-        out[j] = flat % k
-        flat //= k
-    return out
+def lexicographic_indices(d: int, k: int, flat) -> np.ndarray:
+    """Decode flat table positions (any shape) into per-latent category
+    indices along a new trailing D axis, latent 0 the slowest-moving digit."""
+    return np.asarray(flat)[..., None] // k ** np.arange(d - 1, -1, -1) % k
 
 
 def enumerate_table(model: DiscreteVae, x: np.ndarray) -> EnumerationTable:
@@ -62,18 +63,13 @@ def enumerate_table(model: DiscreteVae, x: np.ndarray) -> EnumerationTable:
         )
     x = np.asarray(x, dtype=np.float64)
     probs = model.encode(x).probs
-    rows = np.arange(model.d)
-    latents: list[LatentSample] = []
-    q_probs = np.empty(n)
+    latents = lexicographic_indices(model.d, model.k, np.arange(n))
+    q_probs = probs[np.arange(model.d), latents].prod(axis=1)
     log_px = np.empty(n)
-    for flat in range(n):
-        indices = lexicographic_indices(model.d, model.k, flat)
-        one_hot = np.zeros((model.d, model.k))
-        one_hot[rows, indices] = 1.0
-        z = LatentSample(one_hot, indices)
-        latents.append(z)
-        q_probs[flat] = float(probs[rows, indices].prod())
-        log_px[flat] = -aggregate_bce(model.decode(z), x)
+    for start in range(0, n, CHUNK_ROWS):
+        idx = latents[start:start + CHUNK_ROWS]
+        z = LatentSample(one_hot(idx, model.k), idx)
+        log_px[start:start + CHUNK_ROWS] = -aggregate_bce(model.decode(z), x)
     return EnumerationTable(latents, q_probs, log_px)
 
 
@@ -87,7 +83,7 @@ def exact_marginal_log_px(table: EnumerationTable) -> float:
 def exact_elbo(table: EnumerationTable, params: CategoricalParams) -> float:
     """Exact ELBO: aggregate entropy - D*ln(K) + E_q[log p(x|z)] over the table."""
     expected_ll = float((table.q_probs * table.log_px_given_z).sum())
-    return aggregate_entropy(params.probs) - params.d * math.log(params.k) + expected_ll
+    return float(aggregate_entropy(params.probs)) - params.d * math.log(params.k) + expected_ll
 
 
 def exact_posterior(table: EnumerationTable) -> np.ndarray:
@@ -108,12 +104,10 @@ def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray) -> np.ndarray:
     clears the encoder's gradient buffers.
     """
     table = enumerate_table(model, x)
-    params = model.encode(x)
-    probs = params.probs
-    rows = np.arange(model.d)
+    probs = model.encode(x).probs
     weight = np.zeros_like(probs)
-    for i, z in enumerate(table.latents):
-        weight[rows, z.indices] += table.q_probs[i] * table.log_px_given_z[i]
+    np.add.at(weight, (np.arange(model.d), table.latents),
+              (table.q_probs * table.log_px_given_z)[:, None])
     score_up = np.where(probs >= EPS, weight / np.maximum(probs, EPS), 0.0)
     model.encoder.zero_grads()
     model.encoder.backward(d_entropy_d_probs(probs) + score_up)
@@ -187,11 +181,12 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         model, x = tiny_model_and_input(seed + 1000 * i)
         draw = seed + 1000 * i + 3
 
+        u = Rng(draw).uniforms(model.d)
         model.encoder.zero_grads()
         model.decoder.zero_grads()
-        model.compute_gradients(x, Rng(draw))
+        model.compute_gradients(x, u)
         analytic_dec = flat_grads(model.decoder)
-        z = model.sample_latent(model.encode(x), Rng(draw))  # same stream, same z
+        z = model.sample_latent(model.encode(x), u)  # same draws, same z
 
         theta0 = flat_params(model.decoder)
 
@@ -236,15 +231,18 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     g_sumsq = np.zeros_like(exact_grad)
     e_sum = 0.0
     e_sumsq = 0.0
-    for _ in range(n_draws):
-        model.encoder.zero_grads()
-        model.decoder.zero_grads()
-        _, breakdown = model.compute_gradients(x, stream)
-        g = flat_grads(model.encoder)
-        g_sum += g
-        g_sumsq += g * g
-        e_sum += breakdown.total
-        e_sumsq += breakdown.total * breakdown.total
+    # One B=1 pass per draw: the per-draw gradient squares need each alone.
+    for start in range(0, n_draws, DRAW_BLOCK):
+        block = min(DRAW_BLOCK, n_draws - start)
+        for u in stream.uniforms(block * model.d).reshape(block, model.d):
+            model.encoder.zero_grads()
+            model.decoder.zero_grads()
+            total = float(model.compute_gradients(x, u).total)
+            g = flat_grads(model.encoder)
+            g_sum += g
+            g_sumsq += g * g
+            e_sum += total
+            e_sumsq += total * total
 
     n = float(n_draws)
     g_mean = g_sum / n

@@ -1,8 +1,8 @@
 """Minimal dense-array operations used by the networks.
 
-Tensors are plain numpy float64 arrays in C (row-major) order. There is no
-autodiff here and no broadcasting beyond what the three ops define; the
-networks own their own backward passes.
+Tensors are plain numpy float64 arrays in C (row-major) order. Leading axes
+are batch axes. There is no autodiff here; the networks own their own
+backward passes.
 """
 
 from __future__ import annotations
@@ -14,35 +14,16 @@ class ShapeError(ValueError):
     """Operand shapes do not chain."""
 
 
-def as_tensor(values) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=np.float64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a (m x n) with b (n x p), or b a length-n vector.
-
-    Raises ShapeError naming both shapes when the inner extents disagree.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def rowwise_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a 2-D array, one row at a time.
+    """Softmax over the last axis, each row normalized independently.
 
     The per-row maximum is subtracted before exponentiation so arbitrarily
     large logits stay finite.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"expected a 2-D array of logits, got shape {logits.shape}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:

@@ -28,9 +28,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from dvae.data import Dataset, batches
-from dvae.distributions import Rng
-from dvae.model import DiscreteVae, ElboBreakdown, elbo_estimate
+from dvae.distributions import Rng, stream_uniforms
+from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, elbo_estimate
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, LinearLayer, Mlp
+from dvae.tensor import ShapeError
 
 ENCODER_INIT_OFFSET = 1
 DECODER_INIT_OFFSET = 2
@@ -74,6 +75,10 @@ class TrainConfig:
                      "max_epochs", "mc_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         # 0 is allowed as an explicit "no updates" control run.
@@ -119,64 +124,56 @@ def build_model(config: TrainConfig, p: int) -> DiscreteVae:
     )
 
 
+def _samples(images: np.ndarray, u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of images repeated once per Monte Carlo sample, with each
+    sample's D uniforms: u[i] holds example i's draws, D per sample."""
+    mc = u.shape[1] // d
+    return np.repeat(images, mc, axis=0), u.reshape(-1, d)
+
+
+def _elbo_sums(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """Summed entropy and recon terms of the single-sample ELBO estimates of
+    the rows of images under their uniforms u, in forward-only chunks of at
+    most CHUNK_ROWS samples."""
+    entropy_sum = recon_sum = 0.0
+    step = max(1, CHUNK_ROWS * model.d // u.shape[1])  # examples per chunk
+    for start in range(0, len(images), step):
+        x, ux = _samples(images[start:start + step], u[start:start + step], model.d)
+        params = model.encode(x)
+        bd = elbo_estimate(x, params, model.decode(model.sample_latent(params, ux)))
+        entropy_sum += bd.entropy_term.sum()
+        recon_sum += bd.recon_term.sum()
+    return entropy_sum, recon_sum
+
+
+def _mean_breakdown(model: DiscreteVae, entropy_sum: float, recon_sum: float,
+                    n: int) -> ElboBreakdown:
+    return ElboBreakdown.from_terms(entropy_sum / n, -model.d * math.log(model.k),
+                                    recon_sum / n)
+
+
 def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:
     """Mean of single-sample ELBO estimates over the dataset, iterated in
     index order and drawing latents sequentially from rng."""
-    sums = np.zeros(3)
-    for i in range(dataset.n):
-        x = dataset.images[i]
-        params = model.encode(x)
-        z = model.sample_latent(params, rng)
-        bd = elbo_estimate(x, params, model.decode(z))
-        sums += (bd.entropy_term, bd.prior_term, bd.recon_term)
-    means = sums / dataset.n
-    return ElboBreakdown.from_terms(means[0], means[1], means[2])
+    u = rng.uniforms(dataset.n * model.d).reshape(dataset.n, model.d)
+    return _mean_breakdown(model, *_elbo_sums(model, dataset.images, u), dataset.n)
 
 
-def _example_mean_breakdown(model: DiscreteVae, x: np.ndarray, seed: int,
-                            index: int, mc_samples: int) -> ElboBreakdown:
-    """Mean single-sample breakdown for one example under its own stream,
-    consuming exactly the draws the gradient pass would."""
-    rng = Rng(seed + EXAMPLE_STREAM_BASE + index)
-    sums = np.zeros(3)
-    params = model.encode(x)
-    for _ in range(mc_samples):
-        z = model.sample_latent(params, rng)
-        bd = elbo_estimate(x, params, model.decode(z))
-        sums += (bd.entropy_term, bd.prior_term, bd.recon_term)
-    means = sums / mc_samples
-    return ElboBreakdown.from_terms(means[0], means[1], means[2])
+def _params(model: DiscreteVae) -> list[np.ndarray]:
+    return model.encoder.param_arrays() + model.decoder.param_arrays()
 
 
-def _train_set_mean(model: DiscreteVae, dataset: Dataset,
-                    config: TrainConfig) -> ElboBreakdown:
-    """Pre-training train metrics, matching the per-example streams a
-    training epoch would consume."""
-    sums = np.zeros(3)
-    for i in range(dataset.n):
-        bd = _example_mean_breakdown(model, dataset.images[i], config.seed, i,
-                                     config.mc_samples)
-        sums += (bd.entropy_term, bd.prior_term, bd.recon_term)
-    means = sums / dataset.n
-    return ElboBreakdown.from_terms(means[0], means[1], means[2])
-
-
-def _snapshot(model: DiscreteVae) -> list[np.ndarray]:
-    return [a.copy() for a in model.encoder.param_arrays() + model.decoder.param_arrays()]
-
-
-def _restore(model: DiscreteVae, snapshot: list[np.ndarray]) -> None:
-    for live, saved in zip(model.encoder.param_arrays() + model.decoder.param_arrays(),
-                           snapshot):
-        live[:] = saved
+def _copy_into(targets: list[np.ndarray], sources: list[np.ndarray]) -> None:
+    for target, source in zip(targets, sources):
+        target[:] = source
 
 
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
           checkpoint_path=None) -> tuple[DiscreteVae, list[MetricsRow]]:
-    """Run the ascent loop: per batch, accumulate per-example gradients,
-    average them, and step the encoder then the decoder. Training stops when
-    the mean validation ELBO has not improved for `patience` epochs or at
-    max_epochs; the returned model carries the best-validation parameters.
+    """Run the ascent loop: per batch, one gradient pass over its examples,
+    averaged, then a step of the encoder and then the decoder. Training stops
+    when the mean validation ELBO has not improved for `patience` epochs or
+    at max_epochs; the returned model carries the best-validation parameters.
 
     If checkpoint_path is given, the best model is also serialized there.
     """
@@ -193,44 +190,46 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
             train_bd.recon_term, val_bd.total, time.perf_counter() - start,
         ))
 
+    # Example i's stream is re-seeded every epoch, so its draws never change.
+    n_draws = config.mc_samples * config.d_latents
+    u_train = stream_uniforms(config.seed + EXAMPLE_STREAM_BASE, train_set.n, n_draws)
+    n_samples = train_set.n * config.mc_samples
+
     val_bd = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET))
-    record(0, _train_set_mean(model, train_set, config), val_bd)
+    record(0, _mean_breakdown(model, *_elbo_sums(model, train_set.images, u_train),
+                              n_samples), val_bd)
     best_val = val_bd.total
     best_epoch = 0
-    best_params = _snapshot(model)
+    best_params = [a.copy() for a in _params(model)]
     best_rng_state = shuffle_rng.state
     stale = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        sums = np.zeros(3)
-        n_samples = 0
+        entropy_sum = recon_sum = 0.0
         for batch_i, batch in enumerate(batches(train_set, config.batch_size, shuffle_rng)):
             model.encoder.zero_grads()
             model.decoder.zero_grads()
-            for idx in batch:
-                ex_rng = Rng(config.seed + EXAMPLE_STREAM_BASE + int(idx))
-                for _ in range(config.mc_samples):
-                    _, bd = model.compute_gradients(train_set.images[idx], ex_rng)
-                    if not math.isfinite(bd.total):
-                        raise TrainingDiverged(
-                            f"non-finite ELBO estimate at epoch {epoch}, batch {batch_i}"
-                        )
-                    sums += (bd.entropy_term, bd.prior_term, bd.recon_term)
-                    n_samples += 1
+            bd = model.compute_gradients(*_samples(train_set.images[batch], u_train[batch],
+                                                   config.d_latents))
+            if not np.isfinite(bd.total).all():
+                raise TrainingDiverged(
+                    f"non-finite ELBO estimate at epoch {epoch}, batch {batch_i}"
+                )
+            entropy_sum += bd.entropy_term.sum()
+            recon_sum += bd.recon_term.sum()
             scale = 1.0 / (len(batch) * config.mc_samples)
             model.encoder.scale_grads(scale)
             model.decoder.scale_grads(scale)
             if config.learning_rate > 0.0:
                 model.encoder.sga_step(config.learning_rate)  # phi first,
                 model.decoder.sga_step(config.learning_rate)  # then theta
-        means = sums / n_samples
-        train_bd = ElboBreakdown.from_terms(means[0], means[1], means[2])
+        train_bd = _mean_breakdown(model, entropy_sum, recon_sum, n_samples)
         val_bd = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET))
         record(epoch, train_bd, val_bd)
         if val_bd.total > best_val:
             best_val = val_bd.total
             best_epoch = epoch
-            best_params = _snapshot(model)
+            _copy_into(best_params, _params(model))
             best_rng_state = shuffle_rng.state
             stale = 0
         else:
@@ -238,7 +237,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
             if stale >= config.patience:
                 break
 
-    _restore(model, best_params)
+    _copy_into(_params(model), best_params)
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, config=config, epoch=best_epoch,
                         rng_state=best_rng_state)
@@ -283,7 +282,7 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
         f.write(struct.pack("<I", len(header)))
         f.write(header)
         for _, arr in entries:
-            f.write(arr.astype("<f8").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -332,16 +331,22 @@ def load_checkpoint(path) -> Checkpoint:
         ).astype(np.float64).reshape(shape)
         offset += count * 8
 
-    d, k = int(meta["d"]), int(meta["k"])
-
     def rebuild(prefix: str) -> list[LinearLayer]:
-        layers = []
-        for i in range(sum(1 for n in tensors if n.startswith(f"{prefix}.") and n.endswith(".w"))):
-            layers.append(LinearLayer(tensors[f"{prefix}.{i}.w"], tensors[f"{prefix}.{i}.b"]))
-        return layers
+        n_layers = sum(1 for n in tensors if n.startswith(f"{prefix}.") and n.endswith(".w"))
+        if n_layers == 0:
+            raise KeyError(f"{prefix}.0.w")
+        return [LinearLayer(tensors[f"{prefix}.{i}.w"], tensors[f"{prefix}.{i}.b"])
+                for i in range(n_layers)]
 
-    encoder = Mlp(rebuild("enc"), HEAD_SOFTMAX, softmax_shape=(d, k))
-    decoder = Mlp(rebuild("dec"), HEAD_SIGMOID)
-    model = DiscreteVae(encoder, decoder, d, k)
+    try:
+        d, k = int(meta["d"]), int(meta["k"])
+        encoder = Mlp(rebuild("enc"), HEAD_SOFTMAX, softmax_shape=(d, k))
+        decoder = Mlp(rebuild("dec"), HEAD_SIGMOID)
+        model = DiscreteVae(encoder, decoder, d, k)
+        epoch, rng_state = int(meta["epoch"]), int(meta["rng_state"])
+    except KeyError as exc:
+        raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None
+    except ShapeError as exc:
+        raise CheckpointCorruptError(f"{path}: {exc}") from None
     config = {key[4:]: value for key, value in meta.items() if key.startswith("cfg.")}
-    return Checkpoint(version, config, model, int(meta["epoch"]), int(meta["rng_state"]))
+    return Checkpoint(version, config, model, epoch, rng_state)

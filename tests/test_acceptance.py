@@ -153,7 +153,7 @@ def test_criterion_6b_mnist_sanity(tmp_path):
 def test_criterion_7_serialization(tmp_path):
     model, x = tiny_model_and_input(4700)
     before_enc = model.encode(x).probs.copy()
-    z = model.sample_latent(model.encode(x), Rng(1))
+    z = model.sample_latent(model.encode(x), Rng(1).uniforms(model.d))
     before_dec = model.decode(z).copy()
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, epoch=3, rng_state=99)

@@ -83,6 +83,15 @@ class TestTrainCommand:
         assert drop_seconds((a / "metrics.csv").read_text()) == \
                drop_seconds((b / "metrics.csv").read_text())
 
+    def test_non_finite_lr_exits_1_without_output(self, bars_files, tmp_path, capsys):
+        train, val = bars_files
+        for lr in ("nan", "inf"):
+            out = tmp_path / lr
+            assert main(train_args(train, val, out, lr=lr)) == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1 and "learning_rate" in err
+            assert not (out / "metrics.csv").exists()
+
 
 class TestEvalCommand:
     def test_prints_breakdown_matching_evaluate(self, bars_files, tmp_path, capsys):
@@ -135,6 +144,18 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--model", str(ckpt_path), "--images", str(images),
                      "--n", "1", "--seed", "1", "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("n", ["6", "-1"])
+    def test_bad_n_exits_1_before_writing(self, tmp_path, capsys, n):
+        images = tmp_path / "img.idx3-ubyte"
+        write_bars_idx(images, 5, 4, 202)
+        ckpt_path = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt_path)
+        out = tmp_path / "recs"
+        assert main(["reconstruct", "--model", str(ckpt_path), "--images", str(images),
+                     "--n", n, "--seed", "1", "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestSampleCommand:
     @pytest.fixture
@@ -148,6 +169,12 @@ class TestSampleCommand:
         assert main(["sample", "--model", str(ckpt), "--n", "0", "--out", str(out)]) == 0
         assert list(out.iterdir()) == []
 
+    def test_negative_n_exits_1_before_writing(self, ckpt, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sample", "--model", str(ckpt), "--n", "-1", "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_fixed_seed_identical_images(self, ckpt, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -157,14 +184,17 @@ class TestSampleCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_dump_indices_are_valid_categories(self, ckpt, tmp_path, capsys):
-        assert main(["sample", "--model", str(ckpt), "--n", "50", "--seed", "3",
+        # 150 samples span more than one forward chunk
+        assert main(["sample", "--model", str(ckpt), "--n", "150", "--seed", "3",
                      "--dump-indices", "--out", str(tmp_path / "s")]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("sample")]
-        assert len(lines) == 50
-        for line in lines:
+        assert len(lines) == 150
+        assert len(list((tmp_path / "s").iterdir())) == 150
+        rng = Rng(3)  # sample i takes the stream's draws 2i and 2i+1
+        for i, line in enumerate(lines):
             indices = [int(tok) for tok in line.split(":")[1].split()]
-            assert len(indices) == 2
-            assert all(0 <= idx < 4 for idx in indices)
+            assert line.startswith(f"sample {i}:")
+            assert indices == [min(int(rng.uniform() * 4), 3) for _ in range(2)]
 
 
 class TestVerifyCommand:

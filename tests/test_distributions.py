@@ -8,10 +8,7 @@ from dvae.distributions import (
     Rng,
     aggregate_bce,
     aggregate_entropy,
-    bce,
-    bernoulli_log_pmf,
     categorical_sample,
-    cross_entropy,
     entropy,
     kl_categorical_vs_uniform,
 )
@@ -42,6 +39,14 @@ class TestRng:
         rng = Rng(42)
         assert [rng.next_uint64() for _ in range(3)] == SEED42_OUTPUTS
 
+    def test_uniforms_equal_sequential_draws_bitwise(self):
+        for seed in (42, 7, (1 << 64) - 1):
+            one_by_one, block = Rng(seed), Rng(seed)
+            expected = [one_by_one.uniform() for _ in range(1000)]
+            assert block.uniforms(1000).tolist() == expected
+            assert block.state == one_by_one.state
+            assert block.uniform() == one_by_one.uniform()
+
     def test_same_seed_same_stream(self):
         a, b = Rng(123), Rng(123)
         assert [a.uniform() for _ in range(50)] == [b.uniform() for _ in range(50)]
@@ -59,42 +64,54 @@ class TestRng:
 
 
 class TestBernoulliLogPmf:
+    # log p(x) of one Bernoulli outcome is minus its one-element aggregate_bce
     def test_symmetric_cases(self):
-        assert bernoulli_log_pmf(1, 0.5) == pytest.approx(math.log(0.5), abs=1e-12)
-        assert bernoulli_log_pmf(0, 0.5) == pytest.approx(math.log(0.5), abs=1e-12)
+        half = np.array([0.5])
+        assert -aggregate_bce(half, np.array([1.0])) == pytest.approx(math.log(0.5), abs=1e-12)
+        assert -aggregate_bce(half, np.array([0.0])) == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_direct_evaluation(self):
-        assert bernoulli_log_pmf(1, 0.9) == pytest.approx(math.log(0.9), abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bernoulli_log_pmf(1, 1.5)
-        with pytest.raises(ValueError):
-            bernoulli_log_pmf(2, 0.5)
+        assert -aggregate_bce(np.array([0.9]), np.array([1.0])) == pytest.approx(
+            math.log(0.9), abs=1e-12)
 
 
 class TestCategoricalSample:
     def test_degenerate_distributions(self):
         rng = Rng(1)
-        assert all(categorical_sample(np.array([1.0, 0.0, 0.0]), rng) == 0 for _ in range(20))
-        assert all(categorical_sample(np.array([0.0, 0.0, 1.0]), rng) == 2 for _ in range(20))
+        assert np.all(categorical_sample(np.array([1.0, 0.0, 0.0]), rng.uniforms(20)) == 0)
+        assert np.all(categorical_sample(np.array([0.0, 0.0, 1.0]), rng.uniforms(20)) == 2)
 
     def test_fair_coin_frequency(self):
         # binomial SE at n=1e5 is ~0.0016; 0.01 is a generous 6-sigma bound
         rng = Rng(202)
         n = 100_000
         p = np.array([0.5, 0.5])
-        zeros = sum(categorical_sample(p, rng) == 0 for _ in range(n))
+        zeros = int((categorical_sample(p, rng.uniforms(n)) == 0).sum())
         assert abs(zeros / n - 0.5) < 0.01
+
+    def test_matches_sequential_inverse_cdf_loop(self):
+        def loop_sample(p, u):
+            acc = 0.0
+            for i, pi in enumerate(p):
+                acc += pi
+                if u < acc:
+                    return i
+            return len(p) - 1
+
+        rng = Rng(14)
+        for _ in range(300):
+            k = 2 + rng.randint(9)
+            p = random_prob_vector(k, rng)
+            p[rng.randint(k)] = 0.0  # a repeated running sum, and a residue for K-1
+            u = rng.uniforms(8)
+            assert categorical_sample(p, u).tolist() == [loop_sample(p, ui) for ui in u]
 
     @pytest.mark.parametrize("k,seed", [(3, 11), (5, 12), (8, 13)])
     def test_chi_square_goodness_of_fit(self, k, seed):
         rng = Rng(seed)
         p = random_prob_vector(k, rng)
         n = 100_000
-        counts = np.zeros(k)
-        for _ in range(n):
-            counts[categorical_sample(p, rng)] += 1
+        counts = np.bincount(categorical_sample(p, rng.uniforms(n)), minlength=k)
         expected = n * p
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat < CHI2_CRIT_1E6[k - 1]
@@ -116,42 +133,20 @@ class TestEntropy:
             assert -1e-12 <= h <= math.log(6) + 1e-12
 
 
-class TestCrossEntropy:
-    def test_equals_entropy_when_equal(self):
-        u = np.array([0.5, 0.5])
-        assert cross_entropy(u, u) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_single_term_pick(self):
-        assert cross_entropy(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(
-            math.log(2), abs=1e-15)
-
-    def test_direct_evaluation(self):
-        assert cross_entropy(np.array([0.3, 0.7]), np.array([0.5, 0.5])) == pytest.approx(
-            math.log(2), abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            cross_entropy(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
-
-    def test_gibbs_inequality(self):
-        rng = Rng(37)
-        for _ in range(300):
-            a = random_prob_vector(5, rng)
-            b = random_prob_vector(5, rng)
-            assert cross_entropy(a, b) >= entropy(a) - 1e-12
-
-
 class TestBce:
+    # binary cross-entropy of one outcome is a one-element aggregate_bce
     def test_symmetric_cases(self):
-        assert bce(1.0, 0.5) == pytest.approx(math.log(2), abs=1e-15)
-        assert bce(0.0, 0.5) == pytest.approx(math.log(2), abs=1e-15)
+        half = np.array([0.5])
+        assert aggregate_bce(half, np.array([1.0])) == pytest.approx(math.log(2), abs=1e-15)
+        assert aggregate_bce(half, np.array([0.0])) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_direct_evaluation(self):
-        assert bce(1.0, 0.9) == pytest.approx(0.10536051565782628, abs=1e-12)
+        assert aggregate_bce(np.array([0.9]), np.array([1.0])) == pytest.approx(
+            0.10536051565782628, abs=1e-12)
 
     def test_clipping_keeps_finite(self):
-        assert math.isfinite(bce(1.0, 0.0))
-        assert math.isfinite(bce(0.0, 1.0))
+        assert math.isfinite(aggregate_bce(np.array([0.0]), np.array([1.0])))
+        assert math.isfinite(aggregate_bce(np.array([1.0]), np.array([0.0])))
 
 
 class TestAggregateForms:
@@ -187,8 +182,23 @@ class TestAggregateForms:
         rng = Rng(41)
         preds = np.array([rng.uniform() for _ in range(9)])
         targets = np.array([float(rng.randint(2)) for _ in range(9)])
-        total = sum(bce(t, y) for t, y in zip(targets, preds))
+        # scalar binary cross-entropy, one outcome at a time
+        total = sum(-t * math.log(y) - (1.0 - t) * math.log1p(-y)
+                    for t, y in zip(targets, preds))
         assert aggregate_bce(preds, targets) == pytest.approx(total, abs=1e-12)
+
+    def test_aggregate_forms_reduce_event_axes_only(self):
+        rng = Rng(42)
+        probs = rng.uniforms(3 * 2 * 4).reshape(3, 2, 4)
+        preds = rng.uniforms(3 * 5).reshape(3, 5)
+        targets = np.floor(rng.uniforms(5) * 2.0)
+        assert aggregate_entropy(probs).shape == (3,)
+        assert aggregate_bce(preds, targets).shape == (3,)
+        for i in range(3):
+            assert aggregate_entropy(probs)[i] == pytest.approx(
+                aggregate_entropy(probs[i]), abs=1e-12)
+            assert aggregate_bce(preds, targets)[i] == pytest.approx(
+                aggregate_bce(preds[i], targets), abs=1e-12)
 
 
 class TestKlVsUniform:

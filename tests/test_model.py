@@ -61,7 +61,7 @@ class TestEncodeDecode:
 
     def test_decode_in_open_unit_interval(self):
         model, x = tiny_model_and_input(322)
-        z = model.sample_latent(model.encode(x), Rng(3))
+        z = model.sample_latent(model.encode(x), Rng(3).uniforms(model.d))
         xhat = model.decode(z)
         assert np.all(xhat > 0.0) and np.all(xhat < 1.0)
 
@@ -76,7 +76,7 @@ class TestSampleLatent:
         model = zero_init_model(d=2, k=3)
         rng = Rng(5)
         for _ in range(10):
-            z = model.sample_latent(params, rng)
+            z = model.sample_latent(params, rng.uniforms(2))
             assert z.indices.tolist() == [1, 0]
 
     def test_fair_coin_frequency(self):
@@ -84,24 +84,32 @@ class TestSampleLatent:
         params = uniform_params(1, 2)
         rng = Rng(606)
         n = 100_000
-        zeros = sum(model.sample_latent(params, rng).indices[0] == 0 for _ in range(n))
+        z = model.sample_latent(params, rng.uniforms(n).reshape(n, 1))
+        zeros = int((z.indices[:, 0] == 0).sum())
         assert abs(zeros / n - 0.5) < 0.01
 
     def test_one_hot_and_indices_agree(self):
         model, x = tiny_model_and_input(323)
         params = model.encode(x)
         rng = Rng(7)
+        rows = []
         for _ in range(1000):
-            z = model.sample_latent(params, rng)
+            z = model.sample_latent(params, rng.uniforms(model.d))
             assert np.all(z.one_hot.sum(axis=1) == 1.0)
             assert np.all(z.one_hot[np.arange(len(z.indices)), z.indices] == 1.0)
+            rows.append(z.indices)
+
+        # one batched draw from the same stream picks the same categories
+        batch = model.sample_latent(params, Rng(7).uniforms(1000 * model.d).reshape(1000, model.d))
+        assert np.array_equal(batch.indices, np.array(rows))
+        assert np.array_equal(batch.one_hot.argmax(axis=-1), batch.indices)
 
 
 class TestLogQ:
     def test_uniform_params(self):
         model = zero_init_model(d=2, k=4, p=3, hidden=2)
         params = uniform_params(2, 4)
-        z = model.sample_latent(params, Rng(8))
+        z = model.sample_latent(params, Rng(8).uniforms(2))
         assert model.log_q(params, z) == pytest.approx(2 * math.log(0.25), abs=1e-12)
 
     def test_one_hot_params_matching_z(self):
@@ -139,7 +147,7 @@ class TestElboEstimate:
     def test_total_is_exact_term_sum(self):
         model, x = tiny_model_and_input(324)
         params = model.encode(x)
-        xhat = model.decode(model.sample_latent(params, Rng(1)))
+        xhat = model.decode(model.sample_latent(params, Rng(1).uniforms(model.d)))
         bd = elbo_estimate(x, params, xhat)
         assert bd.total == bd.entropy_term + bd.prior_term + bd.recon_term
         assert bd.recon_term <= 0.0
@@ -177,9 +185,10 @@ class TestComputeGradients:
         model, x = tiny_model_and_input(325)
         model.encoder.zero_grads()
         model.decoder.zero_grads()
-        model.compute_gradients(x, Rng(17))
+        u = Rng(17).uniforms(model.d)
+        model.compute_gradients(x, u)
         analytic = flat_grads(model.decoder)
-        z = model.sample_latent(model.encode(x), Rng(17))  # same stream => same z
+        z = model.sample_latent(model.encode(x), u)  # same draws => same z
         theta0 = flat_params(model.decoder)
 
         def objective(vec):
@@ -202,8 +211,8 @@ class TestComputeGradients:
             hybrid = DiscreteVae(encoder, other.decoder, model.d, model.k)
             hybrid.encoder.zero_grads()
             hybrid.decoder.zero_grads()
-            report, _ = hybrid.compute_gradients(x, Rng(99))  # same z every call
-            return flat_grads(hybrid.encoder), report.mc_coefficient
+            bd = hybrid.compute_gradients(x, Rng(99).uniforms(model.d))  # same z every call
+            return flat_grads(hybrid.encoder), bd.recon_term
 
         g_a, c_a = encoder_grad_with(1001)
         g_b, c_b = encoder_grad_with(2002)
@@ -213,15 +222,19 @@ class TestComputeGradients:
         assert np.allclose(s_ab, s_ac, rtol=0, atol=1e-10)
 
     def test_report_carries_live_accumulators_and_scalars(self):
+        # the gradients land in the networks' live buffers; the returned
+        # terms hold one value per example of the batch
         model, x = tiny_model_and_input(327)
         model.encoder.zero_grads()
         model.decoder.zero_grads()
-        report, bd = model.compute_gradients(x, Rng(31))
-        assert report.encoder_grads[0] is model.encoder.layers[0].grad_weights
-        assert report.mc_coefficient == bd.recon_term
-        assert all(np.all(np.isfinite(g)) for g in report.encoder_grads)
-        assert all(np.all(np.isfinite(g)) for g in report.decoder_grads)
-        assert math.isfinite(report.log_q)
+        xs = np.stack([x, 1.0 - x, x])
+        bd = model.compute_gradients(xs, Rng(31).uniforms(3 * model.d).reshape(3, model.d))
+        assert bd.entropy_term.shape == bd.recon_term.shape == bd.total.shape == (3,)
+        assert np.array_equal(bd.total, bd.entropy_term + bd.prior_term + bd.recon_term)
+        assert np.all(np.isfinite(bd.total))
+        assert all(np.all(np.isfinite(g)) for g in model.encoder.grad_arrays())
+        assert all(np.all(np.isfinite(g)) for g in model.decoder.grad_arrays())
+        assert np.any(flat_grads(model.encoder) != 0.0)
 
     def test_mean_single_sample_elbo_stays_below_log_px(self):
         from dvae.oracle import enumerate_table, exact_marginal_log_px
@@ -231,10 +244,8 @@ class TestComputeGradients:
         rng = Rng(330)
         n = 4000
         params = model.encode(x)
-        totals = np.empty(n)
-        for i in range(n):
-            z = model.sample_latent(params, rng)
-            totals[i] = elbo_estimate(x, params, model.decode(z)).total
+        z = model.sample_latent(params, rng.uniforms(n * model.d).reshape(n, model.d))
+        totals = elbo_estimate(x, params, model.decode(z)).total
         se = totals.std(ddof=1) / math.sqrt(n)
         assert totals.mean() <= log_px + 5 * se
 
@@ -247,10 +258,10 @@ class TestComputeGradients:
         n = 10_000
         total = np.zeros_like(exact)
         sq = np.zeros_like(exact)
-        for _ in range(n):
+        for u in stream.uniforms(n * model.d).reshape(n, model.d):
             model.encoder.zero_grads()
             model.decoder.zero_grads()
-            model.compute_gradients(x, stream)
+            model.compute_gradients(x, u)
             g = flat_grads(model.encoder)
             total += g
             sq += g * g

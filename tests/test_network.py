@@ -66,6 +66,16 @@ class TestBackward:
         assert np.array_equal(layer.grad_weights, np.outer(c, x))
         assert np.array_equal(layer.grad_bias, c)
 
+        # a batch accumulates the sum of its rows' gradients
+        xs = np.array([[5.0, -1.0], [0.5, 2.0], [-3.0, 1.5]])
+        cs = np.array([[2.0, -3.0], [1.0, 0.25], [-0.5, 4.0]])
+        layer.grad_weights[:] = 0.0
+        layer.grad_bias[:] = 0.0
+        assert np.array_equal(layer.forward(xs), xs @ w.T)
+        layer.backward(cs)
+        assert np.allclose(layer.grad_weights, sum(map(np.outer, cs, xs)), rtol=0, atol=1e-12)
+        assert np.allclose(layer.grad_bias, cs.sum(axis=0), rtol=0, atol=1e-12)
+
     def test_backward_before_forward_raises(self):
         net = zero_net([2, 2], HEAD_SIGMOID)
         with pytest.raises(RuntimeError):

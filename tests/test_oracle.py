@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dvae.distributions import Rng
-from dvae.model import DiscreteVae, LatentSample
+from dvae.model import DiscreteVae
 from dvae.network import flat_params, set_flat_params
 from dvae.oracle import (
     CapacityError,
@@ -31,7 +31,7 @@ def small_model(p, d, k, seed=11):
 
 def hand_table(log_px):
     n = len(log_px)
-    latents = [LatentSample(np.array([[1.0]]), np.array([0])) for _ in range(n)]
+    latents = np.zeros((n, 1), dtype=np.int64)
     return EnumerationTable(latents, np.full(n, 1.0 / n), np.asarray(log_px, dtype=float))
 
 
@@ -55,6 +55,10 @@ class TestEnumerate:
         assert lexicographic_indices(3, 4, 1).tolist() == [0, 0, 1]
         assert lexicographic_indices(3, 4, 4).tolist() == [0, 1, 0]
         assert lexicographic_indices(3, 4, 63).tolist() == [3, 3, 3]
+        table = enumerate_table(small_model(3, 3, 4), np.array([0.0, 1.0, 1.0]))
+        assert table.latents.shape == (64, 3)
+        assert np.array_equal(table.latents[4], [0, 1, 0])
+        assert np.array_equal(table.latents, lexicographic_indices(3, 4, np.arange(64)))
 
     def test_capacity_guard(self):
         model = DiscreteVae.create(2, 7, 10, hidden=None,

@@ -1,33 +1,9 @@
 import math
 
 import numpy as np
-import pytest
 
 from dvae.distributions import Rng
-from dvae.tensor import ShapeError, matmul, rowwise_softmax, sigmoid
-
-
-def test_matmul_identity_is_exact():
-    a = np.array([[3.0], [4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_zero_case():
-    out = matmul(np.array([[1.0, 2.0]]), np.array([[0.0], [0.0]]))
-    assert np.array_equal(out, np.array([[0.0]]))
-
-
-def test_matmul_hand_multiplied():
-    # oracle: multiply by hand
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.allclose(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]], rtol=0, atol=0)
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-    assert "(2, 3)" in str(err.value)
+from dvae.tensor import rowwise_softmax, sigmoid
 
 
 def test_softmax_symmetric_rows():

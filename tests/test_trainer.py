@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from dvae.data import Dataset, synthetic_bars
 from dvae.distributions import Rng
+from dvae.model import elbo_estimate
 from dvae.network import flat_grads, flat_params
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
@@ -46,7 +48,8 @@ class TestTrainConfig:
         {"d_latents": 0}, {"k_categories": -1}, {"hidden_width": 0},
         {"batch_size": 0}, {"max_epochs": 0}, {"patience": 0},
         {"learning_rate": -0.1}, {"seed": -1}, {"binarize_threshold": 0},
-        {"mc_samples": 0},
+        {"mc_samples": 0}, {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ])
     def test_invalid(self, overrides):
         with pytest.raises(ValueError):
@@ -76,13 +79,9 @@ class TestEvaluate:
         exact = exact_elbo(enumerate_table(model, x), model.encode(x))
         n = 20_000
         ds = Dataset(np.tile(x, (n, 1)), 1, 4)
-        rng = Rng(641)
-        totals = np.empty(n)
-        for i in range(n):
-            params = model.encode(ds.images[i])
-            z = model.sample_latent(params, rng)
-            from dvae.model import elbo_estimate
-            totals[i] = elbo_estimate(ds.images[i], params, model.decode(z)).total
+        params = model.encode(ds.images)
+        z = model.sample_latent(params, Rng(641).uniforms(n * model.d).reshape(n, model.d))
+        totals = elbo_estimate(ds.images, params, model.decode(z)).total
         mean_bd = evaluate(model, ds, Rng(641))
         assert mean_bd.total == pytest.approx(totals.mean(), abs=1e-9)
         se = totals.std(ddof=1) / math.sqrt(n)
@@ -151,11 +150,11 @@ class TestTrainLoop:
         model = build_model(config, train_set.p)
 
         from dvae.trainer import EXAMPLE_STREAM_BASE
+        u = np.stack([Rng(config.seed + EXAMPLE_STREAM_BASE + idx).uniforms(config.d_latents)
+                      for idx in range(3)])
         model.encoder.zero_grads()
         model.decoder.zero_grads()
-        for idx in range(3):
-            model.compute_gradients(train_set.images[idx],
-                                    Rng(config.seed + EXAMPLE_STREAM_BASE + idx))
+        model.compute_gradients(train_set.images, u)  # one pass over the 3-row batch
         model.encoder.scale_grads(1.0 / 3.0)
         model.decoder.scale_grads(1.0 / 3.0)
         batched = np.concatenate([flat_grads(model.encoder), flat_grads(model.decoder)])
@@ -164,8 +163,7 @@ class TestTrainLoop:
         for idx in range(3):
             model.encoder.zero_grads()
             model.decoder.zero_grads()
-            model.compute_gradients(train_set.images[idx],
-                                    Rng(config.seed + EXAMPLE_STREAM_BASE + idx))
+            model.compute_gradients(train_set.images[idx], u[idx])
             separate += np.concatenate([flat_grads(model.encoder),
                                         flat_grads(model.decoder)])
         separate /= 3.0
@@ -193,7 +191,7 @@ class TestCheckpoint:
     def test_round_trip_forward_is_bit_identical(self, tmp_path):
         model, x = tiny_model_and_input(909)
         before = model.encode(x).probs.copy()
-        z = model.sample_latent(model.encode(x), Rng(1))
+        z = model.sample_latent(model.encode(x), Rng(1).uniforms(model.d))
         decoded_before = model.decode(z).copy()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, config=bars_config(), epoch=4, rng_state=777)
@@ -210,6 +208,25 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-20])
+        with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry,renamed", [
+        ("d=", "xd="), ("k=", "xk="), ("epoch=", "xepoch="), ("rng_state=", "xrng_state="),
+        ("enc.1.b ", "enc.1.x "), ("dec.0.w ", "dec.0.x "),
+    ])
+    def test_missing_header_entry_is_corrupt(self, tmp_path, entry, renamed):
+        model, _ = tiny_model_and_input(912)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[12:16])
+        header = blob[16:16 + header_len].decode()
+        assert entry in header
+        # renaming keeps the manifest's size, so only the missing entry is wrong
+        header = header.replace(entry, renamed, 1).encode()
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + header_len:])
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
 
