@@ -50,12 +50,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    ckpt = trainer.load_checkpoint(args.model)
+def _load_images_for(ckpt: trainer.Checkpoint, args) -> data.Dataset:
+    """args.images binarized at --threshold, else at the checkpoint's
+    training threshold; its pixel count must match the model's."""
     threshold = args.threshold
     if threshold is None:
         threshold = int(ckpt.config.get("binarize_threshold", 128))
     dataset = data.load_binarized(args.images, threshold=threshold)
+    if dataset.p != ckpt.model.p:
+        raise ValueError(f"model expects {ckpt.model.p} pixels, images have {dataset.p}")
+    return dataset
+
+
+def cmd_eval(args) -> int:
+    ckpt = trainer.load_checkpoint(args.model)
+    dataset = _load_images_for(ckpt, args)
     bd = trainer.evaluate(ckpt.model, dataset, Rng(args.seed))
     print(f"elbo={bd.total:.6f} entropy={bd.entropy_term:.6f} "
           f"prior={bd.prior_term:.6f} recon={bd.recon_term:.6f}")
@@ -72,12 +81,7 @@ def _check_count(n: int, available: int | None = None) -> None:
 def cmd_reconstruct(args) -> int:
     ckpt = trainer.load_checkpoint(args.model)
     model = ckpt.model
-    threshold = args.threshold
-    if threshold is None:
-        threshold = int(ckpt.config.get("binarize_threshold", 128))
-    dataset = data.load_binarized(args.images, threshold=threshold)
-    if dataset.p != model.p:
-        raise ValueError(f"model expects {model.p} pixels, images have {dataset.p}")
+    dataset = _load_images_for(ckpt, args)
     _check_count(args.n, dataset.n)
     u = Rng(args.seed).uniforms(args.n * model.d).reshape(args.n, model.d)
     out = Path(args.out)

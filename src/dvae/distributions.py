@@ -92,10 +92,17 @@ class Rng:
         return int(self.uniform() * n)
 
     def shuffle(self, indices: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(indices) - 1, 0, -1):
-            j = self.randint(i + 1)
-            indices[i], indices[j] = indices[j], indices[i]
+        """In-place Fisher-Yates shuffle. Swap i = n-1, ..., 1 takes
+        j = randint(i + 1); the n-1 draws are taken as one block, and only
+        the swaps run in sequence."""
+        n = len(indices)
+        if n < 2:
+            return
+        js = (self.uniforms(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
+        perm = indices.tolist()
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+            perm[i], perm[j] = perm[j], perm[i]
+        indices[:] = perm
 
 
 def categorical_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

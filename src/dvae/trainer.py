@@ -20,7 +20,9 @@ produce the same metrics row every epoch.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -190,12 +192,18 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
             train_bd.recon_term, val_bd.total, time.perf_counter() - start,
         ))
 
+    def validate(epoch: int) -> ElboBreakdown:
+        bd = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET))
+        if not math.isfinite(bd.total):
+            raise TrainingDiverged(f"non-finite validation ELBO at epoch {epoch}")
+        return bd
+
     # Example i's stream is re-seeded every epoch, so its draws never change.
     n_draws = config.mc_samples * config.d_latents
     u_train = stream_uniforms(config.seed + EXAMPLE_STREAM_BASE, train_set.n, n_draws)
     n_samples = train_set.n * config.mc_samples
 
-    val_bd = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET))
+    val_bd = validate(0)
     record(0, _mean_breakdown(model, *_elbo_sums(model, train_set.images, u_train),
                               n_samples), val_bd)
     best_val = val_bd.total
@@ -224,7 +232,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
                 model.encoder.sga_step(config.learning_rate)  # phi first,
                 model.decoder.sga_step(config.learning_rate)  # then theta
         train_bd = _mean_breakdown(model, entropy_sum, recon_sum, n_samples)
-        val_bd = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET))
+        val_bd = validate(epoch)
         record(epoch, train_bd, val_bd)
         if val_bd.total > best_val:
             best_val = val_bd.total
@@ -267,7 +275,10 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
                     epoch: int = 0, rng_state: int = 0) -> None:
     """Serialize a model: 8-byte magic, uint32 version, a length-prefixed
     UTF-8 key=value header (config echo and tensor manifest), then each
-    tensor as raw little-endian float64 in manifest order."""
+    tensor as raw little-endian float64 in manifest order.
+
+    The bytes go to a sibling temporary file that then replaces path, so a
+    write that fails midway leaves any previous checkpoint intact."""
     entries = _tensor_entries(model)
     lines = [f"d={model.d}", f"k={model.k}", f"p={model.p}",
              f"epoch={epoch}", f"rng_state={rng_state}"]
@@ -276,13 +287,20 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
     lines += [f"tensor={name} shape={','.join(str(s) for s in arr.shape)}"
               for name, arr in entries]
     header = ("\n".join(lines) + "\n").encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for _, arr in entries:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(header)))
+            f.write(header)
+            for _, arr in entries:
+                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -311,6 +329,8 @@ def load_checkpoint(path) -> Checkpoint:
         key, _, value = line.partition("=")
         if key == "tensor":
             name, _, shape_part = value.partition(" shape=")
+            if any(name == seen for seen, _ in manifest):
+                raise CheckpointCorruptError(f"{path}: tensor {name} is listed twice")
             manifest.append((name, tuple(int(s) for s in shape_part.split(","))))
         else:
             meta[key] = value

@@ -1,7 +1,7 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
-per criterion; the heavy Monte Carlo checks take around half a minute.
+per criterion; the 200k-draw Monte Carlo checks take well under a second.
 """
 
 import math

@@ -106,6 +106,24 @@ class TestEvalCommand:
         assert line == (f"elbo={expected.total:.6f} entropy={expected.entropy_term:.6f} "
                         f"prior={expected.prior_term:.6f} recon={expected.recon_term:.6f}")
 
+    def test_pixel_count_mismatch_exits_1(self, tmp_path, capsys):
+        images = tmp_path / "img.idx3-ubyte"
+        write_bars_idx(images, 2, 5, 203)  # p = 25
+        ckpt_path = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt_path)
+        assert main(["eval", "--model", str(ckpt_path), "--images", str(images)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: model expects 16 pixels, images have 25"]
+
+    def test_empty_image_file_exits_1(self, tmp_path, capsys):
+        images = tmp_path / "empty.idx3-ubyte"
+        write_idx(images, np.zeros((0, 4, 4), dtype=np.uint8))
+        ckpt_path = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt_path)
+        assert main(["eval", "--model", str(ckpt_path), "--images", str(images)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(images) in err[0] and "no images" in err[0]
+
 
 class TestReconstructCommand:
     def test_zero_init_model_renders_mid_gray(self, tmp_path):

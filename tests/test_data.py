@@ -122,6 +122,13 @@ class TestBinarize:
         assert ds.labels.tolist() == [5, 9]
         assert set(np.unique(ds.images)) <= {0.0, 1.0}
 
+    def test_load_binarized_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.idx3-ubyte"
+        write_idx(path, np.zeros((0, 2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="no images") as err:
+            load_binarized(path)
+        assert str(path) in str(err.value)
+
 
 class TestBatches:
     @staticmethod

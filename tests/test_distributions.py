@@ -61,6 +61,17 @@ class TestRng:
         idx = np.arange(17)
         rng.shuffle(idx)
         assert sorted(idx.tolist()) == list(range(17))
+        # the same permutation and state as one randint per swap
+        for n in (0, 1, 2, 17, 1000):
+            block, one_by_one = Rng(9), Rng(9)
+            idx = np.arange(n)
+            block.shuffle(idx)
+            expected = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = one_by_one.randint(i + 1)
+                expected[i], expected[j] = expected[j], expected[i]
+            assert idx.tolist() == expected
+            assert block.state == one_by_one.state
 
 
 class TestBernoulliLogPmf:

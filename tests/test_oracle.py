@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dvae import oracle
 from dvae.distributions import Rng
 from dvae.model import DiscreteVae
-from dvae.network import flat_params, set_flat_params
+from dvae.network import flat_grads, flat_params, set_flat_params
 from dvae.oracle import (
     CapacityError,
     EnumerationTable,
@@ -19,6 +20,7 @@ from dvae.oracle import (
     scaled_gradient_error,
     suite_bound,
     suite_gradient_checks,
+    suite_unbiasedness,
     tiny_model_and_input,
 )
 from helpers import zero_init_model
@@ -163,3 +165,66 @@ class TestSuites:
 
     def test_bound_suite_passes(self):
         assert all(c.passed for c in suite_bound(2024, n_models=20))
+
+
+def per_draw_unbiasedness(seed, n_draws):
+    """The statistics of suite_unbiasedness from one B=1 compute_gradients
+    pass per draw: max z, fraction of z above 3, and the ELBO z."""
+    model, x = tiny_model_and_input(seed + 77, p=4)
+    exact_grad = exact_encoder_gradient(model, x)
+    exact_value = exact_elbo(enumerate_table(model, x), model.encode(x))
+    grads, totals = [], []
+    for u in Rng(seed + 78).uniforms(n_draws * model.d).reshape(n_draws, model.d):
+        model.encoder.zero_grads()
+        model.decoder.zero_grads()
+        totals.append(float(model.compute_gradients(x, u).total))
+        grads.append(flat_grads(model.encoder))
+    grads, totals = np.array(grads), np.array(totals)
+    se = grads.std(axis=0, ddof=1) / math.sqrt(n_draws)
+    diff = np.abs(grads.mean(axis=0) - exact_grad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(diff == 0.0, 0.0, diff / se)
+    e_z = abs(totals.mean() - exact_value) / (totals.std(ddof=1) / math.sqrt(n_draws))
+    return float(z.max()), float((z > 3.0).mean()), e_z
+
+
+class TestUnbiasednessSuite:
+    def test_counting_matches_per_draw_loop(self, monkeypatch):
+        seed, n_draws, block = 6, 2500, 37
+        model, x = tiny_model_and_input(seed + 77, p=4)
+        u = Rng(seed + 78).uniforms(n_draws * model.d).reshape(n_draws, model.d)
+        config = model.sample_latent(model.encode(x), u).indices @ [model.k, 1]
+        first_seen = [int(np.argmax(config == c)) for c in np.unique(config)]
+        assert max(first_seen) >= 2 * block  # some configuration shows up late
+
+        monkeypatch.setattr(oracle, "DRAW_BLOCK", block)
+        checks = suite_unbiasedness(seed, n_draws=n_draws)
+        expected = per_draw_unbiasedness(seed, n_draws)
+        for check, value in zip(checks, expected):
+            assert check.measured == pytest.approx(value, rel=1e-9, abs=1e-12)
+            assert check.passed == (value <= check.tolerance)
+        assert checks[0].note == f"{n_draws} draws"
+
+    def test_seed_7_fails_frac_above_3z_at_9_of_94(self):
+        checks = {c.name: c for c in suite_unbiasedness(7)}
+        frac = checks["encoder-grad-mc-mean-frac-above-3z"]
+        assert frac.measured == 9 / 94 and not frac.passed
+        assert frac.note == "94 parameters"
+
+    def test_same_latent_gives_bit_identical_pass(self):
+        # the counting suite rests on this: a draw's pass depends on its
+        # uniforms only through the latent configuration they select
+        model, x = tiny_model_and_input(6 + 77, p=4)
+        u = Rng(84).uniforms(200 * model.d).reshape(200, model.d)
+        config = model.sample_latent(model.encode(x), u).indices @ [model.k, 1]
+        rows = np.flatnonzero(config == config[0])[:2]
+        assert len(rows) == 2 and not np.array_equal(u[rows[0]], u[rows[1]])
+        results = []
+        for row in rows:
+            model.encoder.zero_grads()
+            model.decoder.zero_grads()
+            bd = model.compute_gradients(x, u[row])
+            results.append((bd.total, flat_grads(model.encoder), flat_grads(model.decoder)))
+        (t0, enc0, dec0), (t1, enc1, dec1) = results
+        assert t0 == t1
+        assert np.array_equal(enc0, enc1) and np.array_equal(dec0, dec1)

@@ -1,12 +1,14 @@
+import io
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from dvae import trainer
 from dvae.data import Dataset, synthetic_bars
 from dvae.distributions import Rng
-from dvae.model import elbo_estimate
+from dvae.model import ElboBreakdown, elbo_estimate
 from dvae.network import flat_grads, flat_params
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
@@ -143,6 +145,23 @@ class TestTrainLoop:
         assert "epoch 1" in str(err.value)
         assert "batch" in str(err.value)
 
+    def test_non_finite_validation_elbo_diverges(self, monkeypatch):
+        train_set, val_set = bars_sets(n_train=40, n_val=10)
+        real_evaluate = trainer.evaluate
+        calls = []
+
+        def nan_after_epoch_0(model, dataset, rng):
+            bd = real_evaluate(model, dataset, rng)
+            calls.append(bd)
+            if len(calls) == 1:
+                return bd
+            return ElboBreakdown.from_terms(bd.entropy_term, bd.prior_term, math.nan)
+
+        monkeypatch.setattr(trainer, "evaluate", nan_after_epoch_0)
+        with pytest.raises(TrainingDiverged, match="validation ELBO at epoch 1"):
+            train(bars_config(max_epochs=3, batch_size=10), train_set, val_set)
+        assert len(calls) == 2
+
     def test_batch_mean_equals_mean_of_per_example_gradients(self):
         # the trainer's accumulate-then-scale equals averaging separate passes
         train_set, _ = bars_sets(n_train=3, n_val=3)
@@ -230,6 +249,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
 
+    def test_duplicate_tensor_is_corrupt(self, tmp_path):
+        model, _ = tiny_model_and_input(915)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[12:16])
+        header = blob[16:16 + header_len] + b"tensor=dec.1.b shape=6\n"
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + header_len:] + np.full(6, 7.0).tobytes())
+        with pytest.raises(CheckpointCorruptError, match="dec.1.b is listed twice"):
+            load_checkpoint(path)
+
     def test_bad_magic_is_format_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"NOTDVAE!" + bytes(32))
@@ -246,6 +277,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError) as err:
             load_checkpoint(path)
         assert "2" in str(err.value) and "1" in str(err.value)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model_and_input(913)[0], path, epoch=1)
+        before = path.read_bytes()
+
+        class FailingFile(io.FileIO):
+            def write(self, b):
+                if self.tell() >= 100:
+                    raise OSError("no space left on device")
+                return super().write(b)
+
+        monkeypatch.setattr(trainer, "open", lambda file, mode: FailingFile(file, "w"),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(tiny_model_and_input(914)[0], path, epoch=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).epoch == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_magic_constant(self):
         assert CHECKPOINT_MAGIC == b"DVAECKPT"
