@@ -196,7 +196,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:  # missing, unreadable or unwritable paths
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -120,11 +120,15 @@ def binarize(raw: np.ndarray, threshold: int = 128) -> np.ndarray:
 
 def load_binarized(images_path, labels_path=None, threshold: int = 128) -> Dataset:
     """Load and binarize an IDX image file (plus optional labels). A file
-    that holds no images is rejected."""
+    that holds no images, or labels whose count differs from the images',
+    is rejected."""
     raw = load_images(images_path)
     if raw.shape[0] == 0:
         raise ValueError(f"{images_path}: the file holds no images")
     labels = load_labels(labels_path).astype(np.int64) if labels_path else None
+    if labels is not None and len(labels) != raw.shape[0]:
+        raise ValueError(f"{labels_path}: {len(labels)} labels for "
+                         f"{raw.shape[0]} images in {images_path}")
     return Dataset(binarize(raw, threshold), raw.shape[1], raw.shape[2], labels)
 
 

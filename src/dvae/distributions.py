@@ -140,8 +140,17 @@ def aggregate_bce(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.float64)
     if predictions.shape[-1:] != targets.shape[-1:]:
         raise ShapeError(f"length mismatch: {predictions.shape} vs {targets.shape}")
+    shape = np.broadcast_shapes(predictions.shape, targets.shape)
     y = np.clip(predictions, EPS, 1.0 - EPS)
-    return -(targets * np.log(y) + (1.0 - targets) * np.log1p(-y)).sum(axis=-1)
+    # targets * ln(y) + (1 - targets) * ln(1 - y), its temporaries reused.
+    terms = np.log(y, out=np.empty(shape))
+    terms *= targets
+    np.negative(y, out=y)
+    np.log1p(y, out=y)
+    rest = np.subtract(1.0, targets, out=np.empty(shape))
+    rest *= y
+    terms += rest
+    return -terms.sum(axis=-1)
 
 
 def kl_categorical_vs_uniform(p: np.ndarray) -> float:

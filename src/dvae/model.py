@@ -98,6 +98,18 @@ def d_entropy_d_probs(probs: np.ndarray) -> np.ndarray:
     return -(np.log(np.maximum(probs, EPS)) + 1.0)
 
 
+def d_recon_d_xhat(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """Gradient of recon_term = -aggregate_bce(xhat, x) w.r.t. xhat.
+
+    Exact value is x / xhat - (1 - x) / (1 - xhat) where EPS < xhat < 1 - EPS,
+    and 0 where the bce clip is active (the clipped objective is flat there).
+    The inf/nan computed outside the clip is discarded by the where.
+    """
+    inside = (xhat > EPS) & (xhat < 1.0 - EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inside, x / xhat - (1.0 - x) / (1.0 - xhat), 0.0)
+
+
 def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
     """(..., D, K) one-hot rows of the (..., D) category indices."""
     return (np.arange(k) == np.asarray(indices)[..., None]).astype(np.float64)
@@ -180,12 +192,8 @@ class DiscreteVae:
         xhat = self.decode(z)
         breakdown = elbo_estimate(x, params, xhat)
 
-        # Decoder: gradient of recon_term = -aggregate_bce(xhat, x) w.r.t. xhat,
-        # zero where the bce clip is active (the clipped objective is flat there).
-        up_dec = np.zeros_like(xhat)
-        inside = (xhat > EPS) & (xhat < 1.0 - EPS)
-        up_dec[inside] = x[inside] / xhat[inside] - (1.0 - x[inside]) / (1.0 - xhat[inside])
-        self.decoder.backward(up_dec)
+        # Decoder: gradient of the reconstruction term only.
+        self.decoder.backward(d_recon_d_xhat(x, xhat))
 
         # Encoder: entropy gradient plus the score-function term with the
         # reconstruction coefficient detached. Both reach the probabilities,

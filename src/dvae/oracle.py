@@ -59,6 +59,12 @@ def lexicographic_indices(d: int, k: int, flat) -> np.ndarray:
     return np.asarray(flat)[..., None] // k ** np.arange(d - 1, -1, -1) % k
 
 
+def table_q_probs(probs: np.ndarray, latents: np.ndarray) -> np.ndarray:
+    """q(z|x) of each table row: the product of the encoder's (D, K) row
+    probabilities at the row's category indices."""
+    return probs[np.arange(probs.shape[0]), latents].prod(axis=1)
+
+
 def enumerate_table(model: DiscreteVae, x: np.ndarray) -> EnumerationTable:
     """Build the full table for one input. Refuses K^D > CAPACITY_LIMIT."""
     n = model.k ** model.d
@@ -68,9 +74,8 @@ def enumerate_table(model: DiscreteVae, x: np.ndarray) -> EnumerationTable:
             f"limit {CAPACITY_LIMIT}"
         )
     x = np.asarray(x, dtype=np.float64)
-    probs = model.encode(x).probs
     latents = lexicographic_indices(model.d, model.k, np.arange(n))
-    q_probs = probs[np.arange(model.d), latents].prod(axis=1)
+    q_probs = table_q_probs(model.encode(x).probs, latents)
     log_px = np.empty(n)
     for start in range(0, n, CHUNK_ROWS):
         idx = latents[start:start + CHUNK_ROWS]
@@ -206,10 +211,14 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
 
         analytic_enc = exact_encoder_gradient(model, x)
         phi0 = flat_params(model.encoder)
+        table = enumerate_table(model, x)  # log p(x|z) does not depend on phi
 
         def elbo_of(vec):
             set_flat_params(model.encoder, vec)
-            return exact_elbo(enumerate_table(model, x), model.encode(x))
+            params = model.encode(x)
+            q_probs = table_q_probs(params.probs, table.latents)
+            return exact_elbo(EnumerationTable(table.latents, q_probs, table.log_px_given_z),
+                              params)
 
         fd_enc = finite_difference(elbo_of, phi0, h)
         set_flat_params(model.encoder, phi0)

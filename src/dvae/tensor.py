@@ -29,13 +29,20 @@ def rowwise_softmax(logits: np.ndarray) -> np.ndarray:
 def sigmoid(t: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, 1 / (1 + exp(-t)).
 
-    Uses the two-branch form (exp of a non-positive argument only) so neither
-    branch can overflow and sigmoid(-t) == 1 - sigmoid(t) to within rounding.
+    Takes exp of a non-positive argument only, no branches: with
+    e = exp(-|t|), the result is 1 / (1 + e) where t >= 0 and e / (1 + e)
+    elsewhere (there -|t| == t exactly). Nothing can overflow, and
+    sigmoid(-t) == 1 - sigmoid(t) to within rounding.
     """
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.abs(t, out=np.empty_like(t))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # The numerator, 1 where t >= 0 and e elsewhere, is max([t >= 0], e)
+    # since 0 <= e <= 1; unlike np.where on a mask of mixed signs, the
+    # maximum runs without a data-dependent branch per element.
+    out = np.greater_equal(t, 0.0, out=np.empty_like(t), casting="unsafe")
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
     return out

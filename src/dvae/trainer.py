@@ -128,9 +128,10 @@ def build_model(config: TrainConfig, p: int) -> DiscreteVae:
 
 def _samples(images: np.ndarray, u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of images repeated once per Monte Carlo sample, with each
-    sample's D uniforms: u[i] holds example i's draws, D per sample."""
+    sample's D uniforms: u[i] holds example i's draws, D per sample. With
+    one sample per example, images are returned uncopied."""
     mc = u.shape[1] // d
-    return np.repeat(images, mc, axis=0), u.reshape(-1, d)
+    return images if mc == 1 else np.repeat(images, mc, axis=0), u.reshape(-1, d)
 
 
 def _elbo_sums(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> tuple[float, float]:

@@ -55,6 +55,32 @@ class TestUsageErrors:
         assert code == 2
         assert "usage" in capsys.readouterr().err
 
+    def test_input_path_through_a_file_exits_2(self, bars_files, tmp_path, capsys):
+        train, val = bars_files
+        code = main(train_args(train, val / "x", tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exits_2(self, bars_files, tmp_path, capsys):
+        train, val = bars_files
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        ckpt_path = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt_path)
+        commands = [
+            train_args(train, val, taken),
+            ["reconstruct", "--model", str(ckpt_path), "--images", str(val),
+             "--n", "2", "--out", str(taken)],
+            ["sample", "--model", str(ckpt_path), "--n", "2", "--out", str(taken)],
+        ]
+        for argv in commands:
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[-1].startswith("error:") and str(taken) in err[-1]
+            assert taken.read_text() == "keep"
+
 
 class TestTrainCommand:
     def test_writes_outputs_and_prints_final_elbo(self, bars_files, tmp_path, capsys):
@@ -82,6 +108,17 @@ class TestTrainCommand:
         assert main(train_args(train, val, b)) == 0
         assert drop_seconds((a / "metrics.csv").read_text()) == \
                drop_seconds((b / "metrics.csv").read_text())
+
+    def test_label_count_mismatch_exits_1(self, bars_files, tmp_path, capsys):
+        train, val = bars_files
+        labels = tmp_path / "labels.idx1-ubyte"
+        write_idx(labels, np.zeros(7, dtype=np.uint8))
+        out = tmp_path / "run"
+        argv = train_args(train, val, out)
+        assert main(argv[:1] + ["--train-labels", str(labels)] + argv[1:]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "7 labels for 60 images" in err[0]
+        assert not out.exists()
 
     def test_non_finite_lr_exits_1_without_output(self, bars_files, tmp_path, capsys):
         train, val = bars_files

@@ -122,6 +122,14 @@ class TestBinarize:
         assert ds.labels.tolist() == [5, 9]
         assert set(np.unique(ds.images)) <= {0.0, 1.0}
 
+    def test_load_binarized_rejects_label_count_mismatch(self, tmp_path):
+        images, labels = tmp_path / "img.idx3-ubyte", tmp_path / "lbl.idx1-ubyte"
+        write_idx(images, np.zeros((30, 2, 2), dtype=np.uint8))
+        write_idx(labels, np.zeros(7, dtype=np.uint8))
+        with pytest.raises(ValueError, match="7 labels for 30 images") as err:
+            load_binarized(images, labels)
+        assert str(labels) in str(err.value)
+
     def test_load_binarized_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.idx3-ubyte"
         write_idx(path, np.zeros((0, 2, 2), dtype=np.uint8))

@@ -198,6 +198,28 @@ class TestAggregateForms:
                     for t, y in zip(targets, preds))
         assert aggregate_bce(preds, targets) == pytest.approx(total, abs=1e-12)
 
+    @pytest.mark.parametrize("pred_shape, target_shape",
+                             [((9, 6), (6,)), ((6,), (3, 6)), ((4, 6), (4, 6))])
+    def test_aggregate_bce_bit_identical_to_unfused_form(self, pred_shape, target_shape):
+        rng = Rng(43)
+        preds = rng.uniforms(math.prod(pred_shape)).reshape(pred_shape)
+        preds.flat[:4] = [0.0, EPS, 1.0 - EPS, 1.0]
+        targets = np.floor(rng.uniforms(math.prod(target_shape)) * 2.0).reshape(target_shape)
+        targets.flat[:2] = [0.25, 0.75]  # soft targets too
+
+        def unfused(preds, targets):
+            y = np.clip(preds, EPS, 1.0 - EPS)
+            return -(targets * np.log(y) + (1.0 - targets) * np.log1p(-y)).sum(axis=-1)
+
+        got, expected = aggregate_bce(preds, targets), unfused(preds, targets)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        # small predictions against 0 targets, where ln(1 - y) and
+        # log1p(-y) part in the last bits
+        small = np.geomspace(1e-2, 2e-7, pred_shape[-1])
+        zeros = np.zeros(pred_shape[-1])
+        assert np.array_equal(aggregate_bce(small, zeros), unfused(small, zeros))
+
     def test_aggregate_forms_reduce_event_axes_only(self):
         rng = Rng(42)
         probs = rng.uniforms(3 * 2 * 4).reshape(3, 2, 4)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dvae.distributions import Rng
+from dvae.distributions import EPS, Rng
 from dvae.model import (
     CategoricalParams,
     DiscreteVae,
     LatentSample,
     d_entropy_d_probs,
     d_logq_d_probs,
+    d_recon_d_xhat,
     elbo_estimate,
     uniform_params,
 )
@@ -176,6 +177,19 @@ class TestComputeGradients:
         net.zero_grads()
         net.backward(d_logq_d_probs(probs, indices))
         assert np.allclose(net.layers[0].grad_bias, 0.0, rtol=0, atol=1e-12)
+
+    def test_decoder_upstream_bit_identical_to_masked_form(self):
+        # the old masked gather/scatter, kept as the oracle: zero where the
+        # clip is active, the exact derivative strictly inside it
+        levels = [0.0, EPS, 1.0 - EPS, 1.0, 0.5, 0.3, 1e-3, 0.999]
+        xhat = np.array(levels * 3)
+        x = np.array([0.0] * len(levels) + [1.0] * len(levels) + [0.5] * len(levels))
+        expected = np.zeros_like(xhat)
+        inside = (xhat > EPS) & (xhat < 1.0 - EPS)
+        expected[inside] = x[inside] / xhat[inside] - (1.0 - x[inside]) / (1.0 - xhat[inside])
+        got = d_recon_d_xhat(x, xhat)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_decoder_grads_match_finite_differences(self):
         from dvae.distributions import aggregate_bce

@@ -166,6 +166,35 @@ class TestSuites:
     def test_bound_suite_passes(self):
         assert all(c.passed for c in suite_bound(2024, n_models=20))
 
+    def test_encoder_check_matches_per_evaluation_enumeration(self, monkeypatch):
+        # the suite enumerates log p(x|z) once per net; re-enumerating the
+        # table on every finite-difference evaluation gives the same bits
+        seed, n_nets = 3, 2
+        worst = 0.0
+        for i in range(n_nets):
+            model, x = tiny_model_and_input(seed + 1000 * i)
+            analytic = exact_encoder_gradient(model, x)
+            phi0 = flat_params(model.encoder)
+
+            def objective(vec):
+                set_flat_params(model.encoder, vec)
+                return exact_elbo(enumerate_table(model, x), model.encode(x))
+
+            numeric = finite_difference(objective, phi0, 1e-5)
+            set_flat_params(model.encoder, phi0)
+            worst = max(worst, scaled_gradient_error(analytic, numeric))
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_table(*args)
+
+        monkeypatch.setattr(oracle, "enumerate_table", counted)
+        checks = {c.name: c for c in suite_gradient_checks(seed, n_nets=n_nets)}
+        assert checks["encoder-grad-vs-finite-diff"].measured == worst
+        assert len(calls) == 2 * n_nets  # the exact gradient's and the hoisted table
+
 
 def per_draw_unbiasedness(seed, n_draws):
     """The statistics of suite_unbiasedness from one B=1 compute_gradients
