@@ -111,7 +111,7 @@ def cmd_sample(args) -> int:
         xhat = model.decode(z)
         for i in range(len(xhat)):
             if args.dump_indices:
-                print(f"sample {start + i}: {' '.join(str(j) for j in z.indices[i])}")
+                print(f"sample {start + i}: {' '.join(str(j) for j in z[i])}")
             write_pgm(out / f"sample_{start + i:03d}.pgm", _to_gray(xhat[i], rows, cols))
     return 0
 
@@ -202,6 +202,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. an absurd --n, --hidden or --mc-samples
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

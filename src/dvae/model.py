@@ -1,6 +1,9 @@
-"""The discrete VAE: encoder to categorical parameters, one-hot latent
+"""The discrete VAE: encoder to rows of category probabilities, latent
 sampling, decoder to Bernoulli means, the single-sample ELBO estimate, and
 both gradient estimators.
+
+A latent is an int array of category indices, one per latent row, (..., D);
+it becomes one-hot rows only at the decoder's input.
 
 Parameter naming convention, used consistently across this package: phi is
 the encoder's parameter vector, theta is the decoder's. The ELBO for one
@@ -33,29 +36,6 @@ from dvae.tensor import ShapeError
 CHUNK_ROWS = 100
 
 
-@dataclass
-class CategoricalParams:
-    """Rows of K category probabilities, (..., D, K); each row sums to 1."""
-
-    probs: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.probs.shape[-2]
-
-    @property
-    def k(self) -> int:
-        return self.probs.shape[-1]
-
-
-@dataclass
-class LatentSample:
-    """One categorical draw per latent: one-hot rows plus the raw indices."""
-
-    one_hot: np.ndarray   # (..., D, K) of {0.0, 1.0}
-    indices: np.ndarray   # (..., D) ints, indices[..., d] = selected category
-
-
 @dataclass(frozen=True)
 class ElboBreakdown:
     """The three ELBO terms and their sum (added left to right, in order).
@@ -72,18 +52,18 @@ class ElboBreakdown:
                    entropy_term + prior_term + recon_term)
 
 
-def uniform_params(d: int, k: int) -> CategoricalParams:
-    """The uniform prior over each latent: every row is 1/K."""
-    return CategoricalParams(np.full((d, k), 1.0 / k))
+def uniform_params(d: int, k: int) -> np.ndarray:
+    """The uniform prior over each latent: (D, K) rows of 1/K."""
+    return np.full((d, k), 1.0 / k)
 
 
-def elbo_estimate(x: np.ndarray, params: CategoricalParams,
-                  xhat: np.ndarray) -> ElboBreakdown:
-    """Single-sample ELBO estimate for input x, encoder output params and
-    reconstruction xhat (already decoded from one latent draw); per example
-    for a batch."""
-    entropy_term = aggregate_entropy(params.probs)
-    prior_term = -params.d * math.log(params.k)
+def elbo_estimate(x: np.ndarray, probs: np.ndarray, xhat: np.ndarray) -> ElboBreakdown:
+    """Single-sample ELBO estimate for input x, encoder probabilities probs
+    (..., D, K) and reconstruction xhat (already decoded from one latent
+    draw); per example for a batch."""
+    d, k = probs.shape[-2:]
+    entropy_term = aggregate_entropy(probs)
+    prior_term = -d * math.log(k)
     recon_term = -aggregate_bce(xhat, x)
     return ElboBreakdown.from_terms(entropy_term, prior_term, recon_term)
 
@@ -110,18 +90,13 @@ def d_recon_d_xhat(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
         return np.where(inside, x / xhat - (1.0 - x) / (1.0 - xhat), 0.0)
 
 
-def one_hot(indices: np.ndarray, k: int) -> np.ndarray:
-    """(..., D, K) one-hot rows of the (..., D) category indices."""
-    return (np.arange(k) == np.asarray(indices)[..., None]).astype(np.float64)
-
-
-def d_logq_d_probs(probs: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Gradient of log q(z|x) = sum_d ln(probs[d, k(d)]) w.r.t. the matrix.
+def d_logq_d_probs(probs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gradient of log q(z|x) = sum_d ln(probs[d, z[d]]) w.r.t. the matrix.
 
     Matches the clipped objective: 1/p at each selected entry with p >= EPS,
     and 0 where the clip is active (the clipped log is flat there).
     """
-    picked = one_hot(indices, probs.shape[-1]) > 0.0
+    picked = np.arange(probs.shape[-1]) == np.asarray(z)[..., None]
     return np.where(picked & (probs >= EPS), 1.0 / np.maximum(probs, EPS), 0.0)
 
 
@@ -146,6 +121,7 @@ class DiscreteVae:
         self.d = d
         self.k = k
         self.p = decoder.layers[-1].weights.shape[0]
+        self._one_hot_rows = np.eye(k)  # decode gathers its one-hot rows from here
 
     @classmethod
     def create(cls, p: int, d: int, k: int, hidden: int | None,
@@ -158,23 +134,26 @@ class DiscreteVae:
         decoder = Mlp.create(dec_sizes, HEAD_SIGMOID, decoder_rng)
         return cls(encoder, decoder, d, k)
 
-    def encode(self, x: np.ndarray) -> CategoricalParams:
-        """Categorical parameters for input x (entries expected in [0, 1])."""
-        return CategoricalParams(self.encoder.forward(np.asarray(x, dtype=np.float64)))
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """(..., D, K) category probabilities for input x (entries expected
+        in [0, 1]); each row sums to 1."""
+        return self.encoder.forward(np.asarray(x, dtype=np.float64))
 
-    def sample_latent(self, params: CategoricalParams, u: np.ndarray) -> LatentSample:
+    def sample_latent(self, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One independent categorical draw per latent row, by inverse CDF of
-        the uniforms u, shaped (..., D) like the rows; params broadcast."""
-        indices = categorical_sample(params.probs, u)
-        return LatentSample(one_hot(indices, params.k), indices)
+        the uniforms u, shaped (..., D) like the rows; probs broadcast.
+        Returns the (..., D) category indices."""
+        return categorical_sample(probs, u)
 
-    def decode(self, z: LatentSample) -> np.ndarray:
-        """Pixel-wise Bernoulli means for the flattened one-hot latents."""
-        return self.decoder.forward(z.one_hot.reshape(*z.one_hot.shape[:-2], self.d * self.k))
+    def decode(self, z: np.ndarray) -> np.ndarray:
+        """Pixel-wise Bernoulli means for the (..., D) latent indices z, fed
+        to the decoder as flattened one-hot rows."""
+        hot = self._one_hot_rows[z]
+        return self.decoder.forward(hot.reshape(*hot.shape[:-2], self.d * self.k))
 
-    def log_q(self, params: CategoricalParams, z: LatentSample) -> np.ndarray:
-        """log q(z|x) = sum_d ln(probs[d, k(d)]), clipped away from ln(0)."""
-        sel = np.take_along_axis(params.probs, z.indices[..., None], axis=-1)[..., 0]
+    def log_q(self, probs: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """log q(z|x) = sum_d ln(probs[d, z[d]]), clipped away from ln(0)."""
+        sel = np.take_along_axis(probs, z[..., None], axis=-1)[..., 0]
         return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
     def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
@@ -187,10 +166,10 @@ class DiscreteVae:
         recon_term is the detached score coefficient c of each example.
         """
         x = np.asarray(x, dtype=np.float64)
-        params = self.encode(x)
-        z = self.sample_latent(params, u)
+        probs = self.encode(x)
+        z = self.sample_latent(probs, u)
         xhat = self.decode(z)
-        breakdown = elbo_estimate(x, params, xhat)
+        breakdown = elbo_estimate(x, probs, xhat)
 
         # Decoder: gradient of the reconstruction term only.
         self.decoder.backward(d_recon_d_xhat(x, xhat))
@@ -199,6 +178,6 @@ class DiscreteVae:
         # reconstruction coefficient detached. Both reach the probabilities,
         # so a single backward with the summed upstream accumulates them.
         coeff = np.asarray(breakdown.recon_term)[..., None, None]
-        up_enc = d_entropy_d_probs(params.probs) + coeff * d_logq_d_probs(params.probs, z.indices)
+        up_enc = d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z)
         self.encoder.backward(up_enc)
         return breakdown

@@ -17,21 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dvae.distributions import (
-    EPS,
-    Rng,
-    aggregate_bce,
-    aggregate_entropy,
-    categorical_sample,
-)
-from dvae.model import (
-    CHUNK_ROWS,
-    CategoricalParams,
-    DiscreteVae,
-    LatentSample,
-    d_entropy_d_probs,
-    one_hot,
-)
+from dvae.distributions import EPS, Rng, aggregate_bce, aggregate_entropy
+from dvae.model import CHUNK_ROWS, DiscreteVae, d_entropy_d_probs
 from dvae.network import flat_grads, flat_params, set_flat_params
 
 # Full enumeration beyond this many latent configurations is refused.
@@ -75,11 +62,10 @@ def enumerate_table(model: DiscreteVae, x: np.ndarray) -> EnumerationTable:
         )
     x = np.asarray(x, dtype=np.float64)
     latents = lexicographic_indices(model.d, model.k, np.arange(n))
-    q_probs = table_q_probs(model.encode(x).probs, latents)
+    q_probs = table_q_probs(model.encode(x), latents)
     log_px = np.empty(n)
     for start in range(0, n, CHUNK_ROWS):
-        idx = latents[start:start + CHUNK_ROWS]
-        z = LatentSample(one_hot(idx, model.k), idx)
+        z = latents[start:start + CHUNK_ROWS]
         log_px[start:start + CHUNK_ROWS] = -aggregate_bce(model.decode(z), x)
     return EnumerationTable(latents, q_probs, log_px)
 
@@ -91,10 +77,12 @@ def exact_marginal_log_px(table: EnumerationTable) -> float:
     return m + math.log(np.exp(lp - m).sum()) - math.log(len(lp))
 
 
-def exact_elbo(table: EnumerationTable, params: CategoricalParams) -> float:
-    """Exact ELBO: aggregate entropy - D*ln(K) + E_q[log p(x|z)] over the table."""
+def exact_elbo(table: EnumerationTable, probs: np.ndarray) -> float:
+    """Exact ELBO for the encoder's (D, K) probabilities: aggregate entropy
+    - D*ln(K) + E_q[log p(x|z)] over the table."""
+    d, k = probs.shape[-2:]
     expected_ll = float((table.q_probs * table.log_px_given_z).sum())
-    return float(aggregate_entropy(params.probs)) - params.d * math.log(params.k) + expected_ll
+    return float(aggregate_entropy(probs)) - d * math.log(k) + expected_ll
 
 
 def exact_posterior(table: EnumerationTable) -> np.ndarray:
@@ -105,17 +93,19 @@ def exact_posterior(table: EnumerationTable) -> np.ndarray:
     return e / e.sum()
 
 
-def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of the ELBO w.r.t. the flattened encoder parameters.
+def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray,
+                           table: EnumerationTable) -> np.ndarray:
+    """Exact gradient of the ELBO w.r.t. the flattened encoder parameters,
+    given the model's enumeration table for x.
 
     The score term is summed over the whole table,
     sum_z q(z|x) log p(x|z) grad log q(z|x), and added to the analytic
     entropy-term gradient; the same EPS convention as the estimator applies
-    at the (never exercised in tests) clip boundary. Clobbers and then
-    clears the encoder's gradient buffers.
+    at the (never exercised in tests) clip boundary. x is encoded here, so
+    the encoder's cache holds x's activations for the backward pass.
+    Clobbers and then clears the encoder's gradient buffers.
     """
-    table = enumerate_table(model, x)
-    probs = model.encode(x).probs
+    probs = model.encode(x)
     weight = np.zeros_like(probs)
     np.add.at(weight, (np.arange(model.d), table.latents),
               (table.q_probs * table.log_px_given_z)[:, None])
@@ -209,16 +199,16 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         set_flat_params(model.decoder, theta0)
         worst_dec = max(worst_dec, scaled_gradient_error(analytic_dec, fd_dec))
 
-        analytic_enc = exact_encoder_gradient(model, x)
-        phi0 = flat_params(model.encoder)
         table = enumerate_table(model, x)  # log p(x|z) does not depend on phi
+        analytic_enc = exact_encoder_gradient(model, x, table)
+        phi0 = flat_params(model.encoder)
 
         def elbo_of(vec):
             set_flat_params(model.encoder, vec)
-            params = model.encode(x)
-            q_probs = table_q_probs(params.probs, table.latents)
+            probs = model.encode(x)
+            q_probs = table_q_probs(probs, table.latents)
             return exact_elbo(EnumerationTable(table.latents, q_probs, table.log_px_given_z),
-                              params)
+                              probs)
 
         fd_enc = finite_difference(elbo_of, phi0, h)
         set_flat_params(model.encoder, phi0)
@@ -246,10 +236,10 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     loop up to float summation order.
     """
     model, x = tiny_model_and_input(seed + 77, p=4)
-    exact_grad = exact_encoder_gradient(model, x)
     table = enumerate_table(model, x)
-    params = model.encode(x)
-    exact_value = exact_elbo(table, params)
+    exact_grad = exact_encoder_gradient(model, x, table)
+    probs = model.encode(x)
+    exact_value = exact_elbo(table, probs)
 
     n_configs = len(table.latents)
     place = model.k ** np.arange(model.d - 1, -1, -1)  # inverts lexicographic_indices
@@ -260,8 +250,7 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     for start in range(0, n_draws, DRAW_BLOCK):
         block = min(DRAW_BLOCK, n_draws - start)
         u = stream.uniforms(block * model.d).reshape(block, model.d)
-        # The indices sample_latent would draw, without its one-hot rows.
-        config = categorical_sample(params.probs, u) @ place
+        config = model.sample_latent(probs, u) @ place
         block_counts = np.bincount(config, minlength=n_configs)
         for c in np.flatnonzero((block_counts > 0) & (counts == 0)):
             model.encoder.zero_grads()

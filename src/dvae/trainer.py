@@ -142,8 +142,8 @@ def _elbo_sums(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> tuple[f
     step = max(1, CHUNK_ROWS * model.d // u.shape[1])  # examples per chunk
     for start in range(0, len(images), step):
         x, ux = _samples(images[start:start + step], u[start:start + step], model.d)
-        params = model.encode(x)
-        bd = elbo_estimate(x, params, model.decode(model.sample_latent(params, ux)))
+        probs = model.encode(x)
+        bd = elbo_estimate(x, probs, model.decode(model.sample_latent(probs, ux)))
         entropy_sum += bd.entropy_term.sum()
         recon_sum += bd.recon_term.sum()
     return entropy_sum, recon_sum

@@ -230,6 +230,17 @@ class TestSampleCommand:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_out_of_memory_request_exits_1_without_traceback(self, ckpt, tmp_path, capsys):
+        # 10^17 samples of D=2 uniforms would take 1.6e18 bytes, far beyond a
+        # 128 TiB address space, so the allocation fails before any is made
+        out = tmp_path / "s"
+        code = main(["sample", "--model", str(ckpt), "--n", str(10 ** 17), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: out of memory") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_fixed_seed_identical_images(self, ckpt, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -5,9 +5,7 @@ import pytest
 
 from dvae.distributions import EPS, Rng
 from dvae.model import (
-    CategoricalParams,
     DiscreteVae,
-    LatentSample,
     d_entropy_d_probs,
     d_logq_d_probs,
     d_recon_d_xhat,
@@ -15,7 +13,12 @@ from dvae.model import (
     uniform_params,
 )
 from dvae.network import HEAD_SOFTMAX, LinearLayer, Mlp, flat_grads
-from dvae.oracle import exact_encoder_gradient, tiny_model_and_input
+from dvae.oracle import (
+    enumerate_table,
+    exact_encoder_gradient,
+    finite_difference,
+    tiny_model_and_input,
+)
 from helpers import zero_init_model
 
 # Regression fixture: model from DiscreteVae.create(5, 2, 3, 4, Rng(901), Rng(902))
@@ -25,10 +28,7 @@ FIXTURE_ENCODE = np.array([
     [0.33223216937019984, 0.31078780457557542, 0.35698002605422480],
     [0.13436385691790179, 0.28711869340357216, 0.57851744967852603],
 ])
-FIXTURE_Z = LatentSample(
-    one_hot=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-    indices=np.array([1, 2]),
-)
+FIXTURE_Z = np.array([1, 2])
 FIXTURE_DECODE = np.array([
     0.6406353001874174, 0.6837962602053882, 0.7028064892841879,
     0.6748057230848052, 0.7187156500900465,
@@ -43,22 +43,21 @@ def fixture_model():
 class TestEncodeDecode:
     def test_zero_init_encoder_is_uniform(self):
         model = zero_init_model()
-        params = model.encode(np.array([1.0, 0.0, 1.0, 1.0]))
-        assert np.allclose(params.probs, 1.0 / 3.0, rtol=0, atol=1e-15)
+        probs = model.encode(np.array([1.0, 0.0, 1.0, 1.0]))
+        assert np.allclose(probs, 1.0 / 3.0, rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         model, x = tiny_model_and_input(321)
-        params = model.encode(x)
-        assert np.allclose(params.probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        probs = model.encode(x)
+        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_encode_golden_fixture(self):
-        params = fixture_model().encode(FIXTURE_X)
-        assert np.allclose(params.probs, FIXTURE_ENCODE, rtol=0, atol=1e-15)
+        probs = fixture_model().encode(FIXTURE_X)
+        assert np.allclose(probs, FIXTURE_ENCODE, rtol=0, atol=1e-15)
 
     def test_zero_init_decoder_outputs_half(self):
         model = zero_init_model()
-        z = LatentSample(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([0, 1]))
-        assert np.array_equal(model.decode(z), np.full(4, 0.5))
+        assert np.array_equal(model.decode(np.array([0, 1])), np.full(4, 0.5))
 
     def test_decode_in_open_unit_interval(self):
         model, x = tiny_model_and_input(322)
@@ -73,83 +72,86 @@ class TestEncodeDecode:
 
 class TestSampleLatent:
     def test_one_hot_params_give_deterministic_sample(self):
-        params = CategoricalParams(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+        probs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         model = zero_init_model(d=2, k=3)
         rng = Rng(5)
         for _ in range(10):
-            z = model.sample_latent(params, rng.uniforms(2))
-            assert z.indices.tolist() == [1, 0]
+            z = model.sample_latent(probs, rng.uniforms(2))
+            assert z.tolist() == [1, 0]
 
     def test_fair_coin_frequency(self):
         model = zero_init_model(d=1, k=2, p=2, hidden=2)
-        params = uniform_params(1, 2)
+        probs = uniform_params(1, 2)
         rng = Rng(606)
         n = 100_000
-        z = model.sample_latent(params, rng.uniforms(n).reshape(n, 1))
-        zeros = int((z.indices[:, 0] == 0).sum())
+        z = model.sample_latent(probs, rng.uniforms(n).reshape(n, 1))
+        zeros = int((z[:, 0] == 0).sum())
         assert abs(zeros / n - 0.5) < 0.01
 
     def test_one_hot_and_indices_agree(self):
         model, x = tiny_model_and_input(323)
-        params = model.encode(x)
+        probs = model.encode(x)
         rng = Rng(7)
         rows = []
         for _ in range(1000):
-            z = model.sample_latent(params, rng.uniforms(model.d))
-            assert np.all(z.one_hot.sum(axis=1) == 1.0)
-            assert np.all(z.one_hot[np.arange(len(z.indices)), z.indices] == 1.0)
-            rows.append(z.indices)
+            z = model.sample_latent(probs, rng.uniforms(model.d))
+            assert z.shape == (model.d,) and np.all((z >= 0) & (z < model.k))
+            rows.append(z)
 
         # one batched draw from the same stream picks the same categories
-        batch = model.sample_latent(params, Rng(7).uniforms(1000 * model.d).reshape(1000, model.d))
-        assert np.array_equal(batch.indices, np.array(rows))
-        assert np.array_equal(batch.one_hot.argmax(axis=-1), batch.indices)
+        batch = model.sample_latent(probs, Rng(7).uniforms(1000 * model.d).reshape(1000, model.d))
+        assert batch.shape == (1000, model.d) and batch.dtype.kind == "i"
+        assert np.array_equal(batch, np.array(rows))
+
+        # decode feeds the decoder one one-hot row per latent, 1.0 at its index
+        hot = np.zeros((1000, model.d, model.k))
+        for i, z in enumerate(rows):
+            hot[i, np.arange(model.d), z] = 1.0
+        assert np.array_equal(model.decode(batch), model.decoder.forward(hot.reshape(1000, -1)))
 
 
 class TestLogQ:
     def test_uniform_params(self):
         model = zero_init_model(d=2, k=4, p=3, hidden=2)
-        params = uniform_params(2, 4)
-        z = model.sample_latent(params, Rng(8).uniforms(2))
-        assert model.log_q(params, z) == pytest.approx(2 * math.log(0.25), abs=1e-12)
+        probs = uniform_params(2, 4)
+        z = model.sample_latent(probs, Rng(8).uniforms(2))
+        assert model.log_q(probs, z) == pytest.approx(2 * math.log(0.25), abs=1e-12)
 
     def test_one_hot_params_matching_z(self):
-        params = CategoricalParams(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        z = LatentSample(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
+        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
         model = zero_init_model(d=2, k=2, p=3, hidden=2)
-        assert abs(model.log_q(params, z)) < 1e-6
+        assert abs(model.log_q(probs, np.array([0, 1]))) < 1e-6
 
     def test_hand_evaluated(self):
-        params = CategoricalParams(np.array([[0.5, 0.5], [0.25, 0.75]]))
-        z = LatentSample(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
+        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
         model = zero_init_model(d=2, k=2, p=3, hidden=2)
         expected = math.log(0.5) + math.log(0.75)
-        assert model.log_q(params, z) == pytest.approx(expected, abs=1e-12)
+        assert model.log_q(probs, np.array([0, 1])) == pytest.approx(expected, abs=1e-12)
 
 
 class TestElboEstimate:
     def test_uniform_params_cancel_prior(self):
         d, k, p = 2, 3, 4
-        params = uniform_params(d, k)
+        probs = uniform_params(d, k)
         x = np.array([1.0, 0.0, 1.0, 0.0])
         xhat = np.full(p, 0.5)
-        bd = elbo_estimate(x, params, xhat)
+        bd = elbo_estimate(x, probs, xhat)
         assert bd.entropy_term == pytest.approx(d * math.log(k), abs=1e-12)
         assert bd.prior_term == -d * math.log(k)
         assert bd.total == pytest.approx(bd.recon_term, abs=1e-12)
 
     def test_perfect_reconstruction(self):
-        params = uniform_params(2, 3)
+        probs = uniform_params(2, 3)
         x = np.array([1.0, 0.0, 1.0, 1.0])
-        bd = elbo_estimate(x, params, x)
+        bd = elbo_estimate(x, probs, x)
         assert bd.total == pytest.approx(bd.entropy_term + bd.prior_term,
                                          abs=1e-6 * len(x))
 
     def test_total_is_exact_term_sum(self):
         model, x = tiny_model_and_input(324)
-        params = model.encode(x)
-        xhat = model.decode(model.sample_latent(params, Rng(1).uniforms(model.d)))
-        bd = elbo_estimate(x, params, xhat)
+        probs = model.encode(x)
+        xhat = model.decode(model.sample_latent(probs, Rng(1).uniforms(model.d)))
+        bd = elbo_estimate(x, probs, xhat)
         assert bd.total == bd.entropy_term + bd.prior_term + bd.recon_term
         assert bd.recon_term <= 0.0
         assert 0.0 <= bd.entropy_term <= model.d * math.log(model.k) + 1e-12
@@ -161,9 +163,9 @@ class TestComputeGradients:
         # entropy upstream has zero pull on the logits
         model = zero_init_model()
         x = np.array([1.0, 0.0, 0.0, 1.0])
-        params = model.encode(x)
+        probs = model.encode(x)
         model.encoder.zero_grads()
-        model.encoder.backward(d_entropy_d_probs(params.probs))
+        model.encoder.backward(d_entropy_d_probs(probs))
         final = model.encoder.layers[-1]
         assert np.allclose(final.grad_bias, 0.0, rtol=0, atol=1e-14)
         assert np.allclose(final.grad_weights, 0.0, rtol=0, atol=1e-14)
@@ -177,6 +179,27 @@ class TestComputeGradients:
         net.zero_grads()
         net.backward(d_logq_d_probs(probs, indices))
         assert np.allclose(net.layers[0].grad_bias, 0.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("z", [np.array([0, 2]), np.array([[0, 2], [1, 0], [2, 2]])],
+                             ids=["one-example", "batch-of-3"])
+    def test_score_gradient_matches_finite_differences_of_log_q(self, z):
+        # each entry of the probability matrix is perturbed on its own; one
+        # selected entry sits below EPS, where the clipped log is flat, and
+        # the step is small enough that both perturbed values stay clipped
+        model = zero_init_model(d=2, k=3)
+        probs = Rng(12).uniforms(z.size * 3).reshape(*z.shape, 3) + 0.1
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[..., 1, 2] = 1e-8
+        h = 1e-9
+
+        def objective(vec):  # examples share no entries, so the sum separates
+            return model.log_q(vec.reshape(probs.shape), z).sum()
+
+        numeric = finite_difference(objective, probs.ravel(), h).reshape(probs.shape)
+        analytic = d_logq_d_probs(probs, z)
+        assert probs[..., 1, 2].max() < EPS and np.any(z[..., 1] == 2)
+        assert np.all(analytic[..., 1, 2] == 0.0) and np.all(numeric[..., 1, 2] == 0.0)
+        assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-6)
 
     def test_decoder_upstream_bit_identical_to_masked_form(self):
         # the old masked gather/scatter, kept as the oracle: zero where the
@@ -194,7 +217,7 @@ class TestComputeGradients:
     def test_decoder_grads_match_finite_differences(self):
         from dvae.distributions import aggregate_bce
         from dvae.network import flat_params, set_flat_params
-        from dvae.oracle import finite_difference, scaled_gradient_error
+        from dvae.oracle import scaled_gradient_error
 
         model, x = tiny_model_and_input(325)
         model.encoder.zero_grads()
@@ -251,15 +274,15 @@ class TestComputeGradients:
         assert np.any(flat_grads(model.encoder) != 0.0)
 
     def test_mean_single_sample_elbo_stays_below_log_px(self):
-        from dvae.oracle import enumerate_table, exact_marginal_log_px
+        from dvae.oracle import exact_marginal_log_px
 
         model, x = tiny_model_and_input(329, p=4)
         log_px = exact_marginal_log_px(enumerate_table(model, x))
         rng = Rng(330)
         n = 4000
-        params = model.encode(x)
-        z = model.sample_latent(params, rng.uniforms(n * model.d).reshape(n, model.d))
-        totals = elbo_estimate(x, params, model.decode(z)).total
+        probs = model.encode(x)
+        z = model.sample_latent(probs, rng.uniforms(n * model.d).reshape(n, model.d))
+        totals = elbo_estimate(x, probs, model.decode(z)).total
         se = totals.std(ddof=1) / math.sqrt(n)
         assert totals.mean() <= log_px + 5 * se
 
@@ -267,7 +290,7 @@ class TestComputeGradients:
         # small-draw smoke test of unbiasedness; the acceptance suite runs
         # the full-scale version
         model, x = tiny_model_and_input(328, p=4)
-        exact = exact_encoder_gradient(model, x)
+        exact = exact_encoder_gradient(model, x, enumerate_table(model, x))
         stream = Rng(500)
         n = 10_000
         total = np.zeros_like(exact)

@@ -209,7 +209,7 @@ class TestMetricsCsv:
 class TestCheckpoint:
     def test_round_trip_forward_is_bit_identical(self, tmp_path):
         model, x = tiny_model_and_input(909)
-        before = model.encode(x).probs.copy()
+        before = model.encode(x).copy()
         z = model.sample_latent(model.encode(x), Rng(1).uniforms(model.d))
         decoded_before = model.decode(z).copy()
         path = tmp_path / "model.ckpt"
@@ -218,7 +218,7 @@ class TestCheckpoint:
         assert isinstance(ckpt, Checkpoint)
         assert ckpt.epoch == 4 and ckpt.rng_state == 777
         assert ckpt.config["seed"] == "42"
-        assert np.array_equal(ckpt.model.encode(x).probs, before)
+        assert np.array_equal(ckpt.model.encode(x), before)
         assert np.array_equal(ckpt.model.decode(z), decoded_before)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
@@ -308,4 +308,4 @@ class TestCheckpoint:
                                train_set, val_set, checkpoint_path=path)
         ckpt = load_checkpoint(path)
         x = train_set.images[0]
-        assert np.array_equal(ckpt.model.encode(x).probs, model.encode(x).probs)
+        assert np.array_equal(ckpt.model.encode(x), model.encode(x))
