@@ -41,10 +41,16 @@ def cmd_train(args) -> int:
     train_set = data.load_binarized(args.train_images, args.train_labels, args.threshold)
     val_set = data.load_binarized(args.val_images, threshold=args.threshold)
     out = Path(args.out)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    model, history = trainer.train(config, train_set, val_set,
-                                   checkpoint_path=out / "model.ckpt")
-    trainer.write_metrics_csv(history, out / "metrics.csv")
+    try:
+        model, history = trainer.train(config, train_set, val_set,
+                                       checkpoint_path=out / "model.ckpt")
+        trainer.write_metrics_csv(history, out / "metrics.csv")
+    except BaseException:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     best = max(row.val_elbo for row in history)
     print(f"final validation ELBO: {best:.6f}")
     return 0

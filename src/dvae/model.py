@@ -112,10 +112,9 @@ class DiscreteVae:
             raise ShapeError(f"encoder head must be softmax over ({d}, {k})")
         if decoder.head != HEAD_SIGMOID:
             raise ShapeError("decoder head must be sigmoid")
-        if decoder.in_size != d * k:
-            raise ShapeError(
-                f"decoder input {decoder.in_size} != D*K = {d * k}"
-            )
+        n_in = decoder.layers[0].weights.shape[1]
+        if n_in != d * k:
+            raise ShapeError(f"decoder input {n_in} != D*K = {d * k}")
         self.encoder = encoder
         self.decoder = decoder
         self.d = d

@@ -2,8 +2,11 @@
 
 An Mlp is a chain of linear layers with rectifier activations between them
 and a head on top: either an elementwise sigmoid or a row-wise softmax over a
-(rows, cols) reshape of the final layer output. Gradients accumulate (+=)
-into per-layer buffers until zero_grads(); sga_step() applies gradient
+(rows, cols) reshape of the final layer output. An Mlp is one flat parameter
+vector, params, and one flat gradient vector, grads, each in checkpoint
+manifest order (a layer's weights, then its bias); every layer's weights,
+bias, grad_weights and grad_bias are reshaped views into them. Gradients
+accumulate (+=) into grads until zero_grads(); sga_step() applies gradient
 ASCENT, p <- p + lr * grad.
 """
 
@@ -29,8 +32,9 @@ class LinearLayer:
             raise ShapeError(
                 f"weights {self.weights.shape} and bias {self.bias.shape} do not chain"
             )
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
+        # np.zeros, unlike zeros_like, need not write every page; an Mlp swaps in views.
+        self.grad_weights = np.zeros(self.weights.shape)
+        self.grad_bias = np.zeros(self.bias.shape)
         self.cached_input: np.ndarray | None = None
 
     @classmethod
@@ -92,6 +96,22 @@ class Mlp:
                 raise ShapeError(
                     f"layer shapes {prev.weights.shape} -> {nxt.weights.shape} do not chain"
                 )
+        # Layer by layer, so the build never holds two copies of the network;
+        # np.zeros can leave the gradient pages untouched until the first backward.
+        self.params = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
+        self.grads = np.zeros(self.params.size)
+        offset = 0
+        for layer in layers:
+            w, b = layer.weights, layer.bias
+            mid = offset + w.size
+            end = mid + b.size
+            self.params[offset:mid] = w.ravel()
+            self.params[mid:end] = b
+            layer.weights = self.params[offset:mid].reshape(w.shape)
+            layer.bias = self.params[mid:end]
+            layer.grad_weights = self.grads[offset:mid].reshape(w.shape)
+            layer.grad_bias = self.grads[mid:end]
+            offset = end
         self.layers = layers
         self.head = head
         self.softmax_shape = softmax_shape
@@ -103,10 +123,6 @@ class Mlp:
         """Build from a chain of extents [in, hidden..., out]."""
         layers = [LinearLayer.init(o, i, rng) for i, o in zip(sizes, sizes[1:])]
         return cls(layers, head, softmax_shape)
-
-    @property
-    def in_size(self) -> int:
-        return self.layers[0].weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Affine / rectifier chain then head; each layer caches its input
@@ -149,55 +165,16 @@ class Mlp:
                 g = (g @ layer.weights) * (layer.cached_input > 0.0)
 
     def zero_grads(self) -> None:
-        for layer in self.layers:
-            layer.grad_weights[:] = 0.0
-            layer.grad_bias[:] = 0.0
+        self.grads[:] = 0.0
 
     def scale_grads(self, factor: float) -> None:
-        for layer in self.layers:
-            layer.grad_weights *= factor
-            layer.grad_bias *= factor
+        self.grads *= factor
 
     def sga_step(self, lr: float) -> None:
-        """Gradient ascent: every parameter moves by +lr * accumulated grad."""
+        """Gradient ascent: every parameter moves by +lr * accumulated grad.
+        Layer by layer, so the lr * grad temporary is one layer's size."""
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         for layer in self.layers:
             layer.weights += lr * layer.grad_weights
             layer.bias += lr * layer.grad_bias
-
-    def param_arrays(self) -> list[np.ndarray]:
-        """Live parameter arrays, weights then bias per layer."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
-
-    def grad_arrays(self) -> list[np.ndarray]:
-        """Live gradient accumulators, matching param_arrays order."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.grad_weights)
-            out.append(layer.grad_bias)
-        return out
-
-
-def flat_params(net: Mlp) -> np.ndarray:
-    """Copy of all parameters as one flat vector (param_arrays order)."""
-    return np.concatenate([a.ravel() for a in net.param_arrays()])
-
-
-def set_flat_params(net: Mlp, vec: np.ndarray) -> None:
-    """Write a flat vector back into the live parameter arrays."""
-    i = 0
-    for a in net.param_arrays():
-        a[:] = vec[i:i + a.size].reshape(a.shape)
-        i += a.size
-    if i != len(vec):
-        raise ShapeError(f"flat vector length {len(vec)}, expected {i}")
-
-
-def flat_grads(net: Mlp) -> np.ndarray:
-    """Copy of all gradient accumulators as one flat vector."""
-    return np.concatenate([a.ravel() for a in net.grad_arrays()])

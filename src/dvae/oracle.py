@@ -19,7 +19,6 @@ import numpy as np
 
 from dvae.distributions import EPS, Rng, aggregate_bce, aggregate_entropy
 from dvae.model import CHUNK_ROWS, DiscreteVae, d_entropy_d_probs
-from dvae.network import flat_grads, flat_params, set_flat_params
 
 # Full enumeration beyond this many latent configurations is refused.
 CAPACITY_LIMIT = 10 ** 6
@@ -112,24 +111,29 @@ def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray,
     score_up = np.where(probs >= EPS, weight / np.maximum(probs, EPS), 0.0)
     model.encoder.zero_grads()
     model.encoder.backward(d_entropy_d_probs(probs) + score_up)
-    grad = flat_grads(model.encoder)
+    grad = model.encoder.grads.copy()
     model.encoder.zero_grads()
     return grad
 
 
 def finite_difference(objective, params: np.ndarray, h: float) -> np.ndarray:
-    """Central difference (f(p+h) - f(p-h)) / 2h per coordinate of a flat
-    parameter vector. The objective must be deterministic."""
+    """Central difference (f(p+h) - f(p-h)) / 2h per coordinate of the flat
+    float64 vector params, perturbed in place one entry at a time, passed to
+    the objective and restored exactly, so an objective may read a network
+    whose params these are. The objective must be deterministic."""
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.empty_like(params)
+    grad = np.empty(params.size)
     for j in range(params.size):
-        plus = params.copy()
-        plus[j] += h
-        minus = params.copy()
-        minus[j] -= h
-        grad[j] = (objective(plus) - objective(minus)) / (2.0 * h)
+        p0 = params[j]
+        try:
+            params[j] = p0 + h
+            f_plus = objective(params)
+            params[j] = p0 - h
+            f_minus = objective(params)
+        finally:
+            params[j] = p0
+        grad[j] = (f_plus - f_minus) / (2.0 * h)
     return grad
 
 
@@ -186,32 +190,25 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         model.encoder.zero_grads()
         model.decoder.zero_grads()
         model.compute_gradients(x, u)
-        analytic_dec = flat_grads(model.decoder)
         z = model.sample_latent(model.encode(x), u)  # same draws, same z
 
-        theta0 = flat_params(model.decoder)
-
-        def recon_of(vec):
-            set_flat_params(model.decoder, vec)
+        # The objectives read the nets, whose params finite_difference perturbs.
+        def recon_of(_theta):
             return -aggregate_bce(model.decode(z), x)
 
-        fd_dec = finite_difference(recon_of, theta0, h)
-        set_flat_params(model.decoder, theta0)
-        worst_dec = max(worst_dec, scaled_gradient_error(analytic_dec, fd_dec))
+        fd_dec = finite_difference(recon_of, model.decoder.params, h)
+        worst_dec = max(worst_dec, scaled_gradient_error(model.decoder.grads, fd_dec))
 
         table = enumerate_table(model, x)  # log p(x|z) does not depend on phi
         analytic_enc = exact_encoder_gradient(model, x, table)
-        phi0 = flat_params(model.encoder)
 
-        def elbo_of(vec):
-            set_flat_params(model.encoder, vec)
+        def elbo_of(_phi):
             probs = model.encode(x)
             q_probs = table_q_probs(probs, table.latents)
             return exact_elbo(EnumerationTable(table.latents, q_probs, table.log_px_given_z),
                               probs)
 
-        fd_enc = finite_difference(elbo_of, phi0, h)
-        set_flat_params(model.encoder, phi0)
+        fd_enc = finite_difference(elbo_of, model.encoder.params, h)
         worst_enc = max(worst_enc, scaled_gradient_error(analytic_enc, fd_enc))
 
     return [
@@ -256,7 +253,7 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
             model.encoder.zero_grads()
             model.decoder.zero_grads()
             totals[c] = model.compute_gradients(x, u[np.argmax(config == c)]).total
-            grads[c] = flat_grads(model.encoder)
+            grads[c] = model.encoder.grads
         counts += block_counts
 
     g_sum = counts @ grads

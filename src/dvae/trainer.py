@@ -162,15 +162,6 @@ def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:
     return _mean_breakdown(model, *_elbo_sums(model, dataset.images, u), dataset.n)
 
 
-def _params(model: DiscreteVae) -> list[np.ndarray]:
-    return model.encoder.param_arrays() + model.decoder.param_arrays()
-
-
-def _copy_into(targets: list[np.ndarray], sources: list[np.ndarray]) -> None:
-    for target, source in zip(targets, sources):
-        target[:] = source
-
-
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
           checkpoint_path=None) -> tuple[DiscreteVae, list[MetricsRow]]:
     """Run the ascent loop: per batch, one gradient pass over its examples,
@@ -182,6 +173,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
     """
     if train_set.p != val_set.p:
         raise ValueError(f"pixel counts differ: train {train_set.p}, val {val_set.p}")
+    if config.batch_size > train_set.n:
+        raise ValueError(f"batch size {config.batch_size} exceeds dataset size {train_set.n}")
     model = build_model(config, train_set.p)
     shuffle_rng = Rng(config.seed + SHUFFLE_OFFSET)
     start = time.perf_counter()
@@ -209,7 +202,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
                               n_samples), val_bd)
     best_val = val_bd.total
     best_epoch = 0
-    best_params = [a.copy() for a in _params(model)]
+    best_phi = model.encoder.params.copy()
+    best_theta = model.decoder.params.copy()
     best_rng_state = shuffle_rng.state
     stale = 0
 
@@ -238,7 +232,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
         if val_bd.total > best_val:
             best_val = val_bd.total
             best_epoch = epoch
-            _copy_into(best_params, _params(model))
+            best_phi[:] = model.encoder.params
+            best_theta[:] = model.decoder.params
             best_rng_state = shuffle_rng.state
             stale = 0
         else:
@@ -246,7 +241,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
             if stale >= config.patience:
                 break
 
-    _copy_into(_params(model), best_params)
+    model.encoder.params[:] = best_phi
+    model.decoder.params[:] = best_theta
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, config=config, epoch=best_epoch,
                         rng_state=best_rng_state)
@@ -347,9 +343,8 @@ def load_checkpoint(path) -> Checkpoint:
     offset = 0
     for name, shape in manifest:
         count = int(np.prod(shape))
-        tensors[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset
-        ).astype(np.float64).reshape(shape)
+        tensors[name] = np.frombuffer(  # read-only; Mlp copies it into its own vector
+            payload, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += count * 8
 
     def rebuild(prefix: str) -> list[LinearLayer]:

@@ -120,6 +120,23 @@ class TestTrainCommand:
         assert len(err) == 1 and "7 labels for 60 images" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("hidden", 10 ** 15, "out of memory"),
+        ("batch", 1000, "batch size 1000 exceeds dataset size 60"),
+    ], ids=["out-of-memory", "oversized-batch"])
+    def test_failed_train_removes_the_out_directory_it_created(
+            self, bars_files, tmp_path, capsys, flag, value, message):
+        train, val = bars_files
+        out = tmp_path / "run"
+        assert main(train_args(train, val, out, **{flag: value})) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
+        out.mkdir()  # a directory that was there before the run stays
+        assert main(train_args(train, val, out, **{flag: value})) == 1
+        assert out.is_dir()
+
     def test_non_finite_lr_exits_1_without_output(self, bars_files, tmp_path, capsys):
         train, val = bars_files
         for lr in ("nan", "inf"):

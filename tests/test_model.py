@@ -12,7 +12,7 @@ from dvae.model import (
     elbo_estimate,
     uniform_params,
 )
-from dvae.network import HEAD_SOFTMAX, LinearLayer, Mlp, flat_grads
+from dvae.network import HEAD_SOFTMAX, LinearLayer, Mlp
 from dvae.oracle import (
     enumerate_table,
     exact_encoder_gradient,
@@ -216,7 +216,6 @@ class TestComputeGradients:
 
     def test_decoder_grads_match_finite_differences(self):
         from dvae.distributions import aggregate_bce
-        from dvae.network import flat_params, set_flat_params
         from dvae.oracle import scaled_gradient_error
 
         model, x = tiny_model_and_input(325)
@@ -224,16 +223,13 @@ class TestComputeGradients:
         model.decoder.zero_grads()
         u = Rng(17).uniforms(model.d)
         model.compute_gradients(x, u)
-        analytic = flat_grads(model.decoder)
+        analytic = model.decoder.grads.copy()
         z = model.sample_latent(model.encode(x), u)  # same draws => same z
-        theta0 = flat_params(model.decoder)
 
-        def objective(vec):
-            set_flat_params(model.decoder, vec)
+        def objective(_theta):
             return -aggregate_bce(model.decode(z), x)
 
-        fd = finite_difference(objective, theta0, 1e-5)
-        set_flat_params(model.decoder, theta0)
+        fd = finite_difference(objective, model.decoder.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
     def test_decoder_params_reach_encoder_grads_only_through_coefficient(self):
@@ -249,7 +245,7 @@ class TestComputeGradients:
             hybrid.encoder.zero_grads()
             hybrid.decoder.zero_grads()
             bd = hybrid.compute_gradients(x, Rng(99).uniforms(model.d))  # same z every call
-            return flat_grads(hybrid.encoder), bd.recon_term
+            return hybrid.encoder.grads.copy(), bd.recon_term
 
         g_a, c_a = encoder_grad_with(1001)
         g_b, c_b = encoder_grad_with(2002)
@@ -269,9 +265,9 @@ class TestComputeGradients:
         assert bd.entropy_term.shape == bd.recon_term.shape == bd.total.shape == (3,)
         assert np.array_equal(bd.total, bd.entropy_term + bd.prior_term + bd.recon_term)
         assert np.all(np.isfinite(bd.total))
-        assert all(np.all(np.isfinite(g)) for g in model.encoder.grad_arrays())
-        assert all(np.all(np.isfinite(g)) for g in model.decoder.grad_arrays())
-        assert np.any(flat_grads(model.encoder) != 0.0)
+        assert np.all(np.isfinite(model.encoder.grads))
+        assert np.all(np.isfinite(model.decoder.grads))
+        assert np.any(model.encoder.grads != 0.0)
 
     def test_mean_single_sample_elbo_stays_below_log_px(self):
         from dvae.oracle import exact_marginal_log_px
@@ -299,7 +295,7 @@ class TestComputeGradients:
             model.encoder.zero_grads()
             model.decoder.zero_grads()
             model.compute_gradients(x, u)
-            g = flat_grads(model.encoder)
+            g = model.encoder.grads.copy()
             total += g
             sq += g * g
         mean = total / n

@@ -9,9 +9,6 @@ from dvae.network import (
     HEAD_SOFTMAX,
     LinearLayer,
     Mlp,
-    flat_grads,
-    flat_params,
-    set_flat_params,
 )
 from dvae.oracle import finite_difference, scaled_gradient_error
 from dvae.tensor import ShapeError
@@ -24,6 +21,37 @@ def zero_net(sizes, head, softmax_shape=None):
 
 def random_input(n, rng):
     return np.array([rng.uniform() for _ in range(n)])
+
+
+class TestFlatVectors:
+    def test_layer_arrays_are_views_in_manifest_order(self):
+        ws = [np.arange(12.0).reshape(4, 3), np.arange(8.0).reshape(2, 4) - 3.0]
+        bs = [np.array([0.5, -0.5, 1.5, 2.5]), np.array([7.0, -7.0])]
+        net = Mlp([LinearLayer(w, b) for w, b in zip(ws, bs)], HEAD_SIGMOID)
+        expected = np.concatenate([ws[0].ravel(), bs[0], ws[1].ravel(), bs[1]])
+        assert np.array_equal(net.params, expected)
+        assert net.params.dtype == np.float64 and net.grads.shape == net.params.shape
+        offset = 0
+        for layer, w, b in zip(net.layers, ws, bs):
+            for arr, grad, source in ((layer.weights, layer.grad_weights, w),
+                                      (layer.bias, layer.grad_bias, b)):
+                assert np.array_equal(arr, source)
+                assert arr.shape == grad.shape == source.shape
+                assert np.shares_memory(arr, net.params)
+                assert np.shares_memory(grad, net.grads)
+                assert arr.ctypes.data == net.params[offset:].ctypes.data
+                assert grad.ctypes.data == net.grads[offset:].ctypes.data
+                offset += source.size
+        assert offset == net.params.size
+
+    def test_vector_writes_reach_the_layers(self):
+        net = Mlp.create([3, 4, 2], HEAD_SIGMOID, Rng(60))
+        net.params[:] = np.linspace(-0.5, 0.5, net.params.size)
+        assert net.layers[0].weights[0, 0] == -0.5 and net.layers[1].bias[-1] == 0.5
+        net.forward(np.ones(3))
+        net.backward(np.ones(2))
+        assert np.array_equal(net.grads[-2:], net.layers[1].grad_bias)
+        assert np.any(net.grads != 0.0)
 
 
 class TestForward:
@@ -53,7 +81,7 @@ class TestBackward:
         net = Mlp.create([4, 3, 2], HEAD_SIGMOID, rng)
         net.forward(random_input(4, rng))
         net.backward(np.zeros(2))
-        assert all(np.all(g == 0.0) for g in net.grad_arrays())
+        assert np.all(net.grads == 0.0)
 
     def test_linear_chain_rule(self):
         # single linear layer, loss = c . output  =>  grad_W = outer(c, x)
@@ -89,12 +117,12 @@ class TestBackward:
         b = np.array([rng.uniform() for _ in range(3)])
         net.forward(x)
         net.backward(a + b)
-        combined = flat_grads(net)
+        combined = net.grads.copy()
         net.zero_grads()
         net.forward(x)
         net.backward(a)
         net.backward(b)  # second backward reuses the cached forward
-        assert np.allclose(flat_grads(net), combined, rtol=0, atol=1e-12)
+        assert np.allclose(net.grads, combined, rtol=0, atol=1e-12)
 
     def test_replay_after_zero_matches_single_backward(self):
         rng = Rng(72)
@@ -103,10 +131,10 @@ class TestBackward:
         up = np.array([rng.uniform() for _ in range(2)])
         net.forward(x)
         net.backward(up)
-        first = flat_grads(net)
+        first = net.grads.copy()
         net.zero_grads()
         net.backward(up)
-        assert np.array_equal(flat_grads(net), first)
+        assert np.array_equal(net.grads, first)
 
 
 class TestFiniteDifferenceAgreement:
@@ -124,16 +152,12 @@ class TestFiniteDifferenceAgreement:
         y = net.forward(x)
         up = targets / y - (1.0 - targets) / (1.0 - y)  # d(-bce)/dy
         net.backward(up)
-        analytic = flat_grads(net)
+        analytic = net.grads.copy()
 
-        theta0 = flat_params(net)
-
-        def objective(vec):
-            set_flat_params(net, vec)
+        def objective(_theta):
             return -aggregate_bce(net.forward(x), targets)
 
-        fd = finite_difference(objective, theta0, 1e-5)
-        set_flat_params(net, theta0)
+        fd = finite_difference(objective, net.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -149,17 +173,13 @@ class TestFiniteDifferenceAgreement:
         up = -(np.log(probs) + 1.0)
         up[np.arange(d), picks] += 1.0 / probs[np.arange(d), picks]
         net.backward(up)
-        analytic = flat_grads(net)
+        analytic = net.grads.copy()
 
-        theta0 = flat_params(net)
-
-        def objective(vec):
-            set_flat_params(net, vec)
+        def objective(_theta):
             p = net.forward(x)
             return aggregate_entropy(p) + float(np.log(p[np.arange(d), picks]).sum())
 
-        fd = finite_difference(objective, theta0, 1e-5)
-        set_flat_params(net, theta0)
+        fd = finite_difference(objective, net.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
 
@@ -167,9 +187,9 @@ class TestSgaStep:
     def test_zero_grads_means_no_movement(self):
         rng = Rng(80)
         net = Mlp.create([3, 4, 2], HEAD_SIGMOID, rng)
-        before = flat_params(net)
+        before = net.params.copy()
         net.sga_step(0.5)
-        assert np.array_equal(flat_params(net), before)
+        assert np.array_equal(net.params, before)
 
     def test_unit_lr_adds_gradient(self):
         layer = LinearLayer(np.array([[2.0]]), np.zeros(1))
@@ -190,7 +210,7 @@ class TestSgaStep:
         a.sga_step(0.05)
         a.sga_step(0.05)  # accumulators untouched by stepping
         b.sga_step(0.1)
-        assert np.allclose(flat_params(a), flat_params(b), rtol=0, atol=1e-15)
+        assert np.allclose(a.params, b.params, rtol=0, atol=1e-15)
 
     def test_nonpositive_lr_rejected(self):
         net = zero_net([2, 2], HEAD_SIGMOID)
@@ -213,7 +233,7 @@ class TestDeterminism:
                 y = net.forward(x)
                 net.backward(t / y - (1.0 - t) / (1.0 - y))
                 net.sga_step(0.01)
-            return flat_params(net)
+            return net.params
 
         assert np.array_equal(run(), run())
 
@@ -224,9 +244,9 @@ def test_zero_grads_idempotent():
     net.forward(random_input(3, rng))
     net.backward(np.ones(3))
     net.zero_grads()
-    once = flat_grads(net)
+    once = net.grads.copy()
     net.zero_grads()
-    assert np.array_equal(once, flat_grads(net))
+    assert np.array_equal(once, net.grads)
     assert np.all(once == 0.0)
 
 

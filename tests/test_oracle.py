@@ -6,7 +6,6 @@ import pytest
 from dvae import oracle
 from dvae.distributions import Rng
 from dvae.model import DiscreteVae
-from dvae.network import flat_grads, flat_params, set_flat_params
 from dvae.oracle import (
     CapacityError,
     EnumerationTable,
@@ -143,19 +142,49 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             finite_difference(lambda v: 0.0, np.zeros(1), 0.0)
 
+    def test_perturbs_in_place_and_restores_bits(self):
+        p0 = np.array([0.1, -2.7, 1e-3, 3.0e5])
+        params = p0.copy()
+        h = 1e-5
+        seen = []
+
+        def objective(v):
+            assert v is params
+            seen.append(v.copy())
+            return float(v @ [1.0, 2.0, 3.0, 4.0])
+
+        finite_difference(objective, params, h)
+        assert len(seen) == 2 * p0.size
+        for j in range(p0.size):
+            plus, minus = p0.copy(), p0.copy()
+            plus[j] = p0[j] + h
+            minus[j] = p0[j] - h
+            assert np.array_equal(seen[2 * j], plus)
+            assert np.array_equal(seen[2 * j + 1], minus)
+        assert params.tobytes() == p0.tobytes()
+
+    def test_restores_params_when_the_objective_raises(self):
+        params = np.array([0.25, 0.5])
+
+        def objective(v):
+            if v[1] != 0.5:
+                raise RuntimeError("boom")
+            return 0.0
+
+        with pytest.raises(RuntimeError):
+            finite_difference(objective, params, 1e-5)
+        assert params.tobytes() == np.array([0.25, 0.5]).tobytes()
+
 
 class TestExactEncoderGradient:
     def test_matches_finite_differences_of_exact_elbo(self):
         model, x = tiny_model_and_input(777)
         analytic = exact_encoder_gradient(model, x, enumerate_table(model, x))
-        phi0 = flat_params(model.encoder)
 
-        def objective(vec):
-            set_flat_params(model.encoder, vec)
+        def objective(_phi):
             return exact_elbo(enumerate_table(model, x), model.encode(x))
 
-        fd = finite_difference(objective, phi0, 1e-5)
-        set_flat_params(model.encoder, phi0)
+        fd = finite_difference(objective, model.encoder.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
 
@@ -174,14 +203,11 @@ class TestSuites:
         for i in range(n_nets):
             model, x = tiny_model_and_input(seed + 1000 * i)
             analytic = exact_encoder_gradient(model, x, enumerate_table(model, x))
-            phi0 = flat_params(model.encoder)
 
-            def objective(vec):
-                set_flat_params(model.encoder, vec)
+            def objective(_phi):
                 return exact_elbo(enumerate_table(model, x), model.encode(x))
 
-            numeric = finite_difference(objective, phi0, 1e-5)
-            set_flat_params(model.encoder, phi0)
+            numeric = finite_difference(objective, model.encoder.params, 1e-5)
             worst = max(worst, scaled_gradient_error(analytic, numeric))
 
         calls = []
@@ -208,7 +234,7 @@ def per_draw_unbiasedness(seed, n_draws):
         model.encoder.zero_grads()
         model.decoder.zero_grads()
         totals.append(float(model.compute_gradients(x, u).total))
-        grads.append(flat_grads(model.encoder))
+        grads.append(model.encoder.grads.copy())
     grads, totals = np.array(grads), np.array(totals)
     se = grads.std(axis=0, ddof=1) / math.sqrt(n_draws)
     diff = np.abs(grads.mean(axis=0) - exact_grad)
@@ -254,7 +280,7 @@ class TestUnbiasednessSuite:
             model.encoder.zero_grads()
             model.decoder.zero_grads()
             bd = model.compute_gradients(x, u[row])
-            results.append((bd.total, flat_grads(model.encoder), flat_grads(model.decoder)))
+            results.append((bd.total, model.encoder.grads.copy(), model.decoder.grads.copy()))
         (t0, enc0, dec0), (t1, enc1, dec1) = results
         assert t0 == t1
         assert np.array_equal(enc0, enc1) and np.array_equal(dec0, dec1)

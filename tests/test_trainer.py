@@ -9,7 +9,6 @@ from dvae import trainer
 from dvae.data import Dataset, synthetic_bars
 from dvae.distributions import Rng
 from dvae.model import ElboBreakdown, elbo_estimate
-from dvae.network import flat_grads, flat_params
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
     CHECKPOINT_MAGIC,
@@ -96,8 +95,8 @@ class TestTrainLoop:
         config = bars_config(learning_rate=0.0, max_epochs=3)
         model, history = train(config, train_set, val_set)
         fresh = build_model(config, train_set.p)
-        assert np.array_equal(flat_params(model.encoder), flat_params(fresh.encoder))
-        assert np.array_equal(flat_params(model.decoder), flat_params(fresh.decoder))
+        assert np.array_equal(model.encoder.params, fresh.encoder.params)
+        assert np.array_equal(model.decoder.params, fresh.decoder.params)
         first = history[0]
         for row in history[1:]:
             assert row.val_elbo == first.val_elbo
@@ -135,6 +134,14 @@ class TestTrainLoop:
         other = synthetic_bars(10, 3, Rng(2))
         with pytest.raises(ValueError):
             train(bars_config(), train_set, other)
+
+    def test_oversized_batch_rejected_before_building_the_model(self, monkeypatch):
+        train_set, val_set = bars_sets(n_train=40, n_val=10)
+        built = []
+        monkeypatch.setattr(trainer, "build_model", lambda *a: built.append(a))
+        with pytest.raises(ValueError, match="batch size 41 exceeds dataset size 40"):
+            train(bars_config(batch_size=41), train_set, val_set)
+        assert built == []
 
     def test_divergence_aborts_with_location(self):
         train_set, val_set = bars_sets(n_train=40, n_val=10)
@@ -176,15 +183,14 @@ class TestTrainLoop:
         model.compute_gradients(train_set.images, u)  # one pass over the 3-row batch
         model.encoder.scale_grads(1.0 / 3.0)
         model.decoder.scale_grads(1.0 / 3.0)
-        batched = np.concatenate([flat_grads(model.encoder), flat_grads(model.decoder)])
+        batched = np.concatenate([model.encoder.grads, model.decoder.grads])
 
         separate = np.zeros_like(batched)
         for idx in range(3):
             model.encoder.zero_grads()
             model.decoder.zero_grads()
             model.compute_gradients(train_set.images[idx], u[idx])
-            separate += np.concatenate([flat_grads(model.encoder),
-                                        flat_grads(model.decoder)])
+            separate += np.concatenate([model.encoder.grads, model.decoder.grads])
         separate /= 3.0
         assert np.allclose(batched, separate, rtol=0, atol=1e-12)
 
@@ -220,6 +226,21 @@ class TestCheckpoint:
         assert ckpt.config["seed"] == "42"
         assert np.array_equal(ckpt.model.encode(x), before)
         assert np.array_equal(ckpt.model.decode(z), decoded_before)
+
+    def test_loaded_params_are_writable_and_step(self, tmp_path):
+        # the loader reads read-only views of the file's bytes; the nets
+        # must hold their own copies
+        model, x = tiny_model_and_input(910)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path).model
+        for net, saved in ((loaded.encoder, model.encoder), (loaded.decoder, model.decoder)):
+            assert net.params.flags.writeable
+            assert np.array_equal(net.params, saved.params)
+            net.grads[:] = 1.0
+            net.sga_step(0.5)
+            assert np.array_equal(net.params, saved.params + 0.5)
+            assert all(layer.weights.flags.writeable for layer in net.layers)
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         model, _ = tiny_model_and_input(910)
