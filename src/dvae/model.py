@@ -112,14 +112,16 @@ class DiscreteVae:
             raise ShapeError(f"encoder head must be softmax over ({d}, {k})")
         if decoder.head != HEAD_SIGMOID:
             raise ShapeError("decoder head must be sigmoid")
-        n_in = decoder.layers[0].weights.shape[1]
-        if n_in != d * k:
-            raise ShapeError(f"decoder input {n_in} != D*K = {d * k}")
+        if decoder.sizes[0] != d * k:
+            raise ShapeError(f"decoder input {decoder.sizes[0]} != D*K = {d * k}")
+        if encoder.sizes[0] != decoder.sizes[-1]:
+            raise ShapeError(f"encoder input {encoder.sizes[0]} != decoder output "
+                             f"{decoder.sizes[-1]}")
         self.encoder = encoder
         self.decoder = decoder
         self.d = d
         self.k = k
-        self.p = decoder.layers[-1].weights.shape[0]
+        self.p = decoder.sizes[-1]
         self._one_hot_rows = np.eye(k)  # decode gathers its one-hot rows from here
 
     @classmethod

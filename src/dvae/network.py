@@ -1,16 +1,18 @@
 """Multi-layer perceptrons with hand-written reverse-mode backprop.
 
-An Mlp is a chain of linear layers with rectifier activations between them
-and a head on top: either an elementwise sigmoid or a row-wise softmax over a
-(rows, cols) reshape of the final layer output. An Mlp is one flat parameter
-vector, params, and one flat gradient vector, grads, each in checkpoint
-manifest order (a layer's weights, then its bias); every layer's weights,
-bias, grad_weights and grad_bias are reshaped views into them. Gradients
-accumulate (+=) into grads until zero_grads(); sga_step() applies gradient
-ASCENT, p <- p + lr * grad.
+An Mlp is its layer sizes [in, hidden..., out] and two flat float64
+vectors, params and grads, in checkpoint manifest order (each layer's
+weights, then its bias). Layer i maps x to x W^T + b, with a rectifier after
+every layer but the last and a head on top: either an elementwise sigmoid or
+a row-wise softmax over a (rows, cols) reshape of the final layer output.
+net.layers[i] holds layer i's weights, bias, grad_weights and grad_bias as
+reshaped views into params and grads. Gradients accumulate (+=) into grads
+until zero_grads(); sga_step() applies gradient ASCENT, p <- p + lr * grad.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,64 +23,27 @@ HEAD_SIGMOID = "sigmoid"
 HEAD_SOFTMAX = "softmax"
 
 
-class LinearLayer:
-    """Affine map y = x W^T + b over the last axis of x, with gradient
-    accumulators and an input cache. Leading axes of x are batch axes."""
+class Layer(NamedTuple):
+    """One affine layer's views: weights (out, in) and bias (out,) into an
+    Mlp's params, and their gradients into its grads."""
 
-    def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
-                f"weights {self.weights.shape} and bias {self.bias.shape} do not chain"
-            )
-        # np.zeros, unlike zeros_like, need not write every page; an Mlp swaps in views.
-        self.grad_weights = np.zeros(self.weights.shape)
-        self.grad_bias = np.zeros(self.bias.shape)
-        self.cached_input: np.ndarray | None = None
-
-    @classmethod
-    def init(cls, fan_out: int, fan_in: int, rng: Rng) -> "LinearLayer":
-        """Symmetric fan-scaled init: weights uniform in +-sqrt(6/(fan_in+fan_out)),
-        biases zero. Draws are consumed in row-major order."""
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniforms(fan_out * fan_in).reshape(fan_out, fan_in)
-        w *= 2.0
-        w -= 1.0
-        w *= limit
-        return cls(w, np.zeros(fan_out))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1:] != (self.weights.shape[1],):
-            raise ShapeError(
-                f"input {x.shape} does not match weights {self.weights.shape}"
-            )
-        self.cached_input = x
-        out = x @ self.weights.T
-        out += self.bias
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate the parameter gradients, summed over the batch."""
-        if self.cached_input is None:
-            raise RuntimeError("backward before forward")
-        x2 = self.cached_input.reshape(-1, self.weights.shape[1])
-        g2 = grad_out.reshape(-1, self.weights.shape[0])
-        self.grad_weights += g2.T @ x2
-        self.grad_bias += g2.sum(axis=0)
+    weights: np.ndarray
+    bias: np.ndarray
+    grad_weights: np.ndarray
+    grad_bias: np.ndarray
 
 
 class Mlp:
-    """Linear layers joined by rectifiers, finished by a sigmoid or softmax head.
+    """Affine layers joined by rectifiers, finished by a sigmoid or softmax head.
 
     For the softmax head, the final layer's output is reshaped to
     (..., rows, cols) with softmax_shape = (rows, cols), and each row is
     normalized independently; the sigmoid head keeps the final layer's shape.
     Leading input axes are batch axes, and an unbatched vector is a batch
-    with no leading axis.
+    with no leading axis. A new net's parameters are all zero.
     """
 
-    def __init__(self, layers: list[LinearLayer], head: str,
+    def __init__(self, sizes: list[int], head: str,
                  softmax_shape: tuple[int, int] | None = None):
         if head not in (HEAD_SIGMOID, HEAD_SOFTMAX):
             raise ValueError(f"unknown head {head!r}")
@@ -86,56 +51,64 @@ class Mlp:
             if softmax_shape is None:
                 raise ValueError("softmax head needs softmax_shape")
             rows, cols = softmax_shape
-            if layers[-1].weights.shape[0] != rows * cols:
+            if sizes[-1] != rows * cols:
                 raise ShapeError(
-                    f"final layer {layers[-1].weights.shape} does not fill "
-                    f"softmax shape {softmax_shape}"
+                    f"output width {sizes[-1]} does not fill softmax shape {softmax_shape}"
                 )
-        for prev, nxt in zip(layers, layers[1:]):
-            if nxt.weights.shape[1] != prev.weights.shape[0]:
-                raise ShapeError(
-                    f"layer shapes {prev.weights.shape} -> {nxt.weights.shape} do not chain"
-                )
-        # Layer by layer, so the build never holds two copies of the network;
-        # np.zeros can leave the gradient pages untouched until the first backward.
-        self.params = np.empty(sum(layer.weights.size + layer.bias.size for layer in layers))
+        self.sizes = tuple(sizes)
+        # np.zeros can leave the pages untouched until they are first written.
+        self.params = np.zeros(sum(o * i + o for i, o in zip(sizes, sizes[1:])))
         self.grads = np.zeros(self.params.size)
+        self.layers: list[Layer] = []
         offset = 0
-        for layer in layers:
-            w, b = layer.weights, layer.bias
-            mid = offset + w.size
-            end = mid + b.size
-            self.params[offset:mid] = w.ravel()
-            self.params[mid:end] = b
-            layer.weights = self.params[offset:mid].reshape(w.shape)
-            layer.bias = self.params[mid:end]
-            layer.grad_weights = self.grads[offset:mid].reshape(w.shape)
-            layer.grad_bias = self.grads[mid:end]
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            mid = offset + fan_out * fan_in
+            end = mid + fan_out
+            self.layers.append(Layer(
+                self.params[offset:mid].reshape(fan_out, fan_in), self.params[mid:end],
+                self.grads[offset:mid].reshape(fan_out, fan_in), self.grads[mid:end],
+            ))
             offset = end
-        self.layers = layers
         self.head = head
         self.softmax_shape = softmax_shape
+        self._inputs: list[np.ndarray] = []
         self._output: np.ndarray | None = None
 
     @classmethod
     def create(cls, sizes: list[int], head: str, rng: Rng,
                softmax_shape: tuple[int, int] | None = None) -> "Mlp":
-        """Build from a chain of extents [in, hidden..., out]."""
-        layers = [LinearLayer.init(o, i, rng) for i, o in zip(sizes, sizes[1:])]
-        return cls(layers, head, softmax_shape)
+        """Fresh net with symmetric fan-scaled init: each layer's weights
+        uniform in +-sqrt(6/(fan_in+fan_out)), biases zero. Draws are
+        consumed layer by layer, each in row-major order."""
+        net = cls(sizes, head, softmax_shape)
+        for w, *_ in net.layers:
+            fan_out, fan_in = w.shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            np.multiply(rng.uniforms(w.size).reshape(w.shape), 2.0, out=w)
+            w -= 1.0
+            w *= limit
+        return net
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Affine / rectifier chain then head; each layer caches its input
-        and the net caches its output."""
+        """Affine / rectifier chain then head; the net caches each layer's
+        input and its own output."""
         h = np.asarray(x, dtype=np.float64)
-        for i, layer in enumerate(self.layers):
-            h = layer.forward(h)
+        if h.shape[-1:] != self.sizes[:1]:
+            raise ShapeError(
+                f"input {h.shape} does not match weights {self.layers[0].weights.shape}"
+            )
+        inputs = []
+        for i, (w, b, _, _) in enumerate(self.layers):
+            inputs.append(h)
+            h = h @ w.T
+            h += b
             if i < len(self.layers) - 1:
                 np.maximum(h, 0.0, out=h)
         if self.head == HEAD_SIGMOID:
             out = sigmoid(h)
         else:
             out = rowwise_softmax(h.reshape(*h.shape[:-1], *self.softmax_shape))
+        self._inputs = inputs
         self._output = out
         return out
 
@@ -157,12 +130,15 @@ class Mlp:
             inner = (u * y).sum(axis=-1, keepdims=True)
             g = (y * (u - inner)).reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1])
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            layer.backward(g)
+            w, _, grad_w, grad_b = self.layers[i]
+            x = self._inputs[i]
+            g2 = g.reshape(-1, w.shape[0])
+            grad_w += g2.T @ x.reshape(-1, w.shape[1])
+            grad_b += g2.sum(axis=0)
             if i > 0:
                 # Rectifier subgradient, 0 at the kink: a rectified input is
                 # positive exactly where its pre-activation was.
-                g = (g @ layer.weights) * (layer.cached_input > 0.0)
+                g = (g @ w) * (x > 0.0)
 
     def zero_grads(self) -> None:
         self.grads[:] = 0.0
@@ -175,6 +151,6 @@ class Mlp:
         Layer by layer, so the lr * grad temporary is one layer's size."""
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        for layer in self.layers:
-            layer.weights += lr * layer.grad_weights
-            layer.bias += lr * layer.grad_bias
+        for w, b, grad_w, grad_b in self.layers:
+            w += lr * grad_w
+            b += lr * grad_b

@@ -32,7 +32,7 @@ import numpy as np
 from dvae.data import Dataset, batches
 from dvae.distributions import Rng, stream_uniforms
 from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, elbo_estimate
-from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, LinearLayer, Mlp
+from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.tensor import ShapeError
 
 ENCODER_INIT_OFFSET = 1
@@ -259,15 +259,6 @@ def write_metrics_csv(history: list[MetricsRow], path) -> None:
                 r.train_recon, r.val_elbo, r.seconds))
 
 
-def _tensor_entries(model: DiscreteVae) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for prefix, net in (("enc", model.encoder), ("dec", model.decoder)):
-        for i, layer in enumerate(net.layers):
-            out.append((f"{prefix}.{i}.w", layer.weights))
-            out.append((f"{prefix}.{i}.b", layer.bias))
-    return out
-
-
 def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
                     epoch: int = 0, rng_state: int = 0) -> None:
     """Serialize a model: 8-byte magic, uint32 version, a length-prefixed
@@ -276,13 +267,14 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
 
     The bytes go to a sibling temporary file that then replaces path, so a
     write that fails midway leaves any previous checkpoint intact."""
-    entries = _tensor_entries(model)
+    nets = (("enc", model.encoder), ("dec", model.decoder))
     lines = [f"d={model.d}", f"k={model.k}", f"p={model.p}",
              f"epoch={epoch}", f"rng_state={rng_state}"]
     if config is not None:
         lines += [f"cfg.{f.name}={getattr(config, f.name)}" for f in fields(config)]
-    lines += [f"tensor={name} shape={','.join(str(s) for s in arr.shape)}"
-              for name, arr in entries]
+    lines += [f"tensor={prefix}.{i}.{kind} shape={','.join(str(s) for s in arr.shape)}"
+              for prefix, net in nets for i, layer in enumerate(net.layers)
+              for kind, arr in (("w", layer.weights), ("b", layer.bias))]
     header = ("\n".join(lines) + "\n").encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -291,8 +283,8 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
             f.write(struct.pack("<I", CHECKPOINT_VERSION))
             f.write(struct.pack("<I", len(header)))
             f.write(header)
-            for _, arr in entries:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+            for _, net in nets:  # params is every tensor in manifest order
+                f.write(np.ascontiguousarray(net.params, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -303,8 +295,10 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint back into a model plus its saved context.
 
-    Raises CheckpointFormatError on a wrong magic or version and
-    CheckpointCorruptError when the payload does not match the manifest.
+    Tensors are looked up by name, so the manifest may list them in any
+    order. Raises CheckpointFormatError on a wrong magic or version and
+    CheckpointCorruptError when the header is malformed or the payload does
+    not match the manifest.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -316,9 +310,13 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: version {version}, this build reads version {CHECKPOINT_VERSION}"
         )
     (header_len,) = struct.unpack("<I", blob[12:16])
-    if len(blob) < 16 + header_len:
+    start = 16 + header_len
+    if len(blob) < start:
         raise CheckpointCorruptError(f"{path}: truncated header")
-    header = blob[16:16 + header_len].decode("utf-8")
+    try:
+        header = blob[16:start].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointCorruptError(f"{path}: header is not UTF-8") from None
 
     meta: dict[str, str] = {}
     manifest: list[tuple[str, tuple[int, ...]]] = []
@@ -328,41 +326,57 @@ def load_checkpoint(path) -> Checkpoint:
             name, _, shape_part = value.partition(" shape=")
             if any(name == seen for seen, _ in manifest):
                 raise CheckpointCorruptError(f"{path}: tensor {name} is listed twice")
-            manifest.append((name, tuple(int(s) for s in shape_part.split(","))))
+            dims = shape_part.split(",")
+            if not all(dim.isdecimal() for dim in dims):
+                raise CheckpointCorruptError(
+                    f"{path}: tensor {name} has malformed shape {shape_part!r}")
+            manifest.append((name, tuple(int(dim) for dim in dims)))
         else:
             meta[key] = value
 
-    payload = blob[16 + header_len:]
-    expected = sum(int(np.prod(shape)) * 8 for _, shape in manifest)
-    if len(payload) != expected:
+    expected = sum(math.prod(shape) * 8 for _, shape in manifest)
+    if len(blob) - start != expected:
         raise CheckpointCorruptError(
-            f"{path}: payload is {len(payload)} bytes, manifest promises {expected}"
+            f"{path}: payload is {len(blob) - start} bytes, manifest promises {expected}"
         )
 
     tensors: dict[str, np.ndarray] = {}
-    offset = 0
+    offset = start
     for name, shape in manifest:
-        count = int(np.prod(shape))
-        tensors[name] = np.frombuffer(  # read-only; Mlp copies it into its own vector
-            payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        count = math.prod(shape)
+        tensors[name] = np.frombuffer(  # read-only; copied into the net's params
+            blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += count * 8
 
-    def rebuild(prefix: str) -> list[LinearLayer]:
+    def load_net(prefix: str, head: str, softmax_shape=None) -> Mlp:
         n_layers = sum(1 for n in tensors if n.startswith(f"{prefix}.") and n.endswith(".w"))
         if n_layers == 0:
             raise KeyError(f"{prefix}.0.w")
-        return [LinearLayer(tensors[f"{prefix}.{i}.w"], tensors[f"{prefix}.{i}.b"])
-                for i in range(n_layers)]
+        weights = [tensors[f"{prefix}.{i}.w"] for i in range(n_layers)]
+        for i, w in enumerate(weights):
+            if w.ndim != 2:
+                raise ShapeError(f"tensor {prefix}.{i}.w has shape {w.shape}, not 2-D")
+        net = Mlp([weights[0].shape[1]] + [w.shape[0] for w in weights], head, softmax_shape)
+        # Exact shapes, no broadcasting; a layer that does not chain fails here.
+        for i, layer in enumerate(net.layers):
+            for kind, view in (("w", layer.weights), ("b", layer.bias)):
+                name = f"{prefix}.{i}.{kind}"
+                if tensors[name].shape != view.shape:
+                    raise ShapeError(
+                        f"tensor {name} has shape {tensors[name].shape}, expected {view.shape}"
+                    )
+                view[...] = tensors[name]
+        return net
 
     try:
         d, k = int(meta["d"]), int(meta["k"])
-        encoder = Mlp(rebuild("enc"), HEAD_SOFTMAX, softmax_shape=(d, k))
-        decoder = Mlp(rebuild("dec"), HEAD_SIGMOID)
+        encoder = load_net("enc", HEAD_SOFTMAX, softmax_shape=(d, k))
+        decoder = load_net("dec", HEAD_SIGMOID)
         model = DiscreteVae(encoder, decoder, d, k)
         epoch, rng_state = int(meta["epoch"]), int(meta["rng_state"])
     except KeyError as exc:
         raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None
-    except ShapeError as exc:
+    except ValueError as exc:  # ShapeError, or a header value that is not an integer
         raise CheckpointCorruptError(f"{path}: {exc}") from None
     config = {key[4:]: value for key, value in meta.items() if key.startswith("cfg.")}
     return Checkpoint(version, config, model, epoch, rng_state)

@@ -1,18 +1,12 @@
 """Shared construction helpers for the test suite."""
 
-import numpy as np
-
 from dvae.model import DiscreteVae
-from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, LinearLayer, Mlp
+from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 
 
 def zero_init_model(p=4, d=2, k=3, hidden=4):
     """Model with every weight and bias zero: uniform encoder rows, all-0.5
     decoder outputs."""
-    enc_layers = [LinearLayer(np.zeros((hidden, p)), np.zeros(hidden)),
-                  LinearLayer(np.zeros((d * k, hidden)), np.zeros(d * k))]
-    dec_layers = [LinearLayer(np.zeros((hidden, d * k)), np.zeros(hidden)),
-                  LinearLayer(np.zeros((p, hidden)), np.zeros(p))]
-    encoder = Mlp(enc_layers, HEAD_SOFTMAX, softmax_shape=(d, k))
-    decoder = Mlp(dec_layers, HEAD_SIGMOID)
+    encoder = Mlp([p, hidden, d * k], HEAD_SOFTMAX, softmax_shape=(d, k))
+    decoder = Mlp([d * k, hidden, p], HEAD_SIGMOID)
     return DiscreteVae(encoder, decoder, d, k)

@@ -1,10 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from dvae.cli import main
 from dvae.data import load_binarized, synthetic_bars, write_idx
 from dvae.distributions import Rng
-from dvae.trainer import evaluate, load_checkpoint, save_checkpoint
+from dvae.trainer import (
+    CheckpointCorruptError,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+)
 from helpers import zero_init_model
 
 
@@ -226,6 +233,41 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--model", str(ckpt_path), "--images", str(images),
                      "--n", n, "--seed", "1", "--out", str(out)]) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
+class TestMalformedCheckpoint:
+    # zero_init_model(p=16, d=2, k=4) with 4 hidden units; each edit keeps
+    # the payload's byte count equal to what the edited manifest promises
+    @pytest.mark.parametrize("old,new,extra,message", [
+        (b"d=2\n", b"d=\xff\n", 0, "header is not UTF-8"),
+        (b"enc.0.b shape=4\n", b"enc.0.b shape=four\n", 0, "malformed shape 'four'"),
+        (b"enc.0.w shape=4,16\n", b"enc.0.w shape=64\n", 0, "(64,), not 2-D"),
+        (b"enc.0.w shape=4,16\n", b"enc.0.w shape=2,2,16\n", 0, "(2, 2, 16), not 2-D"),
+        (b"enc.0.w shape=4,16\n", b"enc.0.w shape=4,17\n", 4,
+         "encoder input 17 != decoder output 16"),
+        (b"epoch=0\n", b"epoch=zero\n", 0, "'zero'"),
+    ], ids=["non-utf8", "non-integer-shape", "1-d-weight", "3-d-weight", "widths-differ",
+            "non-integer-epoch"])
+    def test_is_corrupt_and_exits_1_naming_the_file(self, bars_files, tmp_path, capsys,
+                                                    old, new, extra, message):
+        path = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[12:16])
+        header = blob[16:16 + header_len]
+        assert old in header
+        header = header.replace(old, new, 1)
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + bytes(8 * extra) + blob[16 + header_len:])
+        with pytest.raises(CheckpointCorruptError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+        out = tmp_path / "recs"
+        assert main(["reconstruct", "--model", str(path), "--images", str(bars_files[1]),
+                     "--n", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {err.value}"]
         assert not out.exists()
 
 

@@ -12,13 +12,14 @@ from dvae.model import (
     elbo_estimate,
     uniform_params,
 )
-from dvae.network import HEAD_SOFTMAX, LinearLayer, Mlp
+from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.oracle import (
     enumerate_table,
     exact_encoder_gradient,
     finite_difference,
     tiny_model_and_input,
 )
+from dvae.tensor import ShapeError
 from helpers import zero_init_model
 
 # Regression fixture: model from DiscreteVae.create(5, 2, 3, 4, Rng(901), Rng(902))
@@ -68,6 +69,12 @@ class TestEncodeDecode:
     def test_decode_golden_fixture(self):
         assert np.allclose(fixture_model().decode(FIXTURE_Z), FIXTURE_DECODE,
                            rtol=0, atol=1e-15)
+
+    def test_encoder_input_must_match_decoder_output(self):
+        encoder = Mlp([5, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
+        decoder = Mlp([6, 4], HEAD_SIGMOID)
+        with pytest.raises(ShapeError, match="encoder input 5 != decoder output 4"):
+            DiscreteVae(encoder, decoder, 2, 3)
 
 
 class TestSampleLatent:
@@ -173,7 +180,8 @@ class TestComputeGradients:
     def test_score_gradient_vanishes_at_unit_probability(self):
         # a (numerically) one-hot row gives grad log q = 0 through the softmax
         logits = np.array([[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]])
-        net = Mlp([LinearLayer(np.eye(6), np.zeros(6))], HEAD_SOFTMAX, softmax_shape=(2, 3))
+        net = Mlp([6, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
+        net.layers[0].weights[:] = np.eye(6)
         probs = net.forward(logits.reshape(-1))
         indices = np.array([0, 1])
         net.zero_grads()

@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 
 from dvae.distributions import Rng, aggregate_bce, aggregate_entropy
-from dvae.network import (
-    HEAD_SIGMOID,
-    HEAD_SOFTMAX,
-    LinearLayer,
-    Mlp,
-)
+from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.oracle import finite_difference, scaled_gradient_error
-from dvae.tensor import ShapeError
-
-
-def zero_net(sizes, head, softmax_shape=None):
-    layers = [LinearLayer(np.zeros((o, i)), np.zeros(o)) for i, o in zip(sizes, sizes[1:])]
-    return Mlp(layers, head, softmax_shape)
+from dvae.tensor import ShapeError, sigmoid
 
 
 def random_input(n, rng):
@@ -27,7 +17,11 @@ class TestFlatVectors:
     def test_layer_arrays_are_views_in_manifest_order(self):
         ws = [np.arange(12.0).reshape(4, 3), np.arange(8.0).reshape(2, 4) - 3.0]
         bs = [np.array([0.5, -0.5, 1.5, 2.5]), np.array([7.0, -7.0])]
-        net = Mlp([LinearLayer(w, b) for w, b in zip(ws, bs)], HEAD_SIGMOID)
+        net = Mlp([3, 4, 2], HEAD_SIGMOID)
+        assert not net.params.any() and not net.grads.any()
+        for layer, w, b in zip(net.layers, ws, bs):
+            layer.weights[:] = w
+            layer.bias[:] = b
         expected = np.concatenate([ws[0].ravel(), bs[0], ws[1].ravel(), bs[1]])
         assert np.array_equal(net.params, expected)
         assert net.params.dtype == np.float64 and net.grads.shape == net.params.shape
@@ -56,21 +50,22 @@ class TestFlatVectors:
 
 class TestForward:
     def test_zero_net_sigmoid_outputs_half(self):
-        net = zero_net([3, 4, 5], HEAD_SIGMOID)
+        net = Mlp([3, 4, 5], HEAD_SIGMOID)
         assert np.array_equal(net.forward(np.array([0.3, -1.0, 2.0])), np.full(5, 0.5))
 
     def test_zero_net_softmax_outputs_uniform(self):
-        net = zero_net([3, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
+        net = Mlp([3, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
         out = net.forward(np.array([1.0, 2.0, 3.0]))
         assert np.allclose(out, 1.0 / 3.0, rtol=0, atol=1e-15)
 
     def test_identity_layer_sigmoid_composition(self):
-        net = Mlp([LinearLayer(np.eye(2), np.zeros(2))], HEAD_SIGMOID)
+        net = Mlp([2, 2], HEAD_SIGMOID)
+        net.layers[0].weights[:] = np.eye(2)
         out = net.forward(np.array([0.0, math.log(3.0)]))
         assert np.allclose(out, [0.5, 0.75], rtol=0, atol=1e-15)
 
     def test_shape_mismatch(self):
-        net = zero_net([3, 2], HEAD_SIGMOID)
+        net = Mlp([3, 2], HEAD_SIGMOID)
         with pytest.raises(ShapeError):
             net.forward(np.zeros(4))
 
@@ -84,28 +79,33 @@ class TestBackward:
         assert np.all(net.grads == 0.0)
 
     def test_linear_chain_rule(self):
-        # single linear layer, loss = c . output  =>  grad_W = outer(c, x)
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        layer = LinearLayer(w, np.zeros(2))
+        # single linear layer; with c the gradient at its output (the head's
+        # upstream times the sigmoid slope y (1 - y)), grad_W = outer(c, x)
+        w = np.array([[0.5, -0.25], [0.25, 0.75]])
+        net = Mlp([2, 2], HEAD_SIGMOID)
+        layer = net.layers[0]
+        layer.weights[:] = w
         x = np.array([5.0, -1.0])
-        layer.forward(x)
-        c = np.array([2.0, -3.0])
-        layer.backward(c)
+        y = net.forward(x)
+        up = np.array([2.0, -3.0])
+        net.backward(up)
+        c = up * y * (1.0 - y)
         assert np.array_equal(layer.grad_weights, np.outer(c, x))
         assert np.array_equal(layer.grad_bias, c)
 
         # a batch accumulates the sum of its rows' gradients
         xs = np.array([[5.0, -1.0], [0.5, 2.0], [-3.0, 1.5]])
-        cs = np.array([[2.0, -3.0], [1.0, 0.25], [-0.5, 4.0]])
-        layer.grad_weights[:] = 0.0
-        layer.grad_bias[:] = 0.0
-        assert np.array_equal(layer.forward(xs), xs @ w.T)
-        layer.backward(cs)
+        ups = np.array([[2.0, -3.0], [1.0, 0.25], [-0.5, 4.0]])
+        net.zero_grads()
+        ys = net.forward(xs)
+        assert np.array_equal(ys, sigmoid(xs @ w.T))
+        net.backward(ups)
+        cs = ups * ys * (1.0 - ys)
         assert np.allclose(layer.grad_weights, sum(map(np.outer, cs, xs)), rtol=0, atol=1e-12)
         assert np.allclose(layer.grad_bias, cs.sum(axis=0), rtol=0, atol=1e-12)
 
     def test_backward_before_forward_raises(self):
-        net = zero_net([2, 2], HEAD_SIGMOID)
+        net = Mlp([2, 2], HEAD_SIGMOID)
         with pytest.raises(RuntimeError):
             net.backward(np.zeros(2))
 
@@ -192,8 +192,9 @@ class TestSgaStep:
         assert np.array_equal(net.params, before)
 
     def test_unit_lr_adds_gradient(self):
-        layer = LinearLayer(np.array([[2.0]]), np.zeros(1))
-        net = Mlp([layer], HEAD_SIGMOID)
+        net = Mlp([1, 1], HEAD_SIGMOID)
+        layer = net.layers[0]
+        layer.weights[0, 0] = 2.0
         layer.grad_weights[0, 0] = 0.25
         net.sga_step(1.0)
         assert layer.weights[0, 0] == 2.25
@@ -213,7 +214,7 @@ class TestSgaStep:
         assert np.allclose(a.params, b.params, rtol=0, atol=1e-15)
 
     def test_nonpositive_lr_rejected(self):
-        net = zero_net([2, 2], HEAD_SIGMOID)
+        net = Mlp([2, 2], HEAD_SIGMOID)
         with pytest.raises(ValueError):
             net.sga_step(0.0)
         with pytest.raises(ValueError):
@@ -251,8 +252,8 @@ def test_zero_grads_idempotent():
 
 
 def test_init_bounds_follow_fan_scaling():
-    rng = Rng(96)
-    layer = LinearLayer.init(8, 5, rng)
-    limit = math.sqrt(6.0 / 13.0)
-    assert np.all(np.abs(layer.weights) <= limit)
-    assert np.all(layer.bias == 0.0)
+    net = Mlp.create([5, 8, 3], HEAD_SIGMOID, Rng(96))
+    for layer, fan_sum in zip(net.layers, (13, 11)):
+        limit = math.sqrt(6.0 / fan_sum)
+        assert 0.5 * limit < np.abs(layer.weights).max() <= limit
+        assert np.all(layer.bias == 0.0)

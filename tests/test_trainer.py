@@ -41,6 +41,33 @@ def bars_sets(n_train=120, n_val=40, side=4, seed=1234):
     return synthetic_bars(n_train, side, rng), synthetic_bars(n_val, side, rng)
 
 
+def read_tensors(path):
+    """A checkpoint's non-tensor header lines and its (name, shape, values)
+    tensors in manifest order."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[12:16])
+    meta, tensors, offset = [], [], 16 + header_len
+    for line in blob[16:16 + header_len].decode().splitlines():
+        name, _, dims = line.removeprefix("tensor=").partition(" shape=")
+        if not dims:
+            meta.append(line)
+            continue
+        shape = tuple(int(s) for s in dims.split(","))
+        values = np.frombuffer(blob, "<f8", math.prod(shape), offset)
+        tensors.append((name, shape, values))
+        offset += values.nbytes
+    return meta, tensors
+
+
+def write_tensors(path, meta, tensors):
+    """A version-1 checkpoint with these header lines and tensors."""
+    header = "".join(f"{line}\n" for line in meta) + "".join(
+        f"tensor={name} shape={','.join(map(str, shape))}\n" for name, shape, _ in tensors)
+    header = header.encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header
+                     + b"".join(np.asarray(v, "<f8").tobytes() for _, _, v in tensors))
+
+
 class TestTrainConfig:
     def test_valid(self):
         TrainConfig(d_latents=2, k_categories=4)
@@ -280,6 +307,41 @@ class TestCheckpoint:
         path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
                          + blob[16 + header_len:] + np.full(6, 7.0).tobytes())
         with pytest.raises(CheckpointCorruptError, match="dec.1.b is listed twice"):
+            load_checkpoint(path)
+
+    def test_any_manifest_order_loads_bit_identically(self, tmp_path):
+        model, _ = tiny_model_and_input(916)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        meta, tensors = read_tensors(path)
+        # decoder before encoder, and each layer's bias before its weights
+        tensors.sort(key=lambda t: (t[0].startswith("enc"), t[0][:-2], t[0].endswith(".w")))
+        write_tensors(path, meta, tensors)
+        assert [t[0] for t in read_tensors(path)[1][:3]] == ["dec.0.b", "dec.0.w", "dec.1.b"]
+        loaded = load_checkpoint(path).model
+        assert np.array_equal(loaded.encoder.params, model.encoder.params)
+        assert np.array_equal(loaded.decoder.params, model.decoder.params)
+
+    def test_bias_shaped_as_a_row_is_rejected(self, tmp_path):
+        # the byte count is right, but a (1, n) tensor must not broadcast into (n,)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model_and_input(917)[0], path)
+        meta, tensors = read_tensors(path)
+        tensors = [(n, (1, *s) if n == "enc.0.b" else s, v) for n, s, v in tensors]
+        write_tensors(path, meta, tensors)
+        with pytest.raises(CheckpointCorruptError, match=r"enc\.0\.b has shape \(1, 8\)"):
+            load_checkpoint(path)
+
+    def test_layers_that_do_not_chain_are_rejected(self, tmp_path):
+        # enc.1.w takes one more input than enc.0.w puts out
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model_and_input(918)[0], path)
+        meta, tensors = read_tensors(path)
+        tensors = [(n, (s[0], s[1] + 1), np.zeros((s[0], s[1] + 1))) if n == "enc.1.w"
+                   else (n, s, v) for n, s, v in tensors]
+        write_tensors(path, meta, tensors)
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"enc\.1\.w has shape \(6, 9\), expected \(6, 8\)"):
             load_checkpoint(path)
 
     def test_bad_magic_is_format_error(self, tmp_path):
