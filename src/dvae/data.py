@@ -10,6 +10,7 @@ files are not handled; decompress first.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ def load_idx(path, expected_magic: int | None = None) -> np.ndarray:
     if len(blob) < header_end:
         raise IdxLengthError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndims}I", blob[4:header_end])
-    expected = int(np.prod(dims)) if dims else 0
+    expected = math.prod(dims) if dims else 0  # Python ints: no int64 wraparound
     payload = blob[header_end:]
     if len(payload) != expected:
         raise IdxLengthError(

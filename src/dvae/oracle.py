@@ -116,6 +116,30 @@ def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray,
     return grad
 
 
+def configuration_gradients(model: DiscreteVae, x: np.ndarray, table: EnumerationTable
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The K^D values the score-function estimator takes at this model and x,
+    one per row of its enumeration table: grads (K^D, n_phi) holds the
+    encoder gradient and totals (K^D,) the single-sample ELBO estimate.
+
+    Each row with q > 0 gets one real B=1 compute_gradients call whose
+    uniforms sit at the midpoint of each latent's CDF interval for the row's
+    categories, so the pass samples that row; rows with q = 0 stay zero.
+    Weighted by q, the rows give exact_encoder_gradient and exact_elbo.
+    Clobbers both networks' gradient buffers.
+    """
+    probs = model.encode(x)
+    u = (np.cumsum(probs, axis=-1) - probs / 2)[np.arange(model.d), table.latents]
+    grads = np.zeros((len(u), model.encoder.params.size))
+    totals = np.zeros(len(u))
+    for c in np.flatnonzero(table.q_probs > 0.0):
+        model.encoder.zero_grads()
+        model.decoder.zero_grads()
+        totals[c] = model.compute_gradients(x, u[c]).total
+        grads[c] = model.encoder.grads
+    return grads, totals
+
+
 def finite_difference(objective, params: np.ndarray, h: float) -> np.ndarray:
     """Central difference (f(p+h) - f(p-h)) / 2h per coordinate of the flat
     float64 vector params, perturbed in place one entry at a time, passed to
@@ -224,12 +248,10 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     per-parameter encoder gradients within 5 standard errors (at most 1% of
     parameters beyond 3), and the single-sample ELBO total within 5.
 
-    The model is never stepped, so a draw's encoder gradient and ELBO
-    estimate depend on its uniforms only through the latent z they select:
-    each is one of K^D per-configuration values. The suite therefore counts
-    the draws per configuration, makes one real B=1 compute_gradients call
-    on the first draw that selects each configuration, and forms the sums
-    and sums of squares as count-weighted sums. This equals the per-draw
+    The model is never stepped, so each draw's encoder gradient and ELBO
+    estimate is one of the K^D values of configuration_gradients. The suite
+    counts the draws per configuration and forms the sums and sums of
+    squares as count-weighted sums of that table. This equals the per-draw
     loop up to float summation order.
     """
     model, x = tiny_model_and_input(seed + 77, p=4)
@@ -237,24 +259,14 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     exact_grad = exact_encoder_gradient(model, x, table)
     probs = model.encode(x)
     exact_value = exact_elbo(table, probs)
+    grads, totals = configuration_gradients(model, x, table)
 
-    n_configs = len(table.latents)
     place = model.k ** np.arange(model.d - 1, -1, -1)  # inverts lexicographic_indices
-    counts = np.zeros(n_configs)
-    grads = np.zeros((n_configs, exact_grad.size))
-    totals = np.zeros(n_configs)
+    counts = np.zeros(len(table.latents))
     stream = Rng(seed + 78)
     for start in range(0, n_draws, DRAW_BLOCK):
-        block = min(DRAW_BLOCK, n_draws - start)
-        u = stream.uniforms(block * model.d).reshape(block, model.d)
-        config = model.sample_latent(probs, u) @ place
-        block_counts = np.bincount(config, minlength=n_configs)
-        for c in np.flatnonzero((block_counts > 0) & (counts == 0)):
-            model.encoder.zero_grads()
-            model.decoder.zero_grads()
-            totals[c] = model.compute_gradients(x, u[np.argmax(config == c)]).total
-            grads[c] = model.encoder.grads
-        counts += block_counts
+        u = stream.uniforms(min(DRAW_BLOCK, n_draws - start) * model.d).reshape(-1, model.d)
+        counts += np.bincount(model.sample_latent(probs, u) @ place, minlength=len(counts))
 
     g_sum = counts @ grads
     g_sumsq = counts @ (grads * grads)

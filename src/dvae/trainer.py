@@ -373,6 +373,8 @@ def load_checkpoint(path) -> Checkpoint:
         encoder = load_net("enc", HEAD_SOFTMAX, softmax_shape=(d, k))
         decoder = load_net("dec", HEAD_SIGMOID)
         model = DiscreteVae(encoder, decoder, d, k)
+        if int(meta["p"]) != model.p:
+            raise ShapeError(f"header p={meta['p']} != decoder output {model.p}")
         epoch, rng_state = int(meta["epoch"]), int(meta["rng_state"])
     except KeyError as exc:
         raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None

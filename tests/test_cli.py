@@ -127,6 +127,16 @@ class TestTrainCommand:
         assert len(err) == 1 and "7 labels for 60 images" in err[0]
         assert not out.exists()
 
+    def test_image_dimensions_beyond_int64_exit_1_naming_the_file(self, bars_files, tmp_path,
+                                                                   capsys):
+        train = tmp_path / "huge.idx3-ubyte"
+        train.write_bytes(struct.pack(">IIII", 0x803, 2 ** 21, 2 ** 21, 2 ** 22))
+        out = tmp_path / "run"
+        assert main(train_args(train, bars_files[1], out)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(train) in err[0] and "header promises" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("hidden", 10 ** 15, "out of memory"),
         ("batch", 1000, "batch size 1000 exceeds dataset size 60"),
@@ -246,9 +256,10 @@ class TestMalformedCheckpoint:
         (b"enc.0.w shape=4,16\n", b"enc.0.w shape=2,2,16\n", 0, "(2, 2, 16), not 2-D"),
         (b"enc.0.w shape=4,16\n", b"enc.0.w shape=4,17\n", 4,
          "encoder input 17 != decoder output 16"),
+        (b"p=16\n", b"p=99\n", 0, "header p=99 != decoder output 16"),
         (b"epoch=0\n", b"epoch=zero\n", 0, "'zero'"),
     ], ids=["non-utf8", "non-integer-shape", "1-d-weight", "3-d-weight", "widths-differ",
-            "non-integer-epoch"])
+            "pixel-count-differs", "non-integer-epoch"])
     def test_is_corrupt_and_exits_1_naming_the_file(self, bars_files, tmp_path, capsys,
                                                     old, new, extra, message):
         path = tmp_path / "zero.ckpt"

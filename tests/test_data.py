@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ class TestLoadIdx:
         path.write_bytes(FIXTURE_IMAGE_BYTES[:10])
         with pytest.raises(IdxLengthError):
             load_idx(path)
+
+    def test_dimension_product_beyond_int64_is_a_length_error(self, tmp_path):
+        # 2^21 * 2^21 * 2^22 = 2^64 wraps to 0 in int64, which the empty
+        # payload would match
+        path = tmp_path / "huge"
+        path.write_bytes(struct.pack(">IIII", 0x803, 2 ** 21, 2 ** 21, 2 ** 22))
+        with pytest.raises(IdxLengthError, match=f"header promises {2 ** 64}") as err:
+            load_idx(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_round_trip(self, tmp_path, image_file):
         raw = load_images(image_file)

@@ -9,6 +9,7 @@ from dvae.model import DiscreteVae
 from dvae.oracle import (
     CapacityError,
     EnumerationTable,
+    configuration_gradients,
     enumerate_table,
     exact_elbo,
     exact_encoder_gradient,
@@ -188,6 +189,19 @@ class TestExactEncoderGradient:
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
 
+class TestConfigurationGradients:
+    @pytest.mark.parametrize("seed", [3, 7, 42, 92, 206])
+    def test_q_weighted_rows_give_exact_gradient_and_elbo(self, seed):
+        model, x = tiny_model_and_input(seed + 77, p=4)  # the unbiasedness suite's model
+        table = enumerate_table(model, x)
+        grads, totals = configuration_gradients(model, x, table)
+        assert grads.shape == (len(table.latents), model.encoder.params.size)
+        assert totals.shape == (len(table.latents),)
+        exact_grad = exact_encoder_gradient(model, x, table)
+        assert np.abs(table.q_probs @ grads - exact_grad).max() <= 1e-14
+        assert abs(table.q_probs @ totals - exact_elbo(table, model.encode(x))) <= 1e-14
+
+
 class TestSuites:
     def test_gradient_suite_passes(self):
         assert all(c.passed for c in suite_gradient_checks(2024, n_nets=3))
@@ -247,19 +261,30 @@ def per_draw_unbiasedness(seed, n_draws):
 class TestUnbiasednessSuite:
     def test_counting_matches_per_draw_loop(self, monkeypatch):
         seed, n_draws, block = 6, 2500, 37
-        model, x = tiny_model_and_input(seed + 77, p=4)
-        u = Rng(seed + 78).uniforms(n_draws * model.d).reshape(n_draws, model.d)
-        config = model.sample_latent(model.encode(x), u) @ [model.k, 1]
-        first_seen = [int(np.argmax(config == c)) for c in np.unique(config)]
-        assert max(first_seen) >= 2 * block  # some configuration shows up late
-
-        monkeypatch.setattr(oracle, "DRAW_BLOCK", block)
+        monkeypatch.setattr(oracle, "DRAW_BLOCK", block)  # 2500 draws end in a partial block
         checks = suite_unbiasedness(seed, n_draws=n_draws)
         expected = per_draw_unbiasedness(seed, n_draws)
         for check, value in zip(checks, expected):
             assert check.measured == pytest.approx(value, rel=1e-9, abs=1e-12)
             assert check.passed == (value <= check.tolerance)
         assert checks[0].note == f"{n_draws} draws"
+
+    @pytest.mark.parametrize("n_draws", [10, 2500])
+    def test_one_pass_per_configuration_with_positive_q(self, monkeypatch, n_draws):
+        # 10 draws select only some configurations; every q > 0 row still gets its pass
+        seed = 6
+        model, x = tiny_model_and_input(seed + 77, p=4)
+        n_positive = int((enumerate_table(model, x).q_probs > 0.0).sum())
+        calls = []
+        real = DiscreteVae.compute_gradients
+
+        def counted(self, x, u):
+            calls.append(u)
+            return real(self, x, u)
+
+        monkeypatch.setattr(DiscreteVae, "compute_gradients", counted)
+        suite_unbiasedness(seed, n_draws=n_draws)
+        assert len(calls) == n_positive
 
     def test_seed_7_fails_frac_above_3z_at_9_of_94(self):
         checks = {c.name: c for c in suite_unbiasedness(7)}

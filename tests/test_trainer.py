@@ -279,7 +279,8 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("entry,renamed", [
-        ("d=", "xd="), ("k=", "xk="), ("epoch=", "xepoch="), ("rng_state=", "xrng_state="),
+        ("d=", "xd="), ("k=", "xk="), ("p=", "xp="), ("epoch=", "xepoch="),
+        ("rng_state=", "xrng_state="),
         ("enc.1.b ", "enc.1.x "), ("dec.0.w ", "dec.0.x "),
     ])
     def test_missing_header_entry_is_corrupt(self, tmp_path, entry, renamed):
