@@ -141,6 +141,15 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def seed(text: str) -> int:
+    """--seed: a non-negative integer. Rng reduces seeds modulo 2^64, so a
+    negative one would silently alias a large positive one."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dvae", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -156,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch", type=int, default=100)
     p_train.add_argument("--epochs", type=int, default=50)
     p_train.add_argument("--patience", type=int, default=5)
-    p_train.add_argument("--seed", type=int, default=42)
+    p_train.add_argument("--seed", type=seed, default=42)
     p_train.add_argument("--threshold", type=int, default=128)
     p_train.add_argument("--mc-samples", type=int, default=1)
     p_train.add_argument("--out", required=True)
@@ -165,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="mean ELBO of a checkpoint on IDX images")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--images", required=True)
-    p_eval.add_argument("--seed", type=int, default=42)
+    p_eval.add_argument("--seed", type=seed, default=42)
     p_eval.add_argument("--threshold", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -173,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--model", required=True)
     p_rec.add_argument("--images", required=True)
     p_rec.add_argument("--n", type=int, default=8)
-    p_rec.add_argument("--seed", type=int, default=42)
+    p_rec.add_argument("--seed", type=seed, default=42)
     p_rec.add_argument("--threshold", type=int, default=None)
     p_rec.add_argument("--out", required=True)
     p_rec.set_defaults(func=cmd_reconstruct)
@@ -181,14 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="decode latents drawn from the prior")
     p_sample.add_argument("--model", required=True)
     p_sample.add_argument("--n", type=int, default=8)
-    p_sample.add_argument("--seed", type=int, default=42)
+    p_sample.add_argument("--seed", type=seed, default=42)
     p_sample.add_argument("--dump-indices", action="store_true")
     p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run the enumeration-oracle checks")
     p_verify.add_argument("--suite", choices=["all", *oracle.SUITES], default="all")
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=seed, default=42)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

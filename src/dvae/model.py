@@ -135,6 +135,16 @@ class DiscreteVae:
         decoder = Mlp.create(dec_sizes, HEAD_SIGMOID, decoder_rng)
         return cls(encoder, decoder, d, k)
 
+    def with_params(self, phi: np.ndarray | None = None,
+                    theta: np.ndarray | None = None) -> "DiscreteVae":
+        """This model with its encoder running phi and its decoder theta, each
+        a flat parameter vector or an (m, n) stack of them, which the new nets
+        view without copying; None keeps the model's own net. Over a stack,
+        encode and decode return one result per row (see Mlp)."""
+        def over(net: Mlp, params: np.ndarray | None) -> Mlp:
+            return net if params is None else Mlp(net.sizes, net.head, net.softmax_shape, params)
+        return DiscreteVae(over(self.encoder, phi), over(self.decoder, theta), self.d, self.k)
+
     def encode(self, x: np.ndarray) -> np.ndarray:
         """(..., D, K) category probabilities for input x (entries expected
         in [0, 1]); each row sums to 1."""

@@ -8,6 +8,12 @@ a row-wise softmax over a (rows, cols) reshape of the final layer output.
 net.layers[i] holds layer i's weights, bias, grad_weights and grad_bias as
 reshaped views into params and grads. Gradients accumulate (+=) into grads
 until zero_grads(); sga_step() applies gradient ASCENT, p <- p + lr * grad.
+
+A net built over an (m, n) stack of parameter vectors is m nets in one:
+its weights are (m, out, in) views and its biases (m, 1, out), one forward
+pass runs all m on the same input, and every output gains a leading m axis.
+Each row of that output is bit-identical to the forward pass of a net over
+that row alone. A stacked net is forward-only and has no grads.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ HEAD_SOFTMAX = "softmax"
 
 class Layer(NamedTuple):
     """One affine layer's views: weights (out, in) and bias (out,) into an
-    Mlp's params, and their gradients into its grads."""
+    Mlp's params, and their gradients into its grads (None when stacked)."""
 
     weights: np.ndarray
     bias: np.ndarray
-    grad_weights: np.ndarray
-    grad_bias: np.ndarray
+    grad_weights: np.ndarray | None
+    grad_bias: np.ndarray | None
 
 
 class Mlp:
@@ -40,11 +46,13 @@ class Mlp:
     (..., rows, cols) with softmax_shape = (rows, cols), and each row is
     normalized independently; the sigmoid head keeps the final layer's shape.
     Leading input axes are batch axes, and an unbatched vector is a batch
-    with no leading axis. A new net's parameters are all zero.
+    with no leading axis. A new net's parameters are all zero, unless params
+    is given: the net is then a view over that (n,) vector or (m, n) stack.
     """
 
     def __init__(self, sizes: list[int], head: str,
-                 softmax_shape: tuple[int, int] | None = None):
+                 softmax_shape: tuple[int, int] | None = None,
+                 params: np.ndarray | None = None):
         if head not in (HEAD_SIGMOID, HEAD_SOFTMAX):
             raise ValueError(f"unknown head {head!r}")
         if head == HEAD_SOFTMAX:
@@ -56,17 +64,24 @@ class Mlp:
                     f"output width {sizes[-1]} does not fill softmax shape {softmax_shape}"
                 )
         self.sizes = tuple(sizes)
+        n = sum(o * i + o for i, o in zip(sizes, sizes[1:]))
         # np.zeros can leave the pages untouched until they are first written.
-        self.params = np.zeros(sum(o * i + o for i, o in zip(sizes, sizes[1:])))
-        self.grads = np.zeros(self.params.size)
+        self.params = np.zeros(n) if params is None else np.asarray(params, dtype=np.float64)
+        if self.params.ndim not in (1, 2) or self.params.shape[-1] != n:
+            raise ShapeError(f"params {self.params.shape} do not hold {n} parameters")
+        lead = self.params.shape[:-1]  # (m,) for a stack of m nets
+        self.grads = None if lead else np.zeros(n)
         self.layers: list[Layer] = []
         offset = 0
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             mid = offset + fan_out * fan_in
             end = mid + fan_out
+            bias = self.params[..., mid:end]
             self.layers.append(Layer(
-                self.params[offset:mid].reshape(fan_out, fan_in), self.params[mid:end],
-                self.grads[offset:mid].reshape(fan_out, fan_in), self.grads[mid:end],
+                self.params[..., offset:mid].reshape(*lead, fan_out, fan_in),
+                bias[:, None] if lead else bias,  # a stacked bias broadcasts over input rows
+                None if lead else self.grads[offset:mid].reshape(fan_out, fan_in),
+                None if lead else self.grads[mid:end],
             ))
             offset = end
         self.head = head
@@ -91,19 +106,28 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Affine / rectifier chain then head; the net caches each layer's
-        input and its own output."""
+        input and its own output. A stacked net of m takes one input vector
+        or one (rows, in) batch, shared by all m, and returns (m, ...)."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1:] != self.sizes[:1]:
             raise ShapeError(
                 f"input {h.shape} does not match weights {self.layers[0].weights.shape}"
             )
+        stack_shape = None
+        if self.params.ndim == 2:
+            if h.ndim > 2:
+                raise ShapeError(f"a stacked net takes a vector or a matrix, not {h.shape}")
+            stack_shape = (len(self.params), *h.shape[:-1])
+            h = h.reshape(-1, h.shape[-1])  # a vector becomes one input row
         inputs = []
         for i, (w, b, _, _) in enumerate(self.layers):
             inputs.append(h)
-            h = h @ w.T
+            h = h @ w.swapaxes(-1, -2)
             h += b
             if i < len(self.layers) - 1:
                 np.maximum(h, 0.0, out=h)
+        if stack_shape is not None:
+            h = h.reshape(*stack_shape, h.shape[-1])
         if self.head == HEAD_SIGMOID:
             out = sigmoid(h)
         else:
@@ -119,6 +143,8 @@ class Mlp:
         head OUTPUT (same shape as forward's return); the parameter gradients
         accumulate its sum over the batch.
         """
+        if self.grads is None:
+            raise RuntimeError("a stacked net is forward-only")
         if self._output is None:
             raise RuntimeError("backward before forward")
         y = self._output

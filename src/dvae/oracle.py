@@ -46,9 +46,10 @@ def lexicographic_indices(d: int, k: int, flat) -> np.ndarray:
 
 
 def table_q_probs(probs: np.ndarray, latents: np.ndarray) -> np.ndarray:
-    """q(z|x) of each table row: the product of the encoder's (D, K) row
-    probabilities at the row's category indices."""
-    return probs[np.arange(probs.shape[0]), latents].prod(axis=1)
+    """q(z|x) of each table row: the product of the encoder's (..., D, K) row
+    probabilities at the row's category indices, shaped (..., K^D)."""
+    # C order, so that sums over the table round as they do for one (D, K).
+    return np.ascontiguousarray(probs[..., np.arange(probs.shape[-2]), latents].prod(axis=-1))
 
 
 def enumerate_table(model: DiscreteVae, x: np.ndarray) -> EnumerationTable:
@@ -76,12 +77,14 @@ def exact_marginal_log_px(table: EnumerationTable) -> float:
     return m + math.log(np.exp(lp - m).sum()) - math.log(len(lp))
 
 
-def exact_elbo(table: EnumerationTable, probs: np.ndarray) -> float:
-    """Exact ELBO for the encoder's (D, K) probabilities: aggregate entropy
-    - D*ln(K) + E_q[log p(x|z)] over the table."""
+def exact_elbo(table: EnumerationTable, probs: np.ndarray) -> float | np.ndarray:
+    """Exact ELBO for the encoder's (..., D, K) probabilities: aggregate
+    entropy - D*ln(K) + E_q[log p(x|z)] over the table, whose q_probs are
+    (..., K^D). A float for one (D, K), else one value per leading index."""
     d, k = probs.shape[-2:]
-    expected_ll = float((table.q_probs * table.log_px_given_z).sum())
-    return float(aggregate_entropy(probs)) - d * math.log(k) + expected_ll
+    expected_ll = (table.q_probs * table.log_px_given_z).sum(axis=-1)
+    value = aggregate_entropy(probs) - d * math.log(k) + expected_ll
+    return float(value) if value.ndim == 0 else value
 
 
 def exact_posterior(table: EnumerationTable) -> np.ndarray:
@@ -142,23 +145,21 @@ def configuration_gradients(model: DiscreteVae, x: np.ndarray, table: Enumeratio
 
 def finite_difference(objective, params: np.ndarray, h: float) -> np.ndarray:
     """Central difference (f(p+h) - f(p-h)) / 2h per coordinate of the flat
-    float64 vector params, perturbed in place one entry at a time, passed to
-    the objective and restored exactly, so an objective may read a network
-    whose params these are. The objective must be deterministic."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    grad = np.empty(params.size)
-    for j in range(params.size):
-        p0 = params[j]
-        try:
-            params[j] = p0 + h
-            f_plus = objective(params)
-            params[j] = p0 - h
-            f_minus = objective(params)
-        finally:
-            params[j] = p0
-        grad[j] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    float64 vector params, from one objective call on a (2n, n) stack: row
+    2j is params with entry j set to p_j + h, row 2j+1 with it set to p_j - h.
+    The objective returns the 2n values of its rows; params is not written.
+    The stack holds 2n^2 floats, which suits desk-scale nets only."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step must be positive and finite, got h={h}")
+    n = params.size
+    stack = np.tile(params, (2 * n, 1))
+    coord = np.arange(n)
+    stack[2 * coord, coord] = params + h
+    stack[2 * coord + 1, coord] = params - h
+    values = np.asarray(objective(stack), dtype=np.float64)
+    if values.shape != (2 * n,):
+        raise ValueError(f"objective returned shape {values.shape}, expected {(2 * n,)}")
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 def scaled_gradient_error(analytic: np.ndarray, numeric: np.ndarray,
@@ -216,9 +217,9 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         model.compute_gradients(x, u)
         z = model.sample_latent(model.encode(x), u)  # same draws, same z
 
-        # The objectives read the nets, whose params finite_difference perturbs.
-        def recon_of(_theta):
-            return -aggregate_bce(model.decode(z), x)
+        # Each objective runs one forward pass over its whole stack.
+        def recon_of(thetas):
+            return -aggregate_bce(model.with_params(theta=thetas).decode(z), x)
 
         fd_dec = finite_difference(recon_of, model.decoder.params, h)
         worst_dec = max(worst_dec, scaled_gradient_error(model.decoder.grads, fd_dec))
@@ -226,8 +227,8 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         table = enumerate_table(model, x)  # log p(x|z) does not depend on phi
         analytic_enc = exact_encoder_gradient(model, x, table)
 
-        def elbo_of(_phi):
-            probs = model.encode(x)
+        def elbo_of(phis):
+            probs = model.with_params(phi=phis).encode(x)
             q_probs = table_q_probs(probs, table.latents)
             return exact_elbo(EnumerationTable(table.latents, q_probs, table.log_px_given_z),
                               probs)

@@ -46,6 +46,60 @@ def drop_seconds(csv_text):
     return ["," .join(line.split(",")[:-1]) for line in csv_text.splitlines()]
 
 
+# `verify --suite all` as recorded from per-coordinate finite differences:
+# (exit code, text) per seed. Seed 7 fails frac-above-3z.
+VERIFY_ALL_GOLDEN = {
+    3: (0, (
+        "PASS decoder-grad-vs-finite-diff measured=2.339e-07 tolerance=1.000e-04"
+        " (max scaled error over 10 nets)\n"
+        "PASS encoder-grad-vs-finite-diff measured=3.870e-07 tolerance=1.000e-04"
+        " (max scaled error over 10 nets)\n"
+        "PASS encoder-grad-mc-mean-max-z measured=1.833e+00 tolerance=5.000e+00 (200000 draws)\n"
+        "PASS encoder-grad-mc-mean-frac-above-3z measured=0.000e+00 tolerance=1.000e-02"
+        " (94 parameters)\n"
+        "PASS elbo-estimate-mc-mean-z measured=6.715e-01 tolerance=5.000e+00"
+        " (exact -3.213202, mean -3.212627)\n"
+        "PASS elbo-lower-bound-min-slack measured=9.858e-03 tolerance=-1.000e-10"
+        " (100 models, pass if >= tolerance)\n"
+        "PASS log-likelihood-identity-residual measured=1.707e-15 tolerance=1.000e-08"
+        " (100 models)\n"
+        "all checks passed\n"
+    )),
+    7: (1, (
+        "PASS decoder-grad-vs-finite-diff measured=2.832e-09 tolerance=1.000e-04"
+        " (max scaled error over 10 nets)\n"
+        "PASS encoder-grad-vs-finite-diff measured=5.216e-07 tolerance=1.000e-04"
+        " (max scaled error over 10 nets)\n"
+        "PASS encoder-grad-mc-mean-max-z measured=3.256e+00 tolerance=5.000e+00 (200000 draws)\n"
+        "FAIL encoder-grad-mc-mean-frac-above-3z measured=9.574e-02 tolerance=1.000e-02"
+        " (94 parameters)\n"
+        "PASS elbo-estimate-mc-mean-z measured=6.753e-01 tolerance=5.000e+00"
+        " (exact -3.182749, mean -3.182404)\n"
+        "PASS elbo-lower-bound-min-slack measured=1.713e-02 tolerance=-1.000e-10"
+        " (100 models, pass if >= tolerance)\n"
+        "PASS log-likelihood-identity-residual measured=1.776e-15 tolerance=1.000e-08"
+        " (100 models)\n"
+        "VERIFICATION FAILED\n"
+    )),
+    42: (0, (
+        "PASS decoder-grad-vs-finite-diff measured=4.450e-08 tolerance=1.000e-04"
+        " (max scaled error over 10 nets)\n"
+        "PASS encoder-grad-vs-finite-diff measured=1.503e-07 tolerance=1.000e-04"
+        " (max scaled error over 10 nets)\n"
+        "PASS encoder-grad-mc-mean-max-z measured=7.486e-01 tolerance=5.000e+00 (200000 draws)\n"
+        "PASS encoder-grad-mc-mean-frac-above-3z measured=0.000e+00 tolerance=1.000e-02"
+        " (94 parameters)\n"
+        "PASS elbo-estimate-mc-mean-z measured=4.348e-01 tolerance=5.000e+00"
+        " (exact -2.682487, mean -2.682599)\n"
+        "PASS elbo-lower-bound-min-slack measured=6.667e-03 tolerance=-1.000e-10"
+        " (100 models, pass if >= tolerance)\n"
+        "PASS log-likelihood-identity-residual measured=2.123e-15 tolerance=1.000e-08"
+        " (100 models)\n"
+        "all checks passed\n"
+    )),
+}
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self, capsys):
         assert main(["train", "--val-images", "x", "--out", "y"]) == 2
@@ -56,6 +110,27 @@ class TestUsageErrors:
 
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "everything"]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval", "reconstruct", "sample", "verify"])
+    def test_negative_seed_exits_2(self, bars_files, tmp_path, capsys, command):
+        # Rng would reduce -5 modulo 2^64 and run as seed 2^64 - 5
+        train, val = bars_files
+        ckpt = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt)
+        out = tmp_path / "out"
+        argv = {
+            "train": train_args(train, val, out),
+            "eval": ["eval", "--model", str(ckpt), "--images", str(val)],
+            "reconstruct": ["reconstruct", "--model", str(ckpt), "--images", str(val),
+                            "--out", str(out)],
+            "sample": ["sample", "--model", str(ckpt), "--out", str(out)],
+            "verify": ["verify", "--suite", "bound"],
+        }[command]
+        assert main(argv + ["--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines()[-1] == (
+            f"dvae {command}: error: argument --seed: must be non-negative, got -5")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(train_args(tmp_path / "nope", tmp_path / "nope2", tmp_path / "out"))
@@ -334,6 +409,12 @@ class TestSampleCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("seed", sorted(VERIFY_ALL_GOLDEN))
+    def test_all_suites_print_the_recorded_text(self, capsys, seed):
+        code, text = VERIFY_ALL_GOLDEN[seed]
+        assert main(["verify", "--suite", "all", "--seed", str(seed)]) == code
+        assert capsys.readouterr().out == text
+
     def test_grads_suite_passes(self, capsys):
         assert main(["verify", "--suite", "grads", "--seed", "5"]) == 0
         out = capsys.readouterr().out

@@ -70,6 +70,18 @@ class TestEncodeDecode:
         assert np.allclose(fixture_model().decode(FIXTURE_Z), FIXTURE_DECODE,
                            rtol=0, atol=1e-15)
 
+    def test_with_params_stack_decodes_each_row_as_its_own_model(self):
+        model, x = tiny_model_and_input(323)
+        thetas = model.decoder.params + 1e-2 * Rng(4).uniforms(
+            5 * model.decoder.params.size).reshape(5, -1)
+        stacked = model.with_params(theta=thetas)
+        assert stacked.encoder is model.encoder and stacked.decoder.params is thetas
+        z = np.array([[0, 2], [1, 1]])
+        xhat = stacked.decode(z)
+        assert xhat.shape == (5, 2, model.p)
+        for theta, rows in zip(thetas, xhat):
+            assert rows.tobytes() == model.with_params(theta=theta).decode(z).tobytes()
+
     def test_encoder_input_must_match_decoder_output(self):
         encoder = Mlp([5, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
         decoder = Mlp([6, 4], HEAD_SIGMOID)
@@ -200,8 +212,10 @@ class TestComputeGradients:
         probs[..., 1, 2] = 1e-8
         h = 1e-9
 
-        def objective(vec):  # examples share no entries, so the sum separates
-            return model.log_q(vec.reshape(probs.shape), z).sum()
+        def objective(vecs):  # examples share no entries, so the sum separates
+            m = len(vecs)
+            log_q = model.log_q(vecs.reshape(m, *probs.shape), np.broadcast_to(z, (m, *z.shape)))
+            return log_q.reshape(m, -1).sum(axis=1)
 
         numeric = finite_difference(objective, probs.ravel(), h).reshape(probs.shape)
         analytic = d_logq_d_probs(probs, z)
@@ -234,8 +248,8 @@ class TestComputeGradients:
         analytic = model.decoder.grads.copy()
         z = model.sample_latent(model.encode(x), u)  # same draws => same z
 
-        def objective(_theta):
-            return -aggregate_bce(model.decode(z), x)
+        def objective(thetas):
+            return -aggregate_bce(model.with_params(theta=thetas).decode(z), x)
 
         fd = finite_difference(objective, model.decoder.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4

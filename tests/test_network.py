@@ -154,8 +154,9 @@ class TestFiniteDifferenceAgreement:
         net.backward(up)
         analytic = net.grads.copy()
 
-        def objective(_theta):
-            return -aggregate_bce(net.forward(x), targets)
+        def objective(thetas):
+            return -aggregate_bce(Mlp(net.sizes, HEAD_SIGMOID, params=thetas).forward(x),
+                                  targets)
 
         fd = finite_difference(objective, net.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
@@ -175,12 +176,59 @@ class TestFiniteDifferenceAgreement:
         net.backward(up)
         analytic = net.grads.copy()
 
-        def objective(_theta):
-            p = net.forward(x)
-            return aggregate_entropy(p) + float(np.log(p[np.arange(d), picks]).sum())
+        def objective(thetas):
+            p = Mlp(net.sizes, HEAD_SOFTMAX, (d, k), thetas).forward(x)
+            return aggregate_entropy(p) + np.log(p[:, np.arange(d), picks]).sum(axis=-1)
 
         fd = finite_difference(objective, net.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
+
+
+class TestStackedParams:
+    """A net over an (m, n) stack runs m nets in one forward pass."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 4], ids=["vector", "1-row", "4-rows"])
+    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
+    def test_each_row_bit_identical_to_its_own_net(self, head, rows):
+        rng = Rng(500)
+        shape = (2, 3) if head == HEAD_SOFTMAX else None
+        net = Mlp.create([5, 8, 6], head, rng, softmax_shape=shape)
+        stack = net.params + 0.1 * (Rng(501).uniforms(7 * net.params.size).reshape(7, -1) - 0.5)
+        x = rng.uniforms(5) if rows is None else rng.uniforms(rows * 5).reshape(rows, 5)
+        stacked = Mlp(net.sizes, head, shape, stack)
+        out = stacked.forward(x)
+        for i in range(len(stack)):
+            one = Mlp(net.sizes, head, shape, stack[i].copy()).forward(x)
+            assert out[i].shape == one.shape
+            assert out[i].tobytes() == one.tobytes()
+        assert out.shape == (7, *one.shape) and out.flags.c_contiguous
+
+    def test_layers_are_views_into_the_stack(self):
+        stack = np.arange(2 * 26, dtype=np.float64).reshape(2, 26)
+        stacked = Mlp([3, 4, 2], HEAD_SIGMOID, params=stack)
+        assert stacked.grads is None and stacked.params is stack
+        for layer, (w, b, *_) in zip(stacked.layers, Mlp([3, 4, 2], HEAD_SIGMOID,
+                                                        params=stack[1]).layers):
+            assert layer.grad_weights is None and layer.grad_bias is None
+            assert np.shares_memory(layer.weights, stack)
+            assert np.array_equal(layer.weights[1], w)
+            assert np.array_equal(layer.bias[1, 0], b) and layer.bias.shape == (2, 1, len(b))
+
+    def test_forward_only(self):
+        stacked = Mlp([3, 2], HEAD_SIGMOID, params=np.zeros((4, 8)))
+        stacked.forward(np.ones(3))
+        with pytest.raises(RuntimeError, match="forward-only"):
+            stacked.backward(np.ones((4, 2)))
+
+    def test_rejects_inputs_with_more_than_one_batch_axis(self):
+        stacked = Mlp([3, 2], HEAD_SIGMOID, params=np.zeros((4, 8)))
+        with pytest.raises(ShapeError):
+            stacked.forward(np.ones((2, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 7), (2, 4, 8)])
+    def test_rejects_params_of_the_wrong_shape(self, shape):
+        with pytest.raises(ShapeError):
+            Mlp([3, 2], HEAD_SIGMOID, params=np.zeros(shape))
 
 
 class TestSgaStep:

@@ -21,6 +21,7 @@ from dvae.oracle import (
     suite_bound,
     suite_gradient_checks,
     suite_unbiasedness,
+    table_q_probs,
     tiny_model_and_input,
 )
 from helpers import zero_init_model
@@ -131,50 +132,49 @@ class TestPosterior:
 
 class TestFiniteDifference:
     def test_quadratic(self):
-        grad = finite_difference(lambda v: float(v[0] ** 2), np.array([3.0]), 1e-5)
+        grad = finite_difference(lambda v: v[:, 0] ** 2, np.array([3.0]), 1e-5)
         assert grad[0] == pytest.approx(6.0, abs=1e-8)
 
     def test_linear_is_exact(self):
-        grad = finite_difference(lambda v: float(2.5 * v[0] - v[1]),
+        grad = finite_difference(lambda v: 2.5 * v[:, 0] - v[:, 1],
                                  np.array([0.7, -0.3]), 1e-5)
         assert np.allclose(grad, [2.5, -1.0], rtol=0, atol=1e-9)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            finite_difference(lambda v: 0.0, np.zeros(1), 0.0)
+            finite_difference(lambda v: np.zeros(len(v)), np.zeros(1), 0.0)
 
-    def test_perturbs_in_place_and_restores_bits(self):
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_step_naming_it(self, h):
+        # nan and inf pass a plain h <= 0 test and would give an all-NaN gradient
+        with pytest.raises(ValueError, match=f"h={h}"):
+            finite_difference(lambda v: np.zeros(len(v)), np.zeros(1), h)
+
+    def test_rejects_an_objective_without_one_value_per_row(self):
+        with pytest.raises(ValueError, match="expected"):
+            finite_difference(lambda v: 0.0, np.zeros(2), 1e-5)
+
+    def test_one_call_on_a_stack_of_plus_and_minus_rows(self):
         p0 = np.array([0.1, -2.7, 1e-3, 3.0e5])
         params = p0.copy()
         h = 1e-5
         seen = []
 
-        def objective(v):
-            assert v is params
-            seen.append(v.copy())
-            return float(v @ [1.0, 2.0, 3.0, 4.0])
+        def objective(stack):
+            seen.append(stack.copy())
+            return stack @ [1.0, 2.0, 3.0, 4.0]
 
         finite_difference(objective, params, h)
-        assert len(seen) == 2 * p0.size
+        assert len(seen) == 1
+        stack = seen[0]
+        assert stack.shape == (2 * p0.size, p0.size)
         for j in range(p0.size):
             plus, minus = p0.copy(), p0.copy()
             plus[j] = p0[j] + h
             minus[j] = p0[j] - h
-            assert np.array_equal(seen[2 * j], plus)
-            assert np.array_equal(seen[2 * j + 1], minus)
+            assert stack[2 * j].tobytes() == plus.tobytes()
+            assert stack[2 * j + 1].tobytes() == minus.tobytes()
         assert params.tobytes() == p0.tobytes()
-
-    def test_restores_params_when_the_objective_raises(self):
-        params = np.array([0.25, 0.5])
-
-        def objective(v):
-            if v[1] != 0.5:
-                raise RuntimeError("boom")
-            return 0.0
-
-        with pytest.raises(RuntimeError):
-            finite_difference(objective, params, 1e-5)
-        assert params.tobytes() == np.array([0.25, 0.5]).tobytes()
 
 
 class TestExactEncoderGradient:
@@ -182,11 +182,28 @@ class TestExactEncoderGradient:
         model, x = tiny_model_and_input(777)
         analytic = exact_encoder_gradient(model, x, enumerate_table(model, x))
 
-        def objective(_phi):
-            return exact_elbo(enumerate_table(model, x), model.encode(x))
+        def objective(phis):
+            return [exact_elbo(enumerate_table(m, x), m.encode(x))
+                    for m in (model.with_params(phi=phi) for phi in phis)]
 
         fd = finite_difference(objective, model.encoder.params, 1e-5)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
+
+    def test_stacked_tables_match_one_table_per_row(self):
+        model, x = tiny_model_and_input(778)
+        phis = model.encoder.params + 1e-3 * Rng(5).uniforms(
+            3 * model.encoder.params.size).reshape(3, -1)
+        probs = model.with_params(phi=phis).encode(x)
+        table = enumerate_table(model, x)
+        q_probs = table_q_probs(probs, table.latents)
+        assert q_probs.shape == (3, len(table.latents)) and q_probs.flags.c_contiguous
+        stacked = exact_elbo(EnumerationTable(table.latents, q_probs, table.log_px_given_z),
+                             probs)
+        for phi, q_row, value in zip(phis, q_probs, stacked):
+            one = model.with_params(phi=phi)
+            one_table = enumerate_table(one, x)
+            assert q_row.tobytes() == one_table.q_probs.tobytes()
+            assert value == exact_elbo(one_table, one.encode(x))
 
 
 class TestConfigurationGradients:
@@ -210,16 +227,18 @@ class TestSuites:
         assert all(c.passed for c in suite_bound(2024, n_models=20))
 
     def test_encoder_check_matches_per_evaluation_enumeration(self, monkeypatch):
-        # the suite enumerates log p(x|z) once per net; re-enumerating the
-        # table on every finite-difference evaluation gives the same bits
+        # the suite enumerates log p(x|z) once per net and runs each stack
+        # in one forward pass; one net and one table per finite-difference
+        # evaluation gives the same bits
         seed, n_nets = 3, 2
         worst = 0.0
         for i in range(n_nets):
             model, x = tiny_model_and_input(seed + 1000 * i)
             analytic = exact_encoder_gradient(model, x, enumerate_table(model, x))
 
-            def objective(_phi):
-                return exact_elbo(enumerate_table(model, x), model.encode(x))
+            def objective(phis):
+                return [exact_elbo(enumerate_table(m, x), m.encode(x))
+                        for m in (model.with_params(phi=phi) for phi in phis)]
 
             numeric = finite_difference(objective, model.encoder.params, 1e-5)
             worst = max(worst, scaled_gradient_error(analytic, numeric))
