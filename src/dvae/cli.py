@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from dvae import data, oracle, trainer
-from dvae.distributions import Rng
+from dvae.distributions import MAX_SEED, Rng
 from dvae.model import CHUNK_ROWS, uniform_params
 
 
@@ -142,11 +142,13 @@ def cmd_verify(args) -> int:
 
 
 def seed(text: str) -> int:
-    """--seed: a non-negative integer. Rng reduces seeds modulo 2^64, so a
-    negative one would silently alias a large positive one."""
+    """--seed: an integer in [0, 2^64 - 1]. Rng reduces seeds modulo 2^64,
+    so any other value would silently alias one in that range."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value > MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SEED}, got {value}")
     return value
 
 

@@ -22,22 +22,27 @@ from dvae.tensor import ShapeError
 EPS = 1e-7
 
 _MASK64 = (1 << 64) - 1
+# The largest seed that does not alias a smaller one modulo 2^64.
+MAX_SEED = _MASK64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def stream_uniforms(first_seed: int, n_streams: int, n: int) -> np.ndarray:
-    """(n_streams, n): the first n uniform() draws of Rng(first_seed + i) for
-    each i in range(n_streams), computed without stepping any generator.
+def stream_uniforms(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n): the first n uniform() draws of Rng(s) for each s in
+    the 1-D integer array seeds, computed without stepping any generator.
+    The cast to uint64 reduces each seed modulo 2^64, as Rng reduces it.
 
     SplitMix64 draw j (1-based) of a stream is mix(seed + j * gamma) in
     64-bit wrap-around arithmetic, so whole blocks are one numpy expression.
     """
-    seeds = np.uint64(first_seed & _MASK64) + np.arange(n_streams, dtype=np.uint64)
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "iu":  # e.g. [-1, 2**63] becomes float64, [2**64] object
+        raise TypeError(f"seeds must be 64-bit integers, got dtype {seeds.dtype}")
     z = np.arange(1, n + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
-    z = seeds[:, None] + z
+    z = seeds.astype(np.uint64)[:, None] + z
     # In place, so a block the size of a weight matrix needs two such arrays.
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
@@ -82,7 +87,7 @@ class Rng:
     def uniforms(self, n: int) -> np.ndarray:
         """The next n uniform() draws as one array, bit-identical to n calls
         and advancing the state by n draws."""
-        out = stream_uniforms(self.state, 1, n)[0]
+        out = stream_uniforms([self.state], n)[0]
         self.state = (self.state + n * _GAMMA) & _MASK64
         return out
 

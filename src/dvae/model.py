@@ -126,9 +126,11 @@ class DiscreteVae:
 
     @classmethod
     def create(cls, p: int, d: int, k: int, hidden: int | None,
-               encoder_rng: Rng, decoder_rng: Rng) -> "DiscreteVae":
+               encoder_rng: Rng | np.ndarray, decoder_rng: Rng | np.ndarray) -> "DiscreteVae":
         """Fresh model: p -> hidden -> D*K softmax rows, D*K -> hidden -> p
-        sigmoid. hidden=None drops the hidden layers entirely."""
+        sigmoid. hidden=None drops the hidden layers entirely. Given two
+        arrays of m seeds in place of the Rngs, a stack of m models (see
+        Mlp.create)."""
         enc_sizes = [p, d * k] if hidden is None else [p, hidden, d * k]
         dec_sizes = [d * k, p] if hidden is None else [d * k, hidden, p]
         encoder = Mlp.create(enc_sizes, HEAD_SOFTMAX, encoder_rng, softmax_shape=(d, k))

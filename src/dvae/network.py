@@ -11,9 +11,12 @@ until zero_grads(); sga_step() applies gradient ASCENT, p <- p + lr * grad.
 
 A net built over an (m, n) stack of parameter vectors is m nets in one:
 its weights are (m, out, in) views and its biases (m, 1, out), one forward
-pass runs all m on the same input, and every output gains a leading m axis.
-Each row of that output is bit-identical to the forward pass of a net over
-that row alone. A stacked net is forward-only and has no grads.
+pass runs all m, on one shared input or on an (m, rows, in) stack of
+batches (one per net), and every output gains a leading m axis. Each row of
+that output is bit-identical to the forward pass of a net over that row
+alone on its input. A stacked net is forward-only and has no grads.
+Mlp.create builds such a stack from m seeds, row i bit-identical to the net
+it builds from Rng(seeds[i]).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dvae.distributions import Rng
+from dvae.distributions import Rng, stream_uniforms
 from dvae.tensor import ShapeError, rowwise_softmax, sigmoid
 
 HEAD_SIGMOID = "sigmoid"
@@ -90,16 +93,25 @@ class Mlp:
         self._output: np.ndarray | None = None
 
     @classmethod
-    def create(cls, sizes: list[int], head: str, rng: Rng,
+    def create(cls, sizes: list[int], head: str, rng: Rng | np.ndarray,
                softmax_shape: tuple[int, int] | None = None) -> "Mlp":
         """Fresh net with symmetric fan-scaled init: each layer's weights
         uniform in +-sqrt(6/(fan_in+fan_out)), biases zero. Draws are
-        consumed layer by layer, each in row-major order."""
-        net = cls(sizes, head, softmax_shape)
-        for w, *_ in net.layers:
-            fan_out, fan_in = w.shape
+        consumed layer by layer, each in row-major order. Given m seeds in
+        place of an Rng, it builds a stack of m nets whose row i is
+        bit-identical to the net built from Rng(seeds[i])."""
+        if isinstance(rng, Rng):
+            net = cls(sizes, head, softmax_shape)
+            draws = (rng.uniforms(w.size) for w, *_ in net.layers)  # one layer at a time
+        else:
+            counts = [o * i for i, o in zip(sizes, sizes[1:])]
+            stack = np.zeros((len(rng), sum(counts) + sum(sizes[1:])))
+            net = cls(sizes, head, softmax_shape, stack)
+            draws = np.split(stream_uniforms(rng, sum(counts)), np.cumsum(counts)[:-1], axis=1)
+        for (w, *_), u in zip(net.layers, draws):
+            fan_out, fan_in = w.shape[-2:]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            np.multiply(rng.uniforms(w.size).reshape(w.shape), 2.0, out=w)
+            np.multiply(u.reshape(w.shape), 2.0, out=w)
             w -= 1.0
             w *= limit
         return net
@@ -107,7 +119,8 @@ class Mlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Affine / rectifier chain then head; the net caches each layer's
         input and its own output. A stacked net of m takes one input vector
-        or one (rows, in) batch, shared by all m, and returns (m, ...)."""
+        or one (rows, in) batch, shared by all m, or an (m, rows, in) stack
+        of batches, one per net, and returns (m, ...)."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1:] != self.sizes[:1]:
             raise ShapeError(
@@ -115,10 +128,15 @@ class Mlp:
             )
         stack_shape = None
         if self.params.ndim == 2:
-            if h.ndim > 2:
-                raise ShapeError(f"a stacked net takes a vector or a matrix, not {h.shape}")
-            stack_shape = (len(self.params), *h.shape[:-1])
-            h = h.reshape(-1, h.shape[-1])  # a vector becomes one input row
+            m = len(self.params)
+            if h.ndim == 3 and len(h) == m:
+                stack_shape = h.shape[:-1]  # one batch per net
+            elif h.ndim <= 2:
+                stack_shape = (m, *h.shape[:-1])
+                h = h.reshape(-1, h.shape[-1])  # a vector becomes one input row
+            else:
+                raise ShapeError(f"a stack of {m} nets takes a vector, a matrix or "
+                                 f"({m}, rows, in), not {h.shape}")
         inputs = []
         for i, (w, b, _, _) in enumerate(self.layers):
             inputs.append(h)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dvae.distributions import EPS, Rng, aggregate_bce, aggregate_entropy
+from dvae.distributions import (EPS, MAX_SEED, Rng, aggregate_bce, aggregate_entropy,
+                                stream_uniforms)
 from dvae.model import CHUNK_ROWS, DiscreteVae, d_entropy_d_probs
 
 # Full enumeration beyond this many latent configurations is refused.
@@ -32,11 +33,13 @@ class CapacityError(ValueError):
 
 @dataclass
 class EnumerationTable:
-    """All K^D latent configurations with their q(z|x) and log p(x|z)."""
+    """All K^D latent configurations with their q(z|x) and log p(x|z); for a
+    stack of m models, q_probs, log_px_given_z and probs gain a leading m axis."""
 
     latents: np.ndarray          # (K^D, D) category indices, table order
     q_probs: np.ndarray          # (K^D,), products of encoder row probabilities
     log_px_given_z: np.ndarray   # (K^D,), Bernoulli log-likelihood of x per z
+    probs: np.ndarray | None = None  # (D, K) encoder rows; None for a hand-built table
 
 
 def lexicographic_indices(d: int, k: int, flat) -> np.ndarray:
@@ -53,28 +56,34 @@ def table_q_probs(probs: np.ndarray, latents: np.ndarray) -> np.ndarray:
 
 
 def enumerate_table(model: DiscreteVae, x: np.ndarray) -> EnumerationTable:
-    """Build the full table for one input. Refuses K^D > CAPACITY_LIMIT."""
+    """Build the full table for one input (p,), or for an (m, p) stack of
+    inputs to a stack of m models, row i to model i. Refuses K^D >
+    CAPACITY_LIMIT."""
     n = model.k ** model.d
     if n > CAPACITY_LIMIT:
         raise CapacityError(
             f"K^D = {model.k}^{model.d} = {n} exceeds the enumeration "
             f"limit {CAPACITY_LIMIT}"
         )
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)[..., None, :]  # one input row per model
     latents = lexicographic_indices(model.d, model.k, np.arange(n))
-    q_probs = table_q_probs(model.encode(x), latents)
-    log_px = np.empty(n)
+    probs = model.encode(x)[..., 0, :, :]
+    log_px = np.empty((*x.shape[:-2], n))
     for start in range(0, n, CHUNK_ROWS):
         z = latents[start:start + CHUNK_ROWS]
-        log_px[start:start + CHUNK_ROWS] = -aggregate_bce(model.decode(z), x)
-    return EnumerationTable(latents, q_probs, log_px)
+        log_px[..., start:start + CHUNK_ROWS] = -aggregate_bce(model.decode(z), x)
+    return EnumerationTable(latents, table_q_probs(probs, latents), log_px, probs)
 
 
-def exact_marginal_log_px(table: EnumerationTable) -> float:
-    """ln p(x) = ln sum_z p(x|z) K^-D, via log-sum-exp with max subtraction."""
+def exact_marginal_log_px(table: EnumerationTable) -> float | np.ndarray:
+    """ln p(x) = ln sum_z p(x|z) K^-D, via log-sum-exp with max subtraction;
+    a float for one table, else one value per leading index."""
     lp = table.log_px_given_z
-    m = float(lp.max())
-    return m + math.log(np.exp(lp - m).sum()) - math.log(len(lp))
+    m = lp.max(axis=-1)
+    # libm's log, as math.log takes it: numpy's SIMD log can differ in the last bit.
+    log_sum = np.vectorize(math.log, otypes=[float])(np.exp(lp - m[..., None]).sum(axis=-1))
+    value = m + log_sum - math.log(lp.shape[-1])
+    return float(value) if value.ndim == 0 else value
 
 
 def exact_elbo(table: EnumerationTable, probs: np.ndarray) -> float | np.ndarray:
@@ -88,11 +97,11 @@ def exact_elbo(table: EnumerationTable, probs: np.ndarray) -> float | np.ndarray
 
 
 def exact_posterior(table: EnumerationTable) -> np.ndarray:
-    """p(z|x) over the table; the uniform prior cancels, so this is the
-    softmax of the log-likelihood column."""
+    """p(z|x) over the table (one row per leading index); the uniform prior
+    cancels, so this is the softmax of the log-likelihood column."""
     lp = table.log_px_given_z
-    e = np.exp(lp - lp.max())
-    return e / e.sum()
+    e = np.exp(lp - lp.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray,
@@ -190,14 +199,23 @@ class CheckResult:
     note: str = ""
 
 
+def tiny_models_and_inputs(seeds, p: int = TINY_P, d: int = TINY_D, k: int = TINY_K,
+                           hidden: int = TINY_HIDDEN) -> tuple[DiscreteVae, np.ndarray]:
+    """A stack of randomly initialized desk-scale models, one per int seed
+    s, and their random binary inputs (m, p). Model s is DiscreteVae.create
+    with Rng(s) and Rng(s + 1), and its input takes randint(2) = floor(2u)
+    per pixel from Rng(s + 2). Seeds of any size wrap modulo 2^64."""
+    seeds = np.array([s & MAX_SEED for s in seeds], dtype=np.uint64)  # uint64 sums wrap
+    model = DiscreteVae.create(p, d, k, hidden, seeds, seeds + 1)
+    return model, np.floor(stream_uniforms(seeds + 2, p) * 2.0)
+
+
 def tiny_model_and_input(seed: int, p: int = TINY_P, d: int = TINY_D,
                          k: int = TINY_K, hidden: int = TINY_HIDDEN
                          ) -> tuple[DiscreteVae, np.ndarray]:
-    """Randomly initialized desk-scale model plus a random binary input."""
-    model = DiscreteVae.create(p, d, k, hidden, Rng(seed), Rng(seed + 1))
-    bits = Rng(seed + 2)
-    x = np.array([float(bits.randint(2)) for _ in range(p)])
-    return model, x
+    """The one-seed case of tiny_models_and_inputs, as a model of its own."""
+    models, x = tiny_models_and_inputs([seed], p, d, k, hidden)
+    return models.with_params(models.encoder.params[0], models.decoder.params[0]), x[0]
 
 
 def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
@@ -258,7 +276,7 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     model, x = tiny_model_and_input(seed + 77, p=4)
     table = enumerate_table(model, x)
     exact_grad = exact_encoder_gradient(model, x, table)
-    probs = model.encode(x)
+    probs = table.probs
     exact_value = exact_elbo(table, probs)
     grads, totals = configuration_gradients(model, x, table)
 
@@ -300,19 +318,15 @@ def suite_bound(seed: int, n_models: int = 100) -> list[CheckResult]:
     """Over random tiny models: the exact ELBO never exceeds the exact
     marginal log-likelihood, and log p(x) decomposes exactly into
     ELBO + KL(q || posterior)."""
-    min_slack = math.inf
-    max_residual = 0.0
-    for i in range(n_models):
-        model, x = tiny_model_and_input(seed + 17 + 1000 * i)
-        table = enumerate_table(model, x)
-        elbo = exact_elbo(table, model.encode(x))
-        log_px = exact_marginal_log_px(table)
-        posterior = exact_posterior(table)
-        q = table.q_probs
-        nz = q > 0.0
-        kl_q_post = float((q[nz] * np.log(q[nz] / posterior[nz])).sum())
-        min_slack = min(min_slack, log_px - elbo)
-        max_residual = max(max_residual, abs(log_px - elbo - kl_q_post))
+    models, x = tiny_models_and_inputs([seed + 17 + 1000 * i for i in range(n_models)])
+    table = enumerate_table(models, x)
+    elbo = exact_elbo(table, table.probs)
+    log_px = exact_marginal_log_px(table)
+    q = table.q_probs
+    ratio = np.divide(q, exact_posterior(table), out=np.ones_like(q), where=q > 0.0)
+    kl_q_post = (q * np.log(ratio)).sum(axis=-1)  # 0 ln 0 = 0
+    min_slack = float((log_px - elbo).min())
+    max_residual = float(np.abs(log_px - elbo - kl_q_post).max())
     return [
         CheckResult("elbo-lower-bound-min-slack", min_slack >= -1e-10,
                     min_slack, -1e-10, f"{n_models} models, pass if >= tolerance"),

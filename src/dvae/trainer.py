@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from dvae.data import Dataset, batches
-from dvae.distributions import Rng, stream_uniforms
+from dvae.distributions import MAX_SEED, Rng, stream_uniforms
 from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, elbo_estimate
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.tensor import ShapeError
@@ -86,8 +86,8 @@ class TrainConfig:
         # 0 is allowed as an explicit "no updates" control run.
         if self.learning_rate < 0:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed <= MAX_SEED:  # Rng would alias it modulo 2^64
+            raise ValueError(f"seed must lie in [0, {MAX_SEED}], got {self.seed}")
         if not 0 < self.binarize_threshold < 255:
             raise ValueError(f"threshold must lie in (0, 255), got {self.binarize_threshold}")
 
@@ -194,7 +194,9 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
 
     # Example i's stream is re-seeded every epoch, so its draws never change.
     n_draws = config.mc_samples * config.d_latents
-    u_train = stream_uniforms(config.seed + EXAMPLE_STREAM_BASE, train_set.n, n_draws)
+    # uint64 sums wrap modulo 2^64, as Rng wraps seed + EXAMPLE_STREAM_BASE + i.
+    first = np.uint64((config.seed + EXAMPLE_STREAM_BASE) & MAX_SEED)
+    u_train = stream_uniforms(first + np.arange(train_set.n, dtype=np.uint64), n_draws)
     n_samples = train_set.n * config.mc_samples
 
     val_bd = validate(0)

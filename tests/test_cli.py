@@ -111,26 +111,42 @@ class TestUsageErrors:
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "everything"]) == 2
 
-    @pytest.mark.parametrize("command", ["train", "eval", "reconstruct", "sample", "verify"])
-    def test_negative_seed_exits_2(self, bars_files, tmp_path, capsys, command):
-        # Rng would reduce -5 modulo 2^64 and run as seed 2^64 - 5
+    @staticmethod
+    def seed_argv(command, bars_files, tmp_path):
+        """Arguments of a run of command that would succeed with --seed 0."""
         train, val = bars_files
         ckpt = tmp_path / "zero.ckpt"
         save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt)
         out = tmp_path / "out"
-        argv = {
+        return {
             "train": train_args(train, val, out),
             "eval": ["eval", "--model", str(ckpt), "--images", str(val)],
             "reconstruct": ["reconstruct", "--model", str(ckpt), "--images", str(val),
                             "--out", str(out)],
             "sample": ["sample", "--model", str(ckpt), "--out", str(out)],
             "verify": ["verify", "--suite", "bound"],
-        }[command]
+        }[command], out
+
+    @pytest.mark.parametrize("command", ["train", "eval", "reconstruct", "sample", "verify"])
+    def test_negative_seed_exits_2(self, bars_files, tmp_path, capsys, command):
+        # Rng would reduce -5 modulo 2^64 and run as seed 2^64 - 5
+        argv, out = self.seed_argv(command, bars_files, tmp_path)
         assert main(argv + ["--seed", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.splitlines()[-1] == (
             f"dvae {command}: error: argument --seed: must be non-negative, got -5")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "reconstruct", "sample", "verify"])
+    def test_seed_of_2_to_the_64_exits_2(self, bars_files, tmp_path, capsys, command):
+        # Rng would reduce 2^64 + 5 modulo 2^64 and run as seed 5
+        argv, out = self.seed_argv(command, bars_files, tmp_path)
+        assert main(argv + ["--seed", str(2**64 + 5)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines()[-1] == (
+            f"dvae {command}: error: argument --seed: must be at most {2**64 - 1}, "
+            f"got {2**64 + 5}")
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(train_args(tmp_path / "nope", tmp_path / "nope2", tmp_path / "out"))
@@ -421,6 +437,20 @@ class TestVerifyCommand:
         assert "PASS decoder-grad-vs-finite-diff" in out
         assert "PASS encoder-grad-vs-finite-diff" in out
         assert "all checks passed" in out
+
+    def test_largest_seed_prints_the_recorded_text(self, capsys):
+        # the suites' own seed offsets wrap past 2^64, as Rng wraps them
+        assert main(["verify", "--suite", "all", "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr().out == """\
+PASS decoder-grad-vs-finite-diff measured=1.521e-08 tolerance=1.000e-04 (max scaled error over 10 nets)
+PASS encoder-grad-vs-finite-diff measured=7.904e-07 tolerance=1.000e-04 (max scaled error over 10 nets)
+PASS encoder-grad-mc-mean-max-z measured=1.758e+00 tolerance=5.000e+00 (200000 draws)
+PASS encoder-grad-mc-mean-frac-above-3z measured=0.000e+00 tolerance=1.000e-02 (94 parameters)
+PASS elbo-estimate-mc-mean-z measured=6.438e-01 tolerance=5.000e+00 (exact -2.936437, mean -2.936571)
+PASS elbo-lower-bound-min-slack measured=5.071e-03 tolerance=-1.000e-10 (100 models, pass if >= tolerance)
+PASS log-likelihood-identity-residual measured=1.874e-15 tolerance=1.000e-08 (100 models)
+all checks passed
+"""
 
     def test_bound_suite_passes(self, capsys):
         assert main(["verify", "--suite", "bound", "--seed", "6"]) == 0

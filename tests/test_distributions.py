@@ -11,6 +11,7 @@ from dvae.distributions import (
     categorical_sample,
     entropy,
     kl_categorical_vs_uniform,
+    stream_uniforms,
 )
 from dvae.tensor import ShapeError
 
@@ -46,6 +47,24 @@ class TestRng:
             assert block.uniforms(1000).tolist() == expected
             assert block.state == one_by_one.state
             assert block.uniform() == one_by_one.uniform()
+
+    @pytest.mark.parametrize("seeds, as_ints", [
+        # uint64 sums wrap past 2^64 as Rng reduces 2^64 - 3 + 1000 i
+        (np.uint64(2**64 - 3) + np.uint64(1000) * np.arange(5, dtype=np.uint64),
+         [2**64 - 3 + 1000 * i for i in range(5)]),
+        (np.array([-7, -1, 0, 5]), [-7, -1, 0, 5]),
+        ([2**63, 2**64 - 1], [2**63, 2**64 - 1]),
+    ], ids=["uint64-wrapping-past-2^64", "negative-int64", "python-ints-as-uint64"])
+    def test_stream_rows_equal_each_seeds_rng(self, seeds, as_ints):
+        block = stream_uniforms(seeds, 37)
+        assert block.shape == (len(as_ints), 37)
+        for row, s in zip(block, as_ints):
+            assert row.tobytes() == Rng(s).uniforms(37).tobytes()
+
+    @pytest.mark.parametrize("seeds", [[-1, 2**63], [2**64]], ids=["float64", "object"])
+    def test_stream_rejects_seeds_numpy_cannot_hold_as_64_bit_ints(self, seeds):
+        with pytest.raises(TypeError, match="64-bit integers"):
+            stream_uniforms(seeds, 3)
 
     def test_same_seed_same_stream(self):
         a, b = Rng(123), Rng(123)

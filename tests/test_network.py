@@ -203,6 +203,32 @@ class TestStackedParams:
             assert out[i].tobytes() == one.tobytes()
         assert out.shape == (7, *one.shape) and out.flags.c_contiguous
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
+    def test_one_batch_per_net_bit_identical_to_each_net(self, head, rows):
+        shape = (2, 3) if head == HEAD_SOFTMAX else None
+        stacked = Mlp.create([5, 8, 6], head, np.arange(600, 607), softmax_shape=shape)
+        x = Rng(502).uniforms(7 * rows * 5).reshape(7, rows, 5)
+        out = stacked.forward(x)
+        for i in range(7):
+            one = Mlp(stacked.sizes, head, shape, stacked.params[i].copy()).forward(x[i])
+            assert out[i].tobytes() == one.tobytes()
+        assert out.shape == (7, *one.shape) and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
+    def test_stacked_create_rows_equal_nets_from_each_rng(self, head):
+        shape = (2, 3) if head == HEAD_SOFTMAX else None
+        seeds = np.uint64(2**64 - 2) + np.arange(4, dtype=np.uint64)  # wraps past 2^64
+        stacked = Mlp.create([5, 8, 6], head, seeds, softmax_shape=shape)
+        for i, row in enumerate(stacked.params):
+            one = Mlp.create([5, 8, 6], head, Rng(2**64 - 2 + i), shape)
+            assert row.tobytes() == one.params.tobytes()
+
+    def test_rejects_a_batch_stack_of_the_wrong_length(self):
+        stacked = Mlp([3, 2], HEAD_SIGMOID, params=np.zeros((4, 8)))
+        with pytest.raises(ShapeError, match="stack of 4"):
+            stacked.forward(np.ones((3, 1, 3)))
+
     def test_layers_are_views_into_the_stack(self):
         stack = np.arange(2 * 26, dtype=np.float64).reshape(2, 26)
         stacked = Mlp([3, 4, 2], HEAD_SIGMOID, params=stack)

@@ -7,6 +7,10 @@ from dvae import oracle
 from dvae.distributions import Rng
 from dvae.model import DiscreteVae
 from dvae.oracle import (
+    TINY_D,
+    TINY_HIDDEN,
+    TINY_K,
+    TINY_P,
     CapacityError,
     EnumerationTable,
     configuration_gradients,
@@ -23,6 +27,7 @@ from dvae.oracle import (
     suite_unbiasedness,
     table_q_probs,
     tiny_model_and_input,
+    tiny_models_and_inputs,
 )
 from helpers import zero_init_model
 
@@ -253,6 +258,80 @@ class TestSuites:
         checks = {c.name: c for c in suite_gradient_checks(seed, n_nets=n_nets)}
         assert checks["encoder-grad-vs-finite-diff"].measured == worst
         assert len(calls) == n_nets  # one table per net, shared with the exact gradient
+
+
+def per_model_bound(seed, n_models):
+    """Slack log p(x) - ELBO and identity residual |slack - KL(q || posterior)|
+    of each of suite_bound's models, from one model, one table and scalar
+    exact_* calls at a time."""
+    slacks, residuals = [], []
+    for i in range(n_models):
+        model, x = tiny_model_and_input(seed + 17 + 1000 * i)
+        table = enumerate_table(model, x)
+        elbo = exact_elbo(table, model.encode(x))
+        log_px = exact_marginal_log_px(table)
+        assert isinstance(elbo, float) and isinstance(log_px, float)
+        q, posterior = table.q_probs, exact_posterior(table)
+        nz = q > 0.0
+        kl = float((q[nz] * np.log(q[nz] / posterior[nz])).sum())
+        slacks.append(log_px - elbo)
+        residuals.append(abs(log_px - elbo - kl))
+    return np.array(slacks), np.array(residuals)
+
+
+class TestStackedBound:
+    SEEDS = [0, 5, 2**64 - 20, 2**64 - 1, 2**64 + 3]  # the last three wrap past 2^64
+
+    def test_builder_rows_equal_models_built_one_seed_at_a_time(self):
+        models, xs = tiny_models_and_inputs(self.SEEDS)
+        assert xs.shape == (len(self.SEEDS), TINY_P)
+        for i, s in enumerate(self.SEEDS):
+            one = DiscreteVae.create(TINY_P, TINY_D, TINY_K, TINY_HIDDEN, Rng(s), Rng(s + 1))
+            bits = Rng(s + 2)
+            x = np.array([float(bits.randint(2)) for _ in range(TINY_P)])
+            assert models.encoder.params[i].tobytes() == one.encoder.params.tobytes()
+            assert models.decoder.params[i].tobytes() == one.decoder.params.tobytes()
+            assert xs[i].tobytes() == x.tobytes()
+
+    def test_one_seed_model_has_its_own_gradients(self):
+        model, x = tiny_model_and_input(2**64 + 3)
+        assert model.encoder.params.ndim == 1 and x.shape == (TINY_P,)
+        model.compute_gradients(x, Rng(1).uniforms(model.d))
+        assert np.abs(model.encoder.grads).sum() > 0.0
+
+    def test_stacked_table_rows_equal_one_table_per_model(self):
+        models, xs = tiny_models_and_inputs(self.SEEDS)
+        table = enumerate_table(models, xs)
+        for i, s in enumerate(self.SEEDS):
+            model, x = tiny_model_and_input(s)
+            one = enumerate_table(model, x)
+            assert np.array_equal(table.latents, one.latents)
+            for name in ("q_probs", "log_px_given_z", "probs"):
+                assert getattr(table, name)[i].tobytes() == getattr(one, name).tobytes()
+            assert exact_marginal_log_px(table)[i] == exact_marginal_log_px(one)
+            assert exact_posterior(table)[i].tobytes() == exact_posterior(one).tobytes()
+
+    def test_stacked_slacks_and_residuals_equal_the_per_model_loop(self):
+        for seed in range(20):
+            models, xs = tiny_models_and_inputs([seed + 17 + 1000 * i for i in range(100)])
+            table = enumerate_table(models, xs)
+            slack = exact_marginal_log_px(table) - exact_elbo(table, table.probs)
+            q = table.q_probs
+            kl = (q * np.log(q / exact_posterior(table))).sum(axis=-1)
+            slacks, residuals = per_model_bound(seed, 100)
+            assert slack.tobytes() == slacks.tobytes()
+            assert np.abs(slack - kl).tobytes() == residuals.tobytes()
+            min_slack, max_residual = (c.measured for c in suite_bound(seed))
+            assert min_slack == slacks.min() and max_residual == residuals.max()
+
+    def test_bound_holds_on_every_seed_below_1000(self):
+        worst_slack, worst_residual = math.inf, 0.0
+        for seed in range(1000):
+            slack, residual = suite_bound(seed)
+            assert slack.passed and residual.passed, seed
+            worst_slack = min(worst_slack, slack.measured)
+            worst_residual = max(worst_residual, residual.measured)
+        assert worst_slack > 0.0 and worst_residual < 1e-14
 
 
 def per_draw_unbiasedness(seed, n_draws):

@@ -83,6 +83,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             bars_config(**overrides)
 
+    def test_seed_above_2_to_the_64_minus_1_rejected(self):
+        # Rng would reduce 2^64 + 5 modulo 2^64 and run as seed 5
+        bars_config(seed=2**64 - 1)
+        with pytest.raises(ValueError, match=f"seed must lie in \\[0, {2**64 - 1}\\]"):
+            bars_config(seed=2**64 + 5)
+
 
 class TestEvaluate:
     def test_zero_init_model_exact_values(self):
@@ -195,6 +201,25 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="validation ELBO at epoch 1"):
             train(bars_config(max_epochs=3, batch_size=10), train_set, val_set)
         assert len(calls) == 2
+
+    def test_example_streams_wrap_past_2_to_the_64(self, monkeypatch):
+        # seed + EXAMPLE_STREAM_BASE + i passes 2^64 and wraps as Rng wraps it
+        train_set, val_set = bars_sets(n_train=30, n_val=10)
+        config = bars_config(seed=2**64 - 1, max_epochs=1)
+        seen = []
+        real = trainer._elbo_sums
+
+        def spy(model, images, u):
+            seen.append(u)
+            return real(model, images, u)
+
+        monkeypatch.setattr(trainer, "_elbo_sums", spy)
+        train(config, train_set, val_set)
+        from dvae.trainer import EXAMPLE_STREAM_BASE
+        expected = np.stack([Rng(config.seed + EXAMPLE_STREAM_BASE + i).uniforms(config.d_latents)
+                             for i in range(train_set.n)])
+        train_u = [u for u in seen if len(u) == train_set.n]  # not the 10 validation rows
+        assert train_u and train_u[0].tobytes() == expected.tobytes()
 
     def test_batch_mean_equals_mean_of_per_example_gradients(self):
         # the trainer's accumulate-then-scale equals averaging separate passes
