@@ -121,11 +121,14 @@ def binarize(raw: np.ndarray, threshold: int = 128) -> np.ndarray:
 
 def load_binarized(images_path, labels_path=None, threshold: int = 128) -> Dataset:
     """Load and binarize an IDX image file (plus optional labels). A file
-    that holds no images, or labels whose count differs from the images',
-    is rejected."""
+    that holds no images or images of no pixels, or labels whose count
+    differs from the images', is rejected."""
     raw = load_images(images_path)
     if raw.shape[0] == 0:
         raise ValueError(f"{images_path}: the file holds no images")
+    if raw.shape[1] == 0 or raw.shape[2] == 0:
+        raise ValueError(f"{images_path}: images of {raw.shape[1]} x {raw.shape[2]} "
+                         "pixels hold no pixels")
     labels = load_labels(labels_path).astype(np.int64) if labels_path else None
     if labels is not None and len(labels) != raw.shape[0]:
         raise ValueError(f"{labels_path}: {len(labels)} labels for "

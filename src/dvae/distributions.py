@@ -27,6 +27,8 @@ MAX_SEED = _MASK64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# stream_uniforms' block length in draws per seed.
+STREAM_BLOCK = 1 << 15
 
 
 def stream_uniforms(seeds, n: int) -> np.ndarray:
@@ -35,23 +37,26 @@ def stream_uniforms(seeds, n: int) -> np.ndarray:
     The cast to uint64 reduces each seed modulo 2^64, as Rng reduces it.
 
     SplitMix64 draw j (1-based) of a stream is mix(seed + j * gamma) in
-    64-bit wrap-around arithmetic, so whole blocks are one numpy expression.
+    64-bit wrap-around arithmetic, so a block of draws is one numpy
+    expression. The output fills in blocks of STREAM_BLOCK columns, which
+    keeps the uint64 temporaries small however long the stream.
     """
     seeds = np.asarray(seeds)
     if seeds.dtype.kind not in "iu":  # e.g. [-1, 2**63] becomes float64, [2**64] object
         raise TypeError(f"seeds must be 64-bit integers, got dtype {seeds.dtype}")
-    z = np.arange(1, n + 1, dtype=np.uint64)
-    z *= np.uint64(_GAMMA)
-    z = seeds.astype(np.uint64)[:, None] + z
-    # In place, so a block the size of a weight matrix needs two such arrays.
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    out = z.astype(np.float64)
-    out *= 2.0 ** -53
+    seeds = seeds.astype(np.uint64)[:, None]
+    out = np.empty((len(seeds), n))
+    for start in range(0, n, STREAM_BLOCK):
+        z = np.arange(start + 1, min(n, start + STREAM_BLOCK) + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z = seeds + z
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        np.multiply(z, 2.0 ** -53, out=out[:, start:start + STREAM_BLOCK])
     return out
 
 

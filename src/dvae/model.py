@@ -171,12 +171,12 @@ class DiscreteVae:
 
     def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
         """One full pass: encode, sample one latent per example from its
-        uniforms u (..., D), decode, and accumulate both ascent gradients,
-        summed over the batch, into the networks' buffers.
+        uniforms u (..., D), decode, and write both ascent gradients, summed
+        over the batch, into the networks' buffers.
 
-        Accumulation is += on top of whatever is already in the buffers;
-        callers decide when to zero_grads(). Returns the per-example terms;
-        recon_term is the detached score coefficient c of each example.
+        Each call overwrites the buffers, so they hold this pass's gradients
+        only. Returns the per-example terms; recon_term is the detached
+        score coefficient c of each example.
         """
         x = np.asarray(x, dtype=np.float64)
         probs = self.encode(x)
@@ -189,7 +189,7 @@ class DiscreteVae:
 
         # Encoder: entropy gradient plus the score-function term with the
         # reconstruction coefficient detached. Both reach the probabilities,
-        # so a single backward with the summed upstream accumulates them.
+        # so a single backward with the summed upstream takes both.
         coeff = np.asarray(breakdown.recon_term)[..., None, None]
         up_enc = d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z)
         self.encoder.backward(up_enc)

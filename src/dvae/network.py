@@ -6,8 +6,9 @@ weights, then its bias). Layer i maps x to x W^T + b, with a rectifier after
 every layer but the last and a head on top: either an elementwise sigmoid or
 a row-wise softmax over a (rows, cols) reshape of the final layer output.
 net.layers[i] holds layer i's weights, bias, grad_weights and grad_bias as
-reshaped views into params and grads. Gradients accumulate (+=) into grads
-until zero_grads(); sga_step() applies gradient ASCENT, p <- p + lr * grad.
+reshaped views into params and grads. Each backward() overwrites grads with
+the gradient of that pass alone; sga_step() applies gradient ASCENT,
+p <- p + (grad * scale) * lr, and leaves grads as they are.
 
 A net built over an (m, n) stack of parameter vectors is m nets in one:
 its weights are (m, out, in) views and its biases (m, 1, out), one forward
@@ -25,11 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dvae.distributions import Rng, stream_uniforms
+from dvae.distributions import STREAM_BLOCK, Rng, stream_uniforms
 from dvae.tensor import ShapeError, rowwise_softmax, sigmoid
 
 HEAD_SIGMOID = "sigmoid"
 HEAD_SOFTMAX = "softmax"
+# sga_step's block length: its one reused buffer is 256 KB.
+STEP_BLOCK = 1 << 15
 
 
 class Layer(NamedTuple):
@@ -97,23 +100,35 @@ class Mlp:
                softmax_shape: tuple[int, int] | None = None) -> "Mlp":
         """Fresh net with symmetric fan-scaled init: each layer's weights
         uniform in +-sqrt(6/(fan_in+fan_out)), biases zero. Draws are
-        consumed layer by layer, each in row-major order. Given m seeds in
-        place of an Rng, it builds a stack of m nets whose row i is
-        bit-identical to the net built from Rng(seeds[i])."""
+        consumed layer by layer, each in row-major order; from an Rng they
+        are drawn and scaled into the weights in blocks of STREAM_BLOCK, so
+        no temporary is layer-sized. Given m seeds in place of an Rng, it
+        builds a stack of m nets whose row i is bit-identical to the net
+        built from Rng(seeds[i])."""
         if isinstance(rng, Rng):
             net = cls(sizes, head, softmax_shape)
-            draws = (rng.uniforms(w.size) for w, *_ in net.layers)  # one layer at a time
+
+            def draws(layer: int, start: int, count: int) -> np.ndarray:
+                return rng.uniforms(count)  # blocks are taken in stream order
         else:
             counts = [o * i for i, o in zip(sizes, sizes[1:])]
             stack = np.zeros((len(rng), sum(counts) + sum(sizes[1:])))
             net = cls(sizes, head, softmax_shape, stack)
-            draws = np.split(stream_uniforms(rng, sum(counts)), np.cumsum(counts)[:-1], axis=1)
-        for (w, *_), u in zip(net.layers, draws):
+            stream = stream_uniforms(rng, sum(counts))
+            firsts = np.cumsum([0, *counts])
+
+            def draws(layer: int, start: int, count: int) -> np.ndarray:
+                first = firsts[layer] + start
+                return stream[:, first:first + count]
+        for i, (w, *_) in enumerate(net.layers):
             fan_out, fan_in = w.shape[-2:]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            np.multiply(u.reshape(w.shape), 2.0, out=w)
-            w -= 1.0
-            w *= limit
+            flat = w.reshape(*w.shape[:-2], -1)  # a view: each net's weights are contiguous
+            for start in range(0, flat.shape[-1], STREAM_BLOCK):
+                block = flat[..., start:start + STREAM_BLOCK]
+                np.multiply(draws(i, start, block.shape[-1]), 2.0, out=block)
+                block -= 1.0
+                block *= limit
         return net
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -147,7 +162,7 @@ class Mlp:
         if stack_shape is not None:
             h = h.reshape(*stack_shape, h.shape[-1])
         if self.head == HEAD_SIGMOID:
-            out = sigmoid(h)
+            out = sigmoid(h, out=h)  # nothing else holds the final pre-activation
         else:
             out = rowwise_softmax(h.reshape(*h.shape[:-1], *self.softmax_shape))
         self._inputs = inputs
@@ -155,11 +170,11 @@ class Mlp:
         return out
 
     def backward(self, upstream_grad: np.ndarray) -> None:
-        """Accumulate parameter gradients for the last forward pass.
+        """Write the parameter gradients of the last forward pass into grads.
 
         upstream_grad is the gradient of the objective with respect to the
-        head OUTPUT (same shape as forward's return); the parameter gradients
-        accumulate its sum over the batch.
+        head OUTPUT (same shape as forward's return); grads become its sum
+        over the batch, replacing whatever they held before.
         """
         if self.grads is None:
             raise RuntimeError("a stacked net is forward-only")
@@ -177,24 +192,22 @@ class Mlp:
             w, _, grad_w, grad_b = self.layers[i]
             x = self._inputs[i]
             g2 = g.reshape(-1, w.shape[0])
-            grad_w += g2.T @ x.reshape(-1, w.shape[1])
-            grad_b += g2.sum(axis=0)
+            np.matmul(g2.T, x.reshape(-1, w.shape[1]), out=grad_w)
+            np.sum(g2, axis=0, out=grad_b)
             if i > 0:
                 # Rectifier subgradient, 0 at the kink: a rectified input is
                 # positive exactly where its pre-activation was.
                 g = (g @ w) * (x > 0.0)
 
-    def zero_grads(self) -> None:
-        self.grads[:] = 0.0
-
-    def scale_grads(self, factor: float) -> None:
-        self.grads *= factor
-
-    def sga_step(self, lr: float) -> None:
-        """Gradient ascent: every parameter moves by +lr * accumulated grad.
-        Layer by layer, so the lr * grad temporary is one layer's size."""
+    def sga_step(self, lr: float, scale: float = 1.0) -> None:
+        """Gradient ascent: params += (grads * scale) * lr, leaving grads
+        untouched. One pass over the flat vectors in blocks of STEP_BLOCK
+        through one reused buffer, so no step temporary is parameter-sized."""
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        for w, b, grad_w, grad_b in self.layers:
-            w += lr * grad_w
-            b += lr * grad_b
+        buf = np.empty(min(STEP_BLOCK, self.params.size))
+        for start in range(0, self.params.size, STEP_BLOCK):
+            grad = self.grads[start:start + STEP_BLOCK]
+            step = np.multiply(grad, scale, out=buf[:grad.size])
+            step *= lr
+            self.params[start:start + grad.size] += step

@@ -114,18 +114,15 @@ def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray,
     entropy-term gradient; the same EPS convention as the estimator applies
     at the (never exercised in tests) clip boundary. x is encoded here, so
     the encoder's cache holds x's activations for the backward pass.
-    Clobbers and then clears the encoder's gradient buffers.
+    Overwrites the encoder's gradient buffers.
     """
     probs = model.encode(x)
     weight = np.zeros_like(probs)
     np.add.at(weight, (np.arange(model.d), table.latents),
               (table.q_probs * table.log_px_given_z)[:, None])
     score_up = np.where(probs >= EPS, weight / np.maximum(probs, EPS), 0.0)
-    model.encoder.zero_grads()
     model.encoder.backward(d_entropy_d_probs(probs) + score_up)
-    grad = model.encoder.grads.copy()
-    model.encoder.zero_grads()
-    return grad
+    return model.encoder.grads.copy()
 
 
 def configuration_gradients(model: DiscreteVae, x: np.ndarray, table: EnumerationTable
@@ -138,15 +135,13 @@ def configuration_gradients(model: DiscreteVae, x: np.ndarray, table: Enumeratio
     uniforms sit at the midpoint of each latent's CDF interval for the row's
     categories, so the pass samples that row; rows with q = 0 stay zero.
     Weighted by q, the rows give exact_encoder_gradient and exact_elbo.
-    Clobbers both networks' gradient buffers.
+    Overwrites both networks' gradient buffers.
     """
     probs = model.encode(x)
     u = (np.cumsum(probs, axis=-1) - probs / 2)[np.arange(model.d), table.latents]
     grads = np.zeros((len(u), model.encoder.params.size))
     totals = np.zeros(len(u))
     for c in np.flatnonzero(table.q_probs > 0.0):
-        model.encoder.zero_grads()
-        model.decoder.zero_grads()
         totals[c] = model.compute_gradients(x, u[c]).total
         grads[c] = model.encoder.grads
     return grads, totals
@@ -230,8 +225,6 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         draw = seed + 1000 * i + 3
 
         u = Rng(draw).uniforms(model.d)
-        model.encoder.zero_grads()
-        model.decoder.zero_grads()
         model.compute_gradients(x, u)
         z = model.sample_latent(model.encode(x), u)  # same draws, same z
 

@@ -26,8 +26,9 @@ def rowwise_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(t: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, 1 / (1 + exp(-t)).
+def sigmoid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic function, 1 / (1 + exp(-t)), into out if given
+    (out may be t itself; the result is the same bits either way).
 
     Takes exp of a non-positive argument only, no branches: with
     e = exp(-|t|), the result is 1 / (1 + e) where t >= 0 and e / (1 + e)
@@ -41,7 +42,8 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
     # The numerator, 1 where t >= 0 and e elsewhere, is max([t >= 0], e)
     # since 0 <= e <= 1; unlike np.where on a mask of mixed signs, the
     # maximum runs without a data-dependent branch per element.
-    out = np.greater_equal(t, 0.0, out=np.empty_like(t), casting="unsafe")
+    out = np.greater_equal(t, 0.0, out=np.empty_like(t) if out is None else out,
+                           casting="unsafe")
     np.maximum(out, e, out=out)
     e += 1.0
     out /= e

@@ -212,8 +212,6 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
     for epoch in range(1, config.max_epochs + 1):
         entropy_sum = recon_sum = 0.0
         for batch_i, batch in enumerate(batches(train_set, config.batch_size, shuffle_rng)):
-            model.encoder.zero_grads()
-            model.decoder.zero_grads()
             bd = model.compute_gradients(*_samples(train_set.images[batch], u_train[batch],
                                                    config.d_latents))
             if not np.isfinite(bd.total).all():
@@ -222,12 +220,10 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
                 )
             entropy_sum += bd.entropy_term.sum()
             recon_sum += bd.recon_term.sum()
-            scale = 1.0 / (len(batch) * config.mc_samples)
-            model.encoder.scale_grads(scale)
-            model.decoder.scale_grads(scale)
-            if config.learning_rate > 0.0:
-                model.encoder.sga_step(config.learning_rate)  # phi first,
-                model.decoder.sga_step(config.learning_rate)  # then theta
+            if config.learning_rate > 0.0:  # each step takes the batch mean
+                scale = 1.0 / (len(batch) * config.mc_samples)
+                model.encoder.sga_step(config.learning_rate, scale)  # phi first,
+                model.decoder.sga_step(config.learning_rate, scale)  # then theta
         train_bd = _mean_breakdown(model, entropy_sum, recon_sum, n_samples)
         val_bd = validate(epoch)
         record(epoch, train_bd, val_bd)

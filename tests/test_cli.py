@@ -228,6 +228,17 @@ class TestTrainCommand:
         assert len(err) == 1 and str(train) in err[0] and "header promises" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
+    def test_images_of_no_pixels_exit_1_naming_the_file(self, bars_files, tmp_path, capsys,
+                                                        rows, cols):
+        train = tmp_path / "empty-raster.idx3-ubyte"
+        write_idx(train, np.zeros((5, rows, cols), dtype=np.uint8))
+        out = tmp_path / "run"
+        assert main(train_args(train, bars_files[1], out, batch=5)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {train}: images of {rows} x {cols} pixels hold no pixels"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("hidden", 10 ** 15, "out of memory"),
         ("batch", 1000, "batch size 1000 exceeds dataset size 60"),
@@ -285,6 +296,16 @@ class TestEvalCommand:
         assert main(["eval", "--model", str(ckpt_path), "--images", str(images)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(images) in err[0] and "no images" in err[0]
+
+
+    def test_images_of_no_pixels_exit_1_naming_the_file(self, tmp_path, capsys):
+        images = tmp_path / "empty-raster.idx3-ubyte"
+        write_idx(images, np.zeros((5, 0, 0), dtype=np.uint8))
+        ckpt_path = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt_path)
+        assert main(["eval", "--model", str(ckpt_path), "--images", str(images)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {images}: images of 0 x 0 pixels hold no pixels"]
 
 
 class TestReconstructCommand:

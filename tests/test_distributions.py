@@ -5,6 +5,7 @@ import pytest
 
 from dvae.distributions import (
     EPS,
+    STREAM_BLOCK,
     Rng,
     aggregate_bce,
     aggregate_entropy,
@@ -60,6 +61,21 @@ class TestRng:
         assert block.shape == (len(as_ints), 37)
         for row, s in zip(block, as_ints):
             assert row.tobytes() == Rng(s).uniforms(37).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
+                                   3 * STREAM_BLOCK + 5])
+    def test_blocked_stream_rows_equal_each_seeds_rng(self, n):
+        # rows cut into blocks of STREAM_BLOCK columns, on seeds whose sums
+        # with j * gamma wrap past 2^64
+        assert STREAM_BLOCK == 2 ** 15
+        as_ints = [2**64 - 2, 2**64 - 1, 12345]
+        block = stream_uniforms(np.array(as_ints, dtype=np.uint64), n)
+        assert block.shape == (3, n) and block.flags.c_contiguous
+        for row, s in zip(block, as_ints):
+            assert row.tobytes() == Rng(s).uniforms(n).tobytes()
+            for j in {0, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, n - 1}:
+                if 0 <= j < n:  # draw j + 1 of Rng(s) is the first of Rng(s + j * gamma)
+                    assert row[j] == Rng(s + j * 0x9E3779B97F4A7C15).uniform()
 
     @pytest.mark.parametrize("seeds", [[-1, 2**63], [2**64]], ids=["float64", "object"])
     def test_stream_rejects_seeds_numpy_cannot_hold_as_64_bit_ints(self, seeds):

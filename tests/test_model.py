@@ -183,7 +183,6 @@ class TestComputeGradients:
         model = zero_init_model()
         x = np.array([1.0, 0.0, 0.0, 1.0])
         probs = model.encode(x)
-        model.encoder.zero_grads()
         model.encoder.backward(d_entropy_d_probs(probs))
         final = model.encoder.layers[-1]
         assert np.allclose(final.grad_bias, 0.0, rtol=0, atol=1e-14)
@@ -196,7 +195,6 @@ class TestComputeGradients:
         net.layers[0].weights[:] = np.eye(6)
         probs = net.forward(logits.reshape(-1))
         indices = np.array([0, 1])
-        net.zero_grads()
         net.backward(d_logq_d_probs(probs, indices))
         assert np.allclose(net.layers[0].grad_bias, 0.0, rtol=0, atol=1e-12)
 
@@ -241,8 +239,6 @@ class TestComputeGradients:
         from dvae.oracle import scaled_gradient_error
 
         model, x = tiny_model_and_input(325)
-        model.encoder.zero_grads()
-        model.decoder.zero_grads()
         u = Rng(17).uniforms(model.d)
         model.compute_gradients(x, u)
         analytic = model.decoder.grads.copy()
@@ -264,8 +260,6 @@ class TestComputeGradients:
             other = DiscreteVae.create(model.p, model.d, model.k, 8,
                                        Rng(decoder_seed), Rng(decoder_seed + 1))
             hybrid = DiscreteVae(encoder, other.decoder, model.d, model.k)
-            hybrid.encoder.zero_grads()
-            hybrid.decoder.zero_grads()
             bd = hybrid.compute_gradients(x, Rng(99).uniforms(model.d))  # same z every call
             return hybrid.encoder.grads.copy(), bd.recon_term
 
@@ -280,8 +274,6 @@ class TestComputeGradients:
         # the gradients land in the networks' live buffers; the returned
         # terms hold one value per example of the batch
         model, x = tiny_model_and_input(327)
-        model.encoder.zero_grads()
-        model.decoder.zero_grads()
         xs = np.stack([x, 1.0 - x, x])
         bd = model.compute_gradients(xs, Rng(31).uniforms(3 * model.d).reshape(3, model.d))
         assert bd.entropy_term.shape == bd.recon_term.shape == bd.total.shape == (3,)
@@ -314,8 +306,6 @@ class TestComputeGradients:
         total = np.zeros_like(exact)
         sq = np.zeros_like(exact)
         for u in stream.uniforms(n * model.d).reshape(n, model.d):
-            model.encoder.zero_grads()
-            model.decoder.zero_grads()
             model.compute_gradients(x, u)
             g = model.encoder.grads.copy()
             total += g

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dvae.distributions import Rng, aggregate_bce, aggregate_entropy
-from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
+from dvae.distributions import STREAM_BLOCK, Rng, aggregate_bce, aggregate_entropy
+from dvae import network
+from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, STEP_BLOCK, Mlp
 from dvae.oracle import finite_difference, scaled_gradient_error
 from dvae.tensor import ShapeError, sigmoid
 
@@ -93,10 +94,9 @@ class TestBackward:
         assert np.array_equal(layer.grad_weights, np.outer(c, x))
         assert np.array_equal(layer.grad_bias, c)
 
-        # a batch accumulates the sum of its rows' gradients
+        # a batch's gradients are the sum of its rows' gradients
         xs = np.array([[5.0, -1.0], [0.5, 2.0], [-3.0, 1.5]])
         ups = np.array([[2.0, -3.0], [1.0, 0.25], [-0.5, 4.0]])
-        net.zero_grads()
         ys = net.forward(xs)
         assert np.array_equal(ys, sigmoid(xs @ w.T))
         net.backward(ups)
@@ -110,6 +110,8 @@ class TestBackward:
             net.backward(np.zeros(2))
 
     def test_accumulation_linearity(self):
+        # gradients are linear in the upstream: separate passes for a and b
+        # sum to the pass for a + b
         rng = Rng(71)
         net = Mlp.create([4, 5, 3], HEAD_SIGMOID, rng)
         x = random_input(4, rng)
@@ -118,23 +120,55 @@ class TestBackward:
         net.forward(x)
         net.backward(a + b)
         combined = net.grads.copy()
-        net.zero_grads()
-        net.forward(x)
-        net.backward(a)
-        net.backward(b)  # second backward reuses the cached forward
-        assert np.allclose(net.grads, combined, rtol=0, atol=1e-12)
+        net.backward(a)  # each later backward reuses the cached forward
+        from_a = net.grads.copy()
+        net.backward(b)
+        assert np.allclose(from_a + net.grads, combined, rtol=0, atol=1e-12)
 
-    def test_replay_after_zero_matches_single_backward(self):
-        rng = Rng(72)
-        net = Mlp.create([3, 4, 2], HEAD_SIGMOID, rng)
-        x = random_input(3, rng)
-        up = np.array([rng.uniform() for _ in range(2)])
-        net.forward(x)
-        net.backward(up)
-        first = net.grads.copy()
-        net.zero_grads()
-        net.backward(up)
-        assert np.array_equal(net.grads, first)
+    @pytest.mark.parametrize("refresh", [False, True], ids=["replay", "new-forward"])
+    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
+    def test_backward_keeps_only_the_last_pass(self, head, refresh):
+        # grads hold the last pass only, bit for bit, whatever came before
+        shape = (2, 3) if head == HEAD_SOFTMAX else None
+        net, fresh = (Mlp.create([3, 4, 6], head, Rng(72), shape) for _ in range(2))
+        rng = Rng(73)
+        x_a, x = rng.uniforms(5 * 3).reshape(5, 3), rng.uniforms(5 * 3).reshape(5, 3)
+        out_shape = net.forward(x_a).shape
+        net.backward(rng.uniforms(30).reshape(out_shape) - 0.5)
+        before = net.grads.copy()
+        b = rng.uniforms(30).reshape(out_shape) - 0.5
+        net.forward(x if refresh else x_a)
+        net.backward(b)
+        fresh.forward(x if refresh else x_a)
+        fresh.backward(b)
+        assert np.any(net.grads != before)
+        assert net.grads.tobytes() == fresh.grads.tobytes()
+
+    def test_zero_upstream_after_a_pass_leaves_zero_grads(self):
+        rng = Rng(95)
+        net = Mlp.create([3, 3], HEAD_SIGMOID, rng)
+        net.forward(random_input(3, rng))
+        net.backward(np.ones(3))
+        assert np.all(net.grads != 0.0)
+        net.backward(np.zeros(3))
+        assert np.all(net.grads == 0.0)
+
+    def test_in_place_head_leaves_outputs_and_grads_unchanged(self, monkeypatch):
+        # the sigmoid head overwrites the final pre-activation; a head that
+        # writes a fresh array must give the same bits
+        rng = Rng(74)
+        x = rng.uniforms(4 * 5).reshape(4, 5)
+        up = rng.uniforms(4 * 7).reshape(4, 7) - 0.5
+
+        def run():
+            net = Mlp.create([5, 8, 7], HEAD_SIGMOID, Rng(75))
+            y = net.forward(x).copy()
+            net.backward(up)
+            return y.tobytes(), net.grads.tobytes()
+
+        in_place = run()
+        monkeypatch.setattr(network, "sigmoid", lambda t, out=None: sigmoid(t))
+        assert run() == in_place
 
 
 class TestFiniteDifferenceAgreement:
@@ -148,7 +182,6 @@ class TestFiniteDifferenceAgreement:
         x = random_input(5, rng)
         targets = np.array([float(rng.randint(2)) for _ in range(4)])
 
-        net.zero_grads()
         y = net.forward(x)
         up = targets / y - (1.0 - targets) / (1.0 - y)  # d(-bce)/dy
         net.backward(up)
@@ -169,7 +202,6 @@ class TestFiniteDifferenceAgreement:
         x = random_input(4, rng)
         picks = np.array([rng.randint(k) for _ in range(d)])
 
-        net.zero_grads()
         probs = net.forward(x)
         up = -(np.log(probs) + 1.0)
         up[np.arange(d), picks] += 1.0 / probs[np.arange(d), picks]
@@ -283,9 +315,35 @@ class TestSgaStep:
             net.forward(x)
             net.backward(up)
         a.sga_step(0.05)
-        a.sga_step(0.05)  # accumulators untouched by stepping
+        a.sga_step(0.05)  # grads untouched by stepping
         b.sga_step(0.1)
         assert np.allclose(a.params, b.params, rtol=0, atol=1e-15)
+
+    # Parameter counts below, equal to, one above and several blocks past
+    # STEP_BLOCK.
+    @pytest.mark.parametrize("sizes, n", [
+        ([5, 8, 4], 84),
+        ([255, 128], STEP_BLOCK),
+        ([330, 99], STEP_BLOCK + 1),
+        ([400, 250, 60], 3 * STEP_BLOCK + 17006),
+    ])
+    def test_scaled_step_bit_identical_to_scale_then_per_layer_step(self, sizes, n):
+        # the former step: grads *= scale, then w += lr * grad_w layer by layer
+        assert STEP_BLOCK == 2 ** 15
+        lr, scale = 1e-3, 1.0 / 7.0
+        net = Mlp(sizes, HEAD_SIGMOID, params=Rng(82).uniforms(n) - 0.5)
+        assert net.params.size == n
+        net.grads[:] = 100.0 * (Rng(83).uniforms(n) - 0.5)
+        grads = net.grads.copy()
+        old = Mlp(sizes, HEAD_SIGMOID, params=net.params.copy())
+        old.grads[:] = grads
+        old.grads *= scale
+        for w, b, grad_w, grad_b in old.layers:
+            w += lr * grad_w
+            b += lr * grad_b
+        net.sga_step(lr, scale)
+        assert net.params.tobytes() == old.params.tobytes()
+        assert net.grads.tobytes() == grads.tobytes()
 
     def test_nonpositive_lr_rejected(self):
         net = Mlp([2, 2], HEAD_SIGMOID)
@@ -304,7 +362,6 @@ class TestDeterminism:
             for _ in range(5):
                 x = random_input(4, data_rng)
                 t = np.array([float(data_rng.randint(2)) for _ in range(3)])
-                net.zero_grads()
                 y = net.forward(x)
                 net.backward(t / y - (1.0 - t) / (1.0 - y))
                 net.sga_step(0.01)
@@ -313,16 +370,20 @@ class TestDeterminism:
         assert np.array_equal(run(), run())
 
 
-def test_zero_grads_idempotent():
-    rng = Rng(95)
-    net = Mlp.create([3, 3], HEAD_SIGMOID, rng)
-    net.forward(random_input(3, rng))
-    net.backward(np.ones(3))
-    net.zero_grads()
-    once = net.grads.copy()
-    net.zero_grads()
-    assert np.array_equal(once, net.grads)
-    assert np.all(once == 0.0)
+@pytest.mark.parametrize("stacked", [False, True], ids=["rng", "stack"])
+def test_blocked_init_bit_identical_to_whole_layer_draws(stacked):
+    # layer 0 holds 75,000 weights, more than two blocks of draws
+    sizes, seeds = [300, 250, 60], [2**64 - 1, 97]
+    assert sizes[0] * sizes[1] > 2 * STREAM_BLOCK
+    nets = ([Mlp.create(sizes, HEAD_SIGMOID, Rng(s)) for s in seeds] if not stacked else
+            [Mlp(sizes, HEAD_SIGMOID, params=row.copy()) for row in
+             Mlp.create(sizes, HEAD_SIGMOID, np.array(seeds, dtype=np.uint64)).params])
+    for net, seed in zip(nets, seeds):
+        rng = Rng(seed)
+        for (w, b, *_), fan_in, fan_out in zip(net.layers, sizes, sizes[1:]):
+            u = rng.uniforms(w.size).reshape(w.shape)
+            assert w.tobytes() == ((u * 2.0 - 1.0) * math.sqrt(6.0 / (fan_in + fan_out))).tobytes()
+            assert not b.any()
 
 
 def test_init_bounds_follow_fan_scaling():

@@ -343,8 +343,6 @@ def per_draw_unbiasedness(seed, n_draws):
     exact_value = exact_elbo(table, model.encode(x))
     grads, totals = [], []
     for u in Rng(seed + 78).uniforms(n_draws * model.d).reshape(n_draws, model.d):
-        model.encoder.zero_grads()
-        model.decoder.zero_grads()
         totals.append(float(model.compute_gradients(x, u).total))
         grads.append(model.encoder.grads.copy())
     grads, totals = np.array(grads), np.array(totals)
@@ -400,8 +398,6 @@ class TestUnbiasednessSuite:
         assert len(rows) == 2 and not np.array_equal(u[rows[0]], u[rows[1]])
         results = []
         for row in rows:
-            model.encoder.zero_grads()
-            model.decoder.zero_grads()
             bd = model.compute_gradients(x, u[row])
             results.append((bd.total, model.encoder.grads.copy(), model.decoder.grads.copy()))
         (t0, enc0, dec0), (t1, enc1, dec1) = results

@@ -79,6 +79,20 @@ def test_sigmoid_bit_identical_to_two_branch_form():
     assert np.array_equal(sigmoid(np.float64(-3.5)), two_branch_sigmoid(np.float64(-3.5)))
 
 
+def test_sigmoid_in_place_bit_identical():
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 50.0, -50.0, 800.0, -800.0,
+                      math.inf, -math.inf, math.nan])
+    expected = sigmoid(edges)
+    t = edges.copy()
+    assert sigmoid(t, out=t) is t
+    assert t.tobytes() == expected.tobytes()
+    out = np.full_like(edges, 3.0)
+    assert sigmoid(edges, out=out) is out and out.tobytes() == expected.tobytes()
+    grid = (Rng(8).uniforms(600).reshape(20, 30) * 2.0 - 1.0) * 40.0
+    expected = sigmoid(grid)
+    assert sigmoid(grid, out=grid).tobytes() == expected.tobytes()
+
+
 def test_sigmoid_of_infinities_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

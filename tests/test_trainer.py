@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,11 @@ from dvae.trainer import (
 )
 from helpers import zero_init_model
 
+# A 6x6 bars run (D=2, K=3, hidden 8, 3 epochs) at mc_samples 1 and 3: every
+# metrics row but seconds, and the final params of both nets, as recorded
+# when each step zeroed, accumulated and scaled the gradient buffers before
+# stepping.
+TRAJECTORY = Path(__file__).parent / "data" / "train_trajectory.json"
 
 def bars_config(**overrides):
     base = dict(d_latents=2, k_categories=4, hidden_width=16, learning_rate=1e-2,
@@ -222,7 +229,8 @@ class TestTrainLoop:
         assert train_u and train_u[0].tobytes() == expected.tobytes()
 
     def test_batch_mean_equals_mean_of_per_example_gradients(self):
-        # the trainer's accumulate-then-scale equals averaging separate passes
+        # the trainer steps by one batch pass's grads times 1/B (sga_step's
+        # scale); that equals averaging separate per-example passes
         train_set, _ = bars_sets(n_train=3, n_val=3)
         config = bars_config(batch_size=3)
         model = build_model(config, train_set.p)
@@ -230,21 +238,34 @@ class TestTrainLoop:
         from dvae.trainer import EXAMPLE_STREAM_BASE
         u = np.stack([Rng(config.seed + EXAMPLE_STREAM_BASE + idx).uniforms(config.d_latents)
                       for idx in range(3)])
-        model.encoder.zero_grads()
-        model.decoder.zero_grads()
         model.compute_gradients(train_set.images, u)  # one pass over the 3-row batch
-        model.encoder.scale_grads(1.0 / 3.0)
-        model.decoder.scale_grads(1.0 / 3.0)
-        batched = np.concatenate([model.encoder.grads, model.decoder.grads])
+        batched = np.concatenate([model.encoder.grads, model.decoder.grads]) * (1.0 / 3.0)
 
         separate = np.zeros_like(batched)
         for idx in range(3):
-            model.encoder.zero_grads()
-            model.decoder.zero_grads()
             model.compute_gradients(train_set.images[idx], u[idx])
             separate += np.concatenate([model.encoder.grads, model.decoder.grads])
         separate /= 3.0
         assert np.allclose(batched, separate, rtol=0, atol=1e-12)
+
+
+class TestRecordedTrajectory:
+    @pytest.mark.parametrize("mc", [1, 3])
+    def test_metrics_and_final_params_match_the_recording(self, mc):
+        recorded = json.loads(TRAJECTORY.read_text())[str(mc)]
+        rng = Rng(606)
+        train_set, val_set = synthetic_bars(48, 6, rng), synthetic_bars(16, 6, rng)
+        config = TrainConfig(d_latents=2, k_categories=3, hidden_width=8, learning_rate=0.05,
+                             batch_size=10, max_epochs=3, patience=10, seed=17, mc_samples=mc)
+        model, history = train(config, train_set, val_set)
+        rows = [[r.epoch, r.train_elbo, r.train_entropy, r.train_prior, r.train_recon,
+                 r.val_elbo] for r in history]
+        assert len(rows) == len(recorded["rows"]) == 4
+        for got, want in zip(rows, recorded["rows"]):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+        for net, name in ((model.encoder, "encoder"), (model.decoder, "decoder")):
+            assert net.params.size == len(recorded[name])
+            np.testing.assert_allclose(net.params, recorded[name], rtol=1e-12, atol=0)
 
 
 class TestMetricsCsv:
