@@ -1,6 +1,7 @@
-"""Probability kernels: the SplitMix64 generator, categorical sampling,
-entropy, the aggregate (summed) entropy and binary cross-entropy of the ELBO,
-and the closed-form KL divergence against a uniform categorical.
+"""Probability kernels: the SplitMix64 generator, categorical sampling, and
+the aggregate (summed) entropy and binary cross-entropy of the ELBO. The
+ELBO's KL term against the uniform prior is D ln K minus the aggregate
+entropy, which model.elbo_estimate splits into its entropy and prior terms.
 
 Conventions used throughout:
   * natural logarithms everywhere (entropies and divergences are in nats);
@@ -11,8 +12,6 @@ Conventions used throughout:
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -27,37 +26,31 @@ MAX_SEED = _MASK64
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# stream_uniforms' block length in draws per seed.
-STREAM_BLOCK = 1 << 15
 
 
-def stream_uniforms(seeds, n: int) -> np.ndarray:
-    """(len(seeds), n): the first n uniform() draws of Rng(s) for each s in
-    the 1-D integer array seeds, computed without stepping any generator.
-    The cast to uint64 reduces each seed modulo 2^64, as Rng reduces it.
+def stream_uniforms(seeds, n: int, start: int = 0) -> np.ndarray:
+    """(len(seeds), n): uniform() draws start+1 ... start+n of Rng(s) for
+    each s in the 1-D integer array seeds, computed without stepping any
+    generator. The cast to uint64 reduces each seed modulo 2^64, as Rng
+    reduces it.
 
     SplitMix64 draw j (1-based) of a stream is mix(seed + j * gamma) in
-    64-bit wrap-around arithmetic, so a block of draws is one numpy
-    expression. The output fills in blocks of STREAM_BLOCK columns, which
-    keeps the uint64 temporaries small however long the stream.
+    64-bit wrap-around arithmetic, so any run of draws is one numpy
+    expression, with (len(seeds), n) uint64 temporaries.
     """
     seeds = np.asarray(seeds)
     if seeds.dtype.kind not in "iu":  # e.g. [-1, 2**63] becomes float64, [2**64] object
         raise TypeError(f"seeds must be 64-bit integers, got dtype {seeds.dtype}")
-    seeds = seeds.astype(np.uint64)[:, None]
-    out = np.empty((len(seeds), n))
-    for start in range(0, n, STREAM_BLOCK):
-        z = np.arange(start + 1, min(n, start + STREAM_BLOCK) + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z = seeds + z
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        z >>= np.uint64(11)
-        np.multiply(z, 2.0 ** -53, out=out[:, start:start + STREAM_BLOCK])
-    return out
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z = seeds.astype(np.uint64)[:, None] + z
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z * 2.0 ** -53
 
 
 class Rng:
@@ -128,13 +121,6 @@ def categorical_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((acc <= np.asarray(u)[..., None]).sum(axis=-1), k - 1)
 
 
-def entropy(p: np.ndarray) -> float:
-    """-sum(p * ln p) in nats, with 0*ln(0) = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
-
-
 def aggregate_entropy(probs: np.ndarray) -> np.ndarray:
     """Sum of the row entropies of each (D, K) array of probability rows;
     one value per leading (batch) index."""
@@ -161,12 +147,3 @@ def aggregate_bce(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
     rest *= y
     terms += rest
     return -terms.sum(axis=-1)
-
-
-def kl_categorical_vs_uniform(p: np.ndarray) -> float:
-    """KL(p || uniform over K) = ln(K) - entropy(p), always >= 0.
-
-    Equal (to rounding) to the direct sum  sum_i p_i * ln(K * p_i).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    return math.log(len(p)) - entropy(p)

@@ -125,16 +125,13 @@ class DiscreteVae:
         self._one_hot_rows = np.eye(k)  # decode gathers its one-hot rows from here
 
     @classmethod
-    def create(cls, p: int, d: int, k: int, hidden: int | None,
+    def create(cls, p: int, d: int, k: int, hidden: int,
                encoder_rng: Rng | np.ndarray, decoder_rng: Rng | np.ndarray) -> "DiscreteVae":
         """Fresh model: p -> hidden -> D*K softmax rows, D*K -> hidden -> p
-        sigmoid. hidden=None drops the hidden layers entirely. Given two
-        arrays of m seeds in place of the Rngs, a stack of m models (see
-        Mlp.create)."""
-        enc_sizes = [p, d * k] if hidden is None else [p, hidden, d * k]
-        dec_sizes = [d * k, p] if hidden is None else [d * k, hidden, p]
-        encoder = Mlp.create(enc_sizes, HEAD_SOFTMAX, encoder_rng, softmax_shape=(d, k))
-        decoder = Mlp.create(dec_sizes, HEAD_SIGMOID, decoder_rng)
+        sigmoid, each net initialised by Mlp.create from its Rng. Given two
+        arrays of m seeds in place of the Rngs, a stack of m models."""
+        encoder = Mlp.create([p, hidden, d * k], HEAD_SOFTMAX, encoder_rng, softmax_shape=(d, k))
+        decoder = Mlp.create([d * k, hidden, p], HEAD_SIGMOID, decoder_rng)
         return cls(encoder, decoder, d, k)
 
     def with_params(self, phi: np.ndarray | None = None,

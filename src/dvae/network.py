@@ -26,13 +26,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dvae.distributions import STREAM_BLOCK, Rng, stream_uniforms
+from dvae.distributions import Rng, stream_uniforms
 from dvae.tensor import ShapeError, rowwise_softmax, sigmoid
 
 HEAD_SIGMOID = "sigmoid"
 HEAD_SOFTMAX = "softmax"
-# sga_step's block length: its one reused buffer is 256 KB.
-STEP_BLOCK = 1 << 15
+# Block length of create's draws and of sga_step's reused buffer: a 256 KB
+# float64 temporary, however large the net.
+BLOCK = 1 << 15
 
 
 class Layer(NamedTuple):
@@ -61,6 +62,8 @@ class Mlp:
                  params: np.ndarray | None = None):
         if head not in (HEAD_SIGMOID, HEAD_SOFTMAX):
             raise ValueError(f"unknown head {head!r}")
+        if len(sizes) < 2:
+            raise ShapeError(f"an Mlp needs an input and an output size, got {list(sizes)}")
         if head == HEAD_SOFTMAX:
             if softmax_shape is None:
                 raise ValueError("softmax head needs softmax_shape")
@@ -100,35 +103,26 @@ class Mlp:
                softmax_shape: tuple[int, int] | None = None) -> "Mlp":
         """Fresh net with symmetric fan-scaled init: each layer's weights
         uniform in +-sqrt(6/(fan_in+fan_out)), biases zero. Draws are
-        consumed layer by layer, each in row-major order; from an Rng they
-        are drawn and scaled into the weights in blocks of STREAM_BLOCK, so
-        no temporary is layer-sized. Given m seeds in place of an Rng, it
-        builds a stack of m nets whose row i is bit-identical to the net
-        built from Rng(seeds[i])."""
-        if isinstance(rng, Rng):
-            net = cls(sizes, head, softmax_shape)
-
-            def draws(layer: int, start: int, count: int) -> np.ndarray:
-                return rng.uniforms(count)  # blocks are taken in stream order
-        else:
-            counts = [o * i for i, o in zip(sizes, sizes[1:])]
-            stack = np.zeros((len(rng), sum(counts) + sum(sizes[1:])))
-            net = cls(sizes, head, softmax_shape, stack)
-            stream = stream_uniforms(rng, sum(counts))
-            firsts = np.cumsum([0, *counts])
-
-            def draws(layer: int, start: int, count: int) -> np.ndarray:
-                first = firsts[layer] + start
-                return stream[:, first:first + count]
-        for i, (w, *_) in enumerate(net.layers):
+        consumed layer by layer, each in row-major order, and scaled into
+        the weights in blocks of BLOCK, so no temporary is layer-sized. Given
+        m seeds in place of an Rng, it builds a stack of m nets whose row i
+        is bit-identical to the net built from Rng(seeds[i])."""
+        stacked = not isinstance(rng, Rng)
+        n = sum(o * i + o for i, o in zip(sizes, sizes[1:]))
+        net = cls(sizes, head, softmax_shape, np.zeros((len(rng), n)) if stacked else None)
+        drawn = 0
+        for w, *_ in net.layers:
             fan_out, fan_in = w.shape[-2:]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             flat = w.reshape(*w.shape[:-2], -1)  # a view: each net's weights are contiguous
-            for start in range(0, flat.shape[-1], STREAM_BLOCK):
-                block = flat[..., start:start + STREAM_BLOCK]
-                np.multiply(draws(i, start, block.shape[-1]), 2.0, out=block)
+            for start in range(0, flat.shape[-1], BLOCK):
+                block = flat[..., start:start + BLOCK]
+                count = block.shape[-1]
+                u = stream_uniforms(rng, count, drawn) if stacked else rng.uniforms(count)
+                np.multiply(u, 2.0, out=block)
                 block -= 1.0
                 block *= limit
+                drawn += count
         return net
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -201,13 +195,15 @@ class Mlp:
 
     def sga_step(self, lr: float, scale: float = 1.0) -> None:
         """Gradient ascent: params += (grads * scale) * lr, leaving grads
-        untouched. One pass over the flat vectors in blocks of STEP_BLOCK
+        untouched. One pass over the flat vectors in blocks of BLOCK
         through one reused buffer, so no step temporary is parameter-sized."""
+        if self.grads is None:
+            raise RuntimeError("a stacked net is forward-only")
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        buf = np.empty(min(STEP_BLOCK, self.params.size))
-        for start in range(0, self.params.size, STEP_BLOCK):
-            grad = self.grads[start:start + STEP_BLOCK]
+        buf = np.empty(min(BLOCK, self.params.size))
+        for start in range(0, self.params.size, BLOCK):
+            grad = self.grads[start:start + BLOCK]
             step = np.multiply(grad, scale, out=buf[:grad.size])
             step *= lr
             self.params[start:start + grad.size] += step

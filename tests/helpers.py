@@ -1,6 +1,8 @@
-"""Shared construction helpers for the test suite."""
+"""Shared helpers for the test suite."""
 
-from dvae.model import DiscreteVae
+import numpy as np
+
+from dvae.model import DiscreteVae, elbo_estimate
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 
 
@@ -10,3 +12,10 @@ def zero_init_model(p=4, d=2, k=3, hidden=4):
     encoder = Mlp([p, hidden, d * k], HEAD_SOFTMAX, softmax_shape=(d, k))
     decoder = Mlp([d * k, hidden, p], HEAD_SIGMOID)
     return DiscreteVae(encoder, decoder, d, k)
+
+
+def elbo_kl(p):
+    """The ELBO's KL term for one latent row p against the uniform prior,
+    ln K - H(p): elbo_estimate's -(entropy_term + prior_term)."""
+    bd = elbo_estimate(np.zeros(1), np.asarray(p)[None, :], np.full(1, 0.5))
+    return float(-(bd.entropy_term + bd.prior_term))

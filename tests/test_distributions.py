@@ -5,16 +5,14 @@ import pytest
 
 from dvae.distributions import (
     EPS,
-    STREAM_BLOCK,
     Rng,
     aggregate_bce,
     aggregate_entropy,
     categorical_sample,
-    entropy,
-    kl_categorical_vs_uniform,
     stream_uniforms,
 )
 from dvae.tensor import ShapeError
+from helpers import elbo_kl
 
 # Cross-platform fixture: first three raw outputs for seed 42.
 SEED42_OUTPUTS = [0xBDD732262FEB6E95, 0x28EFE333B266F103, 0x47526757130F9F52]
@@ -62,20 +60,27 @@ class TestRng:
         for row, s in zip(block, as_ints):
             assert row.tobytes() == Rng(s).uniforms(37).tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1,
-                                   3 * STREAM_BLOCK + 5])
+    @pytest.mark.parametrize("n", [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 5])
     def test_blocked_stream_rows_equal_each_seeds_rng(self, n):
-        # rows cut into blocks of STREAM_BLOCK columns, on seeds whose sums
-        # with j * gamma wrap past 2^64
-        assert STREAM_BLOCK == 2 ** 15
+        # long rows, past the 2^15-draw blocks Mlp.create takes, on seeds
+        # whose sums with j * gamma wrap past 2^64
         as_ints = [2**64 - 2, 2**64 - 1, 12345]
         block = stream_uniforms(np.array(as_ints, dtype=np.uint64), n)
         assert block.shape == (3, n) and block.flags.c_contiguous
         for row, s in zip(block, as_ints):
             assert row.tobytes() == Rng(s).uniforms(n).tobytes()
-            for j in {0, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, n - 1}:
+            for j in {0, 2**15 - 1, 2**15, 2**15 + 1, n - 1}:
                 if 0 <= j < n:  # draw j + 1 of Rng(s) is the first of Rng(s + j * gamma)
                     assert row[j] == Rng(s + j * 0x9E3779B97F4A7C15).uniform()
+
+    @pytest.mark.parametrize("start", [0, 1, 2**15 - 1, 2**15, 3 * 2**15 + 5])
+    def test_stream_from_start_equals_columns_of_the_whole_stream(self, start):
+        seeds = np.array([2**64 - 2, 2**64 - 1, 12345], dtype=np.uint64)
+        n = 2**15 + 3
+        whole = stream_uniforms(seeds, start + n)
+        part = stream_uniforms(seeds, n, start)
+        assert part.shape == (3, n) and part.flags.c_contiguous
+        assert part.tobytes() == whole[:, start:].tobytes()
 
     @pytest.mark.parametrize("seeds", [[-1, 2**63], [2**64]], ids=["float64", "object"])
     def test_stream_rejects_seeds_numpy_cannot_hold_as_64_bit_ints(self, seeds):
@@ -164,18 +169,19 @@ class TestCategoricalSample:
 
 
 class TestEntropy:
+    # the entropy of one row is aggregate_entropy over a one-row array
     def test_deterministic_distribution(self):
-        assert entropy(np.array([1.0, 0.0])) == 0.0
+        assert aggregate_entropy(np.array([[1.0, 0.0]])) == 0.0
 
     def test_uniform_values(self):
-        assert entropy(np.array([0.5, 0.5])) == pytest.approx(math.log(2), abs=1e-15)
-        assert entropy(np.full(4, 0.25)) == pytest.approx(math.log(4), abs=1e-15)
+        assert aggregate_entropy(np.array([[0.5, 0.5]])) == pytest.approx(math.log(2), abs=1e-15)
+        assert aggregate_entropy(np.full((1, 4), 0.25)) == pytest.approx(math.log(4), abs=1e-15)
 
     def test_range(self):
         rng = Rng(31)
         for _ in range(200):
             p = random_prob_vector(6, rng)
-            h = entropy(p)
+            h = aggregate_entropy(p[None, :])
             assert -1e-12 <= h <= math.log(6) + 1e-12
 
 
@@ -270,13 +276,14 @@ class TestAggregateForms:
 
 
 class TestKlVsUniform:
+    # the ELBO's KL term, ln K - H(p), as elbo_estimate computes it
     def test_uniform_is_zero(self):
         for k in (2, 5, 9):
-            assert abs(kl_categorical_vs_uniform(np.full(k, 1.0 / k))) < 1e-12
+            assert abs(elbo_kl(np.full(k, 1.0 / k))) < 1e-12
 
     def test_one_hot(self):
         p = np.array([0.0, 0.0, 0.0, 1.0])
-        assert kl_categorical_vs_uniform(p) == pytest.approx(math.log(4), abs=1e-12)
+        assert elbo_kl(p) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_matches_direct_sum(self):
         # direct summation of the divergence definition, term by term
@@ -285,7 +292,7 @@ class TestKlVsUniform:
             k = 2 + rng.randint(15)
             p = random_prob_vector(k, rng)
             direct = float(sum(pi * math.log(k * pi) for pi in p if pi > 0.0))
-            closed = kl_categorical_vs_uniform(p)
+            closed = elbo_kl(p)
             assert abs(closed - direct) <= 1e-12
             assert closed >= -1e-12
 

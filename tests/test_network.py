@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dvae.distributions import STREAM_BLOCK, Rng, aggregate_bce, aggregate_entropy
+from dvae.distributions import Rng, aggregate_bce, aggregate_entropy
 from dvae import network
-from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, STEP_BLOCK, Mlp
+from dvae.network import BLOCK, HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.oracle import finite_difference, scaled_gradient_error
 from dvae.tensor import ShapeError, sigmoid
 
@@ -69,6 +69,13 @@ class TestForward:
         net = Mlp([3, 2], HEAD_SIGMOID)
         with pytest.raises(ShapeError):
             net.forward(np.zeros(4))
+
+    @pytest.mark.parametrize("sizes", [[], [3]])
+    def test_fewer_than_two_sizes_rejected(self, sizes):
+        # with no layer to make a fresh array, the in-place head would
+        # overwrite the caller's input
+        with pytest.raises(ShapeError, match="input and an output size"):
+            Mlp(sizes, HEAD_SIGMOID)
 
 
 class TestBackward:
@@ -278,6 +285,13 @@ class TestStackedParams:
         with pytest.raises(RuntimeError, match="forward-only"):
             stacked.backward(np.ones((4, 2)))
 
+    def test_sga_step_rejected_before_anything_is_written(self):
+        params = Rng(98).uniforms(4 * 8).reshape(4, 8)
+        stacked = Mlp([3, 2], HEAD_SIGMOID, params=params.copy())
+        with pytest.raises(RuntimeError, match="forward-only"):
+            stacked.sga_step(0.1)
+        assert stacked.params.tobytes() == params.tobytes()
+
     def test_rejects_inputs_with_more_than_one_batch_axis(self):
         stacked = Mlp([3, 2], HEAD_SIGMOID, params=np.zeros((4, 8)))
         with pytest.raises(ShapeError):
@@ -320,16 +334,16 @@ class TestSgaStep:
         assert np.allclose(a.params, b.params, rtol=0, atol=1e-15)
 
     # Parameter counts below, equal to, one above and several blocks past
-    # STEP_BLOCK.
+    # BLOCK.
     @pytest.mark.parametrize("sizes, n", [
         ([5, 8, 4], 84),
-        ([255, 128], STEP_BLOCK),
-        ([330, 99], STEP_BLOCK + 1),
-        ([400, 250, 60], 3 * STEP_BLOCK + 17006),
+        ([255, 128], BLOCK),
+        ([330, 99], BLOCK + 1),
+        ([400, 250, 60], 3 * BLOCK + 17006),
     ])
     def test_scaled_step_bit_identical_to_scale_then_per_layer_step(self, sizes, n):
         # the former step: grads *= scale, then w += lr * grad_w layer by layer
-        assert STEP_BLOCK == 2 ** 15
+        assert BLOCK == 2 ** 15
         lr, scale = 1e-3, 1.0 / 7.0
         net = Mlp(sizes, HEAD_SIGMOID, params=Rng(82).uniforms(n) - 0.5)
         assert net.params.size == n
@@ -374,7 +388,7 @@ class TestDeterminism:
 def test_blocked_init_bit_identical_to_whole_layer_draws(stacked):
     # layer 0 holds 75,000 weights, more than two blocks of draws
     sizes, seeds = [300, 250, 60], [2**64 - 1, 97]
-    assert sizes[0] * sizes[1] > 2 * STREAM_BLOCK
+    assert sizes[0] * sizes[1] > 2 * BLOCK
     nets = ([Mlp.create(sizes, HEAD_SIGMOID, Rng(s)) for s in seeds] if not stacked else
             [Mlp(sizes, HEAD_SIGMOID, params=row.copy()) for row in
              Mlp.create(sizes, HEAD_SIGMOID, np.array(seeds, dtype=np.uint64)).params])

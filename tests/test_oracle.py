@@ -69,7 +69,7 @@ class TestEnumerate:
         assert np.array_equal(table.latents, lexicographic_indices(3, 4, np.arange(64)))
 
     def test_capacity_guard(self):
-        model = DiscreteVae.create(2, 7, 10, hidden=None,
+        model = DiscreteVae.create(2, 7, 10, hidden=1,
                                    encoder_rng=Rng(1), decoder_rng=Rng(2))
         with pytest.raises(CapacityError):
             enumerate_table(model, np.array([1.0, 0.0]))
