@@ -10,6 +10,7 @@ all-0.5 reconstruction renders as 128.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -152,6 +153,7 @@ def seed(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dvae", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -114,11 +114,17 @@ def categorical_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     The cumulative sum runs left to right, and the index is the first
     category whose running sum exceeds u; the last category absorbs any
-    rounding residue.
+    rounding residue. The index counts the running sums <= u, one comparison
+    pass per category into one int array (numpy reduces a short K axis
+    slowly).
     """
     acc = np.cumsum(probs, axis=-1)
+    u = np.asarray(u)
     k = acc.shape[-1]
-    return np.minimum((acc <= np.asarray(u)[..., None]).sum(axis=-1), k - 1)
+    idx = np.zeros(np.broadcast_shapes(acc.shape[:-1], u.shape), dtype=np.intp)
+    for j in range(k):
+        idx += acc[..., j] <= u
+    return np.minimum(idx, k - 1, out=idx)
 
 
 def aggregate_entropy(probs: np.ndarray) -> np.ndarray:

@@ -216,12 +216,18 @@ def tiny_model_and_input(seed: int, p: int = TINY_P, d: int = TINY_D,
 def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
     """Analytic gradients vs central finite differences (h = 1e-5) on random
     tiny models: the decoder's reconstruction gradient at a frozen latent,
-    and the exact encoder gradient against the enumerated ELBO."""
+    and the exact encoder gradient against the enumerated ELBO. The nets are
+    built and enumerated as one stack, then checked one at a time."""
+    if n_nets < 1:
+        raise ValueError(f"n_nets must be at least 1, got {n_nets}")
     h = 1e-5
+    models, xs = tiny_models_and_inputs([seed + 1000 * i for i in range(n_nets)])
+    tables = enumerate_table(models, xs)  # log p(x|z) does not depend on phi
     worst_dec = 0.0
     worst_enc = 0.0
     for i in range(n_nets):
-        model, x = tiny_model_and_input(seed + 1000 * i)
+        model = models.with_params(models.encoder.params[i], models.decoder.params[i])
+        x = xs[i]
         draw = seed + 1000 * i + 3
 
         u = Rng(draw).uniforms(model.d)
@@ -235,7 +241,7 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         fd_dec = finite_difference(recon_of, model.decoder.params, h)
         worst_dec = max(worst_dec, scaled_gradient_error(model.decoder.grads, fd_dec))
 
-        table = enumerate_table(model, x)  # log p(x|z) does not depend on phi
+        table = EnumerationTable(tables.latents, tables.q_probs[i], tables.log_px_given_z[i])
         analytic_enc = exact_encoder_gradient(model, x, table)
 
         def elbo_of(phis):
@@ -266,6 +272,8 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     squares as count-weighted sums of that table. This equals the per-draw
     loop up to float summation order.
     """
+    if n_draws < 2:
+        raise ValueError(f"n_draws must be at least 2, got {n_draws}")
     model, x = tiny_model_and_input(seed + 77, p=4)
     table = enumerate_table(model, x)
     exact_grad = exact_encoder_gradient(model, x, table)
@@ -311,6 +319,8 @@ def suite_bound(seed: int, n_models: int = 100) -> list[CheckResult]:
     """Over random tiny models: the exact ELBO never exceeds the exact
     marginal log-likelihood, and log p(x) decomposes exactly into
     ELBO + KL(q || posterior)."""
+    if n_models < 1:
+        raise ValueError(f"n_models must be at least 1, got {n_models}")
     models, x = tiny_models_and_inputs([seed + 17 + 1000 * i for i in range(n_models)])
     table = enumerate_table(models, x)
     elbo = exact_elbo(table, table.probs)

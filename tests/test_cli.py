@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from dvae.cli import main
+from dvae.cli import build_parser, main
 from dvae.data import load_binarized, synthetic_bars, write_idx
 from dvae.distributions import Rng
 from dvae.trainer import (
@@ -480,3 +480,11 @@ class TestVerifyCommand:
     def test_bound_suite_passes(self, capsys):
         assert main(["verify", "--suite", "bound", "--seed", "6"]) == 0
         assert "PASS elbo-lower-bound-min-slack" in capsys.readouterr().out
+
+    def test_calls_share_one_parser_and_repeat_their_output(self, capsys):
+        parser = build_parser()
+        argvs = [["verify", "--suite", "bound", "--seed", "6"], ["verify", "--nonsense"]]
+        runs = [(main(argv), capsys.readouterr()) for argv in argvs * 2]
+        assert build_parser() is parser
+        assert [code for code, _ in runs] == [0, 2, 0, 2]
+        assert runs[:2] == runs[2:]

@@ -157,6 +157,39 @@ class TestCategoricalSample:
             u = rng.uniforms(8)
             assert categorical_sample(p, u).tolist() == [loop_sample(p, ui) for ui in u]
 
+    @staticmethod
+    def reduced_sample(probs, u):
+        # one comparison array over all K categories, summed along K
+        acc = np.cumsum(probs, axis=-1)
+        return np.minimum((acc <= np.asarray(u)[..., None]).sum(axis=-1), acc.shape[-1] - 1)
+
+    @pytest.mark.parametrize("probs,u", [
+        ([0.25, 0.25, 0.5], [0.0, 0.25, 0.3, 0.5, 0.75, 1.0 - 2.0 ** -53]),  # ties
+        ([0.5, 0.25], [0.1, 0.5, 0.75, 0.8, 0.99]),  # last running sum below 1
+        ([0.3, 0.0, 0.7], [0.2, 0.3, 0.31]),  # zero-probability category
+        ([1.0], [0.0, 0.5, 1.0 - 2.0 ** -53]),  # K = 1
+    ])
+    def test_edge_values_match_the_reduced_comparison(self, probs, u):
+        got = categorical_sample(np.array(probs), np.array(u))
+        want = self.reduced_sample(np.array(probs), np.array(u))
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_stacks_match_the_reduced_comparison(self, k):
+        rng = Rng(30 + k)
+        n, d = 50, 4
+        probs = rng.uniforms(n * d * k).reshape(n, d, k)
+        probs[probs < 0.2] = 0.0  # zero-probability categories
+        probs /= np.maximum(probs.sum(axis=-1, keepdims=True), 1.0)
+        u = rng.uniforms(n * d).reshape(n, d)
+        u[0] = np.cumsum(probs[0], axis=-1)[:, 0]  # ties with a running sum
+        for p in (probs, probs[0]):  # per-row (N, D, K) and shared (D, K) rows
+            got = categorical_sample(p, u)
+            want = self.reduced_sample(p, u)
+            assert got.shape == (n, d) and got.dtype == want.dtype == np.intp
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("k,seed", [(3, 11), (5, 12), (8, 13)])
     def test_chi_square_goodness_of_fit(self, k, seed):
         rng = Rng(seed)

@@ -232,9 +232,9 @@ class TestSuites:
         assert all(c.passed for c in suite_bound(2024, n_models=20))
 
     def test_encoder_check_matches_per_evaluation_enumeration(self, monkeypatch):
-        # the suite enumerates log p(x|z) once per net and runs each stack
-        # in one forward pass; one net and one table per finite-difference
-        # evaluation gives the same bits
+        # the suite builds and enumerates its nets as one stack and runs each
+        # finite-difference stack in one forward pass; one net and one table
+        # per finite-difference evaluation gives the same bits
         seed, n_nets = 3, 2
         worst = 0.0
         for i in range(n_nets):
@@ -257,7 +257,17 @@ class TestSuites:
         monkeypatch.setattr(oracle, "enumerate_table", counted)
         checks = {c.name: c for c in suite_gradient_checks(seed, n_nets=n_nets)}
         assert checks["encoder-grad-vs-finite-diff"].measured == worst
-        assert len(calls) == n_nets  # one table per net, shared with the exact gradient
+        assert len(calls) == 1  # one stacked table, its rows shared with the exact gradients
+
+    @pytest.mark.parametrize("suite,size,least", [
+        (suite_gradient_checks, "n_nets", 1),
+        (suite_bound, "n_models", 1),
+        (suite_unbiasedness, "n_draws", 2),
+    ])
+    def test_too_small_sizes_are_rejected(self, suite, size, least):
+        for value in (least - 1, -1):
+            with pytest.raises(ValueError, match=f"{size} must be at least {least}"):
+                suite(3, **{size: value})
 
 
 def per_model_bound(seed, n_models):
