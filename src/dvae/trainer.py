@@ -16,6 +16,15 @@ documented offsets:
 Per-example streams keyed by dataset index make the recorded per-example
 ELBO values independent of batch order, and make a zero-learning-rate run
 produce the same metrics row every epoch.
+
+Work on the encoder's side runs on a helper thread next to the decoder's
+side on the caller (model.overlapped; the helper takes the encoder because
+its temporaries are the narrow ones, see dvae.model): in each training step
+the encoder's backward pass and then its SGA step, and in the forward-only
+ELBO sums (evaluation and the epoch-0 training row) the encoding and
+sampling of the next chunk while the caller decodes this one. Every array
+operation and every sum runs as it would in turn, so the metrics and
+parameters are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 
 from dvae.data import Dataset, batches
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
-from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, elbo_estimate
+from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, elbo_estimate, overlapped
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.tensor import ShapeError
 
@@ -137,13 +146,28 @@ def _samples(images: np.ndarray, u: np.ndarray, d: int) -> tuple[np.ndarray, np.
 def _elbo_sums(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     """Summed entropy and recon terms of the single-sample ELBO estimates of
     the rows of images under their uniforms u, in forward-only chunks of at
-    most CHUNK_ROWS samples."""
-    entropy_sum = recon_sum = 0.0
+    most CHUNK_ROWS samples. A helper thread encodes and samples the next
+    chunk while this one decodes the current chunk; the sums are added in
+    chunk order."""
     step = max(1, CHUNK_ROWS * model.d // u.shape[1])  # examples per chunk
-    for start in range(0, len(images), step):
+
+    def encoded(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x, ux = _samples(images[start:start + step], u[start:start + step], model.d)
         probs = model.encode(x)
-        bd = elbo_estimate(x, probs, model.decode(model.sample_latent(probs, ux)))
+        return x, probs, model.sample_latent(probs, ux)
+
+    def decoded(x: np.ndarray, probs: np.ndarray, z: np.ndarray) -> ElboBreakdown:
+        return elbo_estimate(x, probs, model.decode(z))
+
+    entropy_sum = recon_sum = 0.0
+    ahead = encoded(0)
+    for start in range(0, len(images), step):
+        current = ahead
+        if start + step < len(images):
+            bd, ahead = overlapped(lambda: decoded(*current), lambda: encoded(start + step),
+                                   model.encoder.params.size)
+        else:
+            bd = decoded(*current)
         entropy_sum += bd.entropy_term.sum()
         recon_sum += bd.recon_term.sum()
     return entropy_sum, recon_sum
@@ -165,7 +189,9 @@ def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
           checkpoint_path=None) -> tuple[DiscreteVae, list[MetricsRow]]:
     """Run the ascent loop: per batch, one gradient pass over its examples,
-    averaged, then a step of the encoder and then the decoder. Training stops
+    averaged, then one step of each net, the encoder's on a helper thread
+    while the decoder's runs on this one (the two write disjoint vectors, so
+    their order does not matter). Training stops
     when the mean validation ELBO has not improved for `patience` epochs or
     at max_epochs; the returned model carries the best-validation parameters.
 
@@ -222,8 +248,9 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
             recon_sum += bd.recon_term.sum()
             if config.learning_rate > 0.0:  # each step takes the batch mean
                 scale = 1.0 / (len(batch) * config.mc_samples)
-                model.encoder.sga_step(config.learning_rate, scale)  # phi first,
-                model.decoder.sga_step(config.learning_rate, scale)  # then theta
+                overlapped(lambda: model.decoder.sga_step(config.learning_rate, scale),
+                           lambda: model.encoder.sga_step(config.learning_rate, scale),
+                           model.encoder.params.size)
         train_bd = _mean_breakdown(model, entropy_sum, recon_sum, n_samples)
         val_bd = validate(epoch)
         record(epoch, train_bd, val_bd)

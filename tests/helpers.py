@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
 
+from dvae import model
 from dvae.model import DiscreteVae, elbo_estimate
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 
@@ -19,3 +22,10 @@ def elbo_kl(p):
     ln K - H(p): elbo_estimate's -(entropy_term + prior_term)."""
     bd = elbo_estimate(np.zeros(1), np.asarray(p)[None, :], np.full(1, 0.5))
     return float(-(bd.entropy_term + bd.prior_term))
+
+
+def open_overlap(monkeypatch, cpus=(0, 1)):
+    """Let model.overlapped use its helper thread at any size (the suite's
+    nets are all below its size gate), as if this process may run on cpus."""
+    monkeypatch.setattr(model, "OVERLAP_MIN_SIZE", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)

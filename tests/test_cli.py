@@ -6,13 +6,14 @@ import pytest
 from dvae.cli import build_parser, main
 from dvae.data import load_binarized, synthetic_bars, write_idx
 from dvae.distributions import Rng
+from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.trainer import (
     CheckpointCorruptError,
     evaluate,
     load_checkpoint,
     save_checkpoint,
 )
-from helpers import zero_init_model
+from helpers import open_overlap, zero_init_model
 
 
 def write_bars_idx(path, n, side, seed):
@@ -224,6 +225,22 @@ class TestTrainCommand:
         assert main(train_args(train, val, b)) == 0
         assert drop_seconds((a / "metrics.csv").read_text()) == \
                drop_seconds((b / "metrics.csv").read_text())
+
+    def test_memory_error_on_the_helper_thread_exits_1(self, bars_files, tmp_path, capsys,
+                                                       monkeypatch):
+        open_overlap(monkeypatch)
+        backward = Mlp.backward
+
+        def failing(net, upstream):
+            if net.head == HEAD_SOFTMAX:
+                raise MemoryError("encoder backward")
+            backward(net, upstream)
+
+        monkeypatch.setattr(Mlp, "backward", failing)
+        train, val = bars_files
+        assert main(train_args(train, val, tmp_path / "run")) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: out of memory: encoder backward"]
 
     def test_label_count_mismatch_exits_1(self, bars_files, tmp_path, capsys):
         train, val = bars_files

@@ -190,6 +190,29 @@ class TestCategoricalSample:
             assert got.shape == (n, d) and got.dtype == want.dtype == np.intp
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("probs_shape,u_shape", [
+        ((4, 5), (30, 4)),  # shared (D, K) rows
+        ((30, 4, 5), (30, 4)),  # one (D, K) block per row
+        ((6, 3, 4, 5), (6, 3, 4)),  # (N, S, D, K) against (N, S, D)
+    ])
+    def test_broadcast_shapes_match_the_reduced_comparison(self, probs_shape, u_shape):
+        rng = Rng(40 + len(probs_shape))
+        k = probs_shape[-1]
+        probs = rng.uniforms(math.prod(probs_shape)).reshape(probs_shape)
+        probs[probs < 0.2] = 0.0  # zero-probability categories repeat a running sum
+        probs /= np.maximum(probs.sum(axis=-1, keepdims=True), 1.0)
+        u = rng.uniforms(math.prod(u_shape)).reshape(u_shape)
+        # Every other draw equals one of its running sums exactly.
+        pick = np.arange(u.size).reshape(u_shape) % k
+        sums = np.broadcast_to(np.cumsum(probs, axis=-1), u_shape + (k,))
+        tied = np.take_along_axis(sums, pick[..., None], axis=-1)[..., 0]
+        u = np.where(np.arange(u.size).reshape(u_shape) % 2 == 0, tied, u)
+        got = categorical_sample(probs, u)
+        want = self.reduced_sample(probs, u)
+        assert got.shape == u_shape and got.dtype == want.dtype == np.intp
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("k,seed", [(3, 11), (5, 12), (8, 13)])
     def test_chi_square_goodness_of_fit(self, k, seed):
         rng = Rng(seed)

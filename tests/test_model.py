@@ -1,8 +1,11 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from dvae import model as model_module
 from dvae.distributions import EPS, Rng
 from dvae.model import (
     DiscreteVae,
@@ -10,6 +13,7 @@ from dvae.model import (
     d_logq_d_probs,
     d_recon_d_xhat,
     elbo_estimate,
+    overlapped,
     uniform_params,
 )
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
@@ -20,7 +24,7 @@ from dvae.oracle import (
     tiny_model_and_input,
 )
 from dvae.tensor import ShapeError
-from helpers import zero_init_model
+from helpers import open_overlap, zero_init_model
 
 # Regression fixture: model from DiscreteVae.create(5, 2, 3, 4, Rng(901), Rng(902))
 # applied to x = [0, 1, 1, 0, 1]; outputs generated once and frozen.
@@ -314,3 +318,77 @@ class TestComputeGradients:
         se = np.sqrt(np.maximum(sq - n * mean * mean, 0.0) / (n - 1) / n)
         z = np.abs(mean - exact) / np.where(se > 0, se, 1.0)
         assert float(z.max()) < 6.0
+
+
+class TestOverlapped:
+    def test_runs_there_on_a_helper_thread_and_returns_both(self, monkeypatch):
+        open_overlap(monkeypatch)
+        before = threading.active_count()
+        here, there = overlapped(threading.get_ident, threading.get_ident, 1)
+        assert here == threading.get_ident() != there
+        assert threading.active_count() == before
+
+    def test_work_below_the_size_gate_runs_in_turn(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
+        me = threading.get_ident()
+        assert overlapped(threading.get_ident, threading.get_ident,
+                          model_module.OVERLAP_MIN_SIZE - 1) == (me, me)
+
+    def test_one_cpu_runs_in_turn(self, monkeypatch):
+        open_overlap(monkeypatch, cpus=(3,))
+        monkeypatch.setattr(threading, "Thread", None)
+        me = threading.get_ident()
+        assert overlapped(threading.get_ident, threading.get_ident, 1 << 40) == (me, me)
+
+    def test_helper_exception_is_raised_on_the_caller_after_the_join(self, monkeypatch):
+        open_overlap(monkeypatch)
+        before = threading.active_count()
+        done = []
+
+        def fail():
+            raise MemoryError("helper")
+
+        with pytest.raises(MemoryError, match="helper"):
+            overlapped(lambda: done.append(True), fail, 1)
+        assert done == [True] and threading.active_count() == before
+
+    def test_compute_gradients_is_bit_identical_to_the_pass_in_turn(self, monkeypatch):
+        rng = Rng(71)
+        x = (rng.uniforms(8 * 6) < 0.5).astype(float).reshape(8, 6)
+        u = rng.uniforms(8 * 3).reshape(8, 3)
+        serial = DiscreteVae.create(6, 3, 4, 5, Rng(72), Rng(73))
+        bd_serial = serial.compute_gradients(x, u)
+        open_overlap(monkeypatch)
+        heads = []
+        backward = Mlp.backward
+
+        def recorded(net, upstream):
+            heads.append((net.head, threading.get_ident()))
+            backward(net, upstream)
+
+        monkeypatch.setattr(Mlp, "backward", recorded)
+        both = DiscreteVae.create(6, 3, 4, 5, Rng(72), Rng(73))
+        bd_both = both.compute_gradients(x, u)
+        assert dict(heads)[HEAD_SOFTMAX] != threading.get_ident() == dict(heads)[HEAD_SIGMOID]
+        for name in ("entropy_term", "recon_term", "total"):
+            assert np.array_equal(getattr(bd_both, name), getattr(bd_serial, name))
+        assert bd_both.prior_term == bd_serial.prior_term
+        assert np.array_equal(both.encoder.grads, serial.encoder.grads)
+        assert np.array_equal(both.decoder.grads, serial.decoder.grads)
+
+    def test_memory_error_in_the_encoder_backward_reaches_the_caller(self, monkeypatch):
+        open_overlap(monkeypatch)
+        backward = Mlp.backward
+
+        def failing(net, upstream):
+            if net.head == HEAD_SOFTMAX:
+                raise MemoryError("encoder backward")
+            backward(net, upstream)
+
+        monkeypatch.setattr(Mlp, "backward", failing)
+        model = DiscreteVae.create(6, 3, 4, 5, Rng(72), Rng(73))
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="encoder backward"):
+            model.compute_gradients(np.ones((2, 6)), np.full((2, 3), 0.5))
+        assert threading.active_count() == before

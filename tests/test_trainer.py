@@ -1,7 +1,10 @@
+import dataclasses
 import io
 import json
 import math
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,7 @@ from dvae.trainer import (
     train,
     write_metrics_csv,
 )
-from helpers import zero_init_model
+from helpers import open_overlap, zero_init_model
 
 # A 6x6 bars run (D=2, K=3, hidden 8, 3 epochs) at mc_samples 1 and 3: every
 # metrics row but seconds, and the final params of both nets, as recorded
@@ -266,6 +269,57 @@ class TestRecordedTrajectory:
         for net, name in ((model.encoder, "encoder"), (model.decoder, "decoder")):
             assert net.params.size == len(recorded[name])
             np.testing.assert_allclose(net.params, recorded[name], rtol=1e-12, atol=0)
+
+
+class TestOverlappedHelper:
+    """The helper thread of model.overlapped, opened at the suite's small
+    shapes, changes no output bit."""
+
+    @pytest.mark.parametrize("n", [100, 200, 250])  # 1, 2 and 3 chunks, the last one short
+    def test_evaluate_is_bit_identical_to_chunks_in_turn(self, monkeypatch, n):
+        train_set, _ = bars_sets(n_train=n)
+        model = build_model(bars_config(), train_set.p)
+        # The chunk loop written out: encode, sample, decode, add, in turn.
+        u = Rng(56).uniforms(n * model.d).reshape(n, model.d)
+        entropy = recon = 0.0
+        for start in range(0, n, 100):
+            x, ux = train_set.images[start:start + 100], u[start:start + 100]
+            probs = model.encode(x)
+            bd = elbo_estimate(x, probs, model.decode(model.sample_latent(probs, ux)))
+            entropy += bd.entropy_term.sum()
+            recon += bd.recon_term.sum()
+        want = ElboBreakdown.from_terms(entropy / n, -model.d * math.log(model.k), recon / n)
+        assert evaluate(model, train_set, Rng(56)) == want
+        open_overlap(monkeypatch)
+        assert evaluate(model, train_set, Rng(56)) == want
+
+    @pytest.mark.parametrize("mc", [1, 3])
+    def test_train_is_bit_identical_to_steps_in_turn(self, monkeypatch, mc):
+        train_set, val_set = bars_sets(n_train=220)  # a 3-chunk epoch-0 row
+        config = bars_config(max_epochs=2, mc_samples=mc)
+        serial_model, serial_history = train(config, train_set, val_set)
+        open_overlap(monkeypatch)
+        started = []
+        thread_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads trade the interpreter lock often
+        try:
+            model, history = train(config, train_set, val_set)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert started and not any(t.is_alive() for t in started)
+        assert [dataclasses.replace(r, seconds=0.0) for r in history] == \
+               [dataclasses.replace(r, seconds=0.0) for r in serial_history]
+        assert np.array_equal(model.encoder.params, serial_model.encoder.params)
+        assert np.array_equal(model.decoder.params, serial_model.decoder.params)
 
 
 class TestMetricsCsv:
