@@ -31,6 +31,7 @@ byte-identical to running the two in turn.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -75,7 +76,8 @@ def _usable_cpus() -> int:
 
 
 def overlapped(here, there, size: int) -> tuple:
-    """Run here() on this thread while there() runs on a new helper thread,
+    """Run here() on this thread while there() runs on a new helper thread
+    in a copy of this thread's context (so numpy's error state carries over),
     join the helper, and return (here(), there()); an exception raised by
     there() is raised again here. size is the element count the work scales
     with (callers pass the encoder's parameter count). Below
@@ -84,8 +86,7 @@ def overlapped(here, there, size: int) -> tuple:
     through operations on small arrays, so two threads would only pass it
     back and forth, and on one CPU the helper only adds its own malloc arena
     and thread switches (perfbench train-mnist784 pinned to one CPU of a
-    2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB and 7% more time without
-    this check)."""
+    2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB, 7% more time without it)."""
     if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
         return here(), there()
     box = {}
@@ -96,7 +97,7 @@ def overlapped(here, there, size: int) -> tuple:
         except BaseException as exc:  # raised again on the caller
             box["error"] = exc
 
-    thread = threading.Thread(target=helper)
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
     thread.start()
     try:
         first = here()
@@ -221,6 +222,22 @@ class DiscreteVae:
         sel = np.take_along_axis(probs, z[..., None], axis=-1)[..., 0]
         return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
+    def backward_passes(self, x: np.ndarray, probs: np.ndarray, z: np.ndarray,
+                        xhat: np.ndarray, breakdown: ElboBreakdown) -> tuple:
+        """(decoder_backward, encoder_backward) of the forward pass that gave
+        probs, z, xhat and breakdown for x: each writes one net's ascent
+        gradient, summed over the batch, and they share no output."""
+        def encoder_backward() -> None:
+            # Entropy gradient plus the score-function term with the
+            # reconstruction coefficient detached. Both reach the
+            # probabilities, so a single backward with the summed upstream
+            # takes both.
+            coeff = np.asarray(breakdown.recon_term)[..., None, None]
+            self.encoder.backward(d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z))
+
+        # Decoder: gradient of the reconstruction term only.
+        return lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)), encoder_backward
+
     def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
         """One full pass: encode, sample one latent per example from its
         uniforms u (..., D), decode, and write both ascent gradients, summed
@@ -237,16 +254,5 @@ class DiscreteVae:
         z = self.sample_latent(probs, u)
         xhat = self.decode(z)
         breakdown = elbo_estimate(x, probs, xhat)
-
-        def encoder_backward() -> None:
-            # Entropy gradient plus the score-function term with the
-            # reconstruction coefficient detached. Both reach the
-            # probabilities, so a single backward with the summed upstream
-            # takes both.
-            coeff = np.asarray(breakdown.recon_term)[..., None, None]
-            self.encoder.backward(d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z))
-
-        # Decoder: gradient of the reconstruction term only.
-        overlapped(lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)), encoder_backward,
-                   self.encoder.params.size)
+        overlapped(*self.backward_passes(x, probs, z, xhat, breakdown), self.encoder.params.size)
         return breakdown

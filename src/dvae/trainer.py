@@ -17,14 +17,15 @@ Per-example streams keyed by dataset index make the recorded per-example
 ELBO values independent of batch order, and make a zero-learning-rate run
 produce the same metrics row every epoch.
 
-Work on the encoder's side runs on a helper thread next to the decoder's
-side on the caller (model.overlapped; the helper takes the encoder because
-its temporaries are the narrow ones, see dvae.model): in each training step
-the encoder's backward pass and then its SGA step, and in the forward-only
-ELBO sums (evaluation and the epoch-0 training row) the encoding and
-sampling of the next chunk while the caller decodes this one. Every array
-operation and every sum runs as it would in turn, so the metrics and
-parameters are byte-identical.
+Training, validation and evaluation are passes over units (_pass), each a
+training batch or a forward-only chunk; an epoch is one pass, its batches
+then the validation chunks (epoch 0: validation, then the training set).
+The caller decodes each unit while a helper thread (model.overlapped; it
+takes the encoder, whose temporaries are the narrow ones, see dvae.model)
+encodes and samples the next; after a batch's estimate the helper first
+runs the encoder's backward pass and step, the caller the decoder's. Each
+net runs the same array operations in the same order as in turn, and sums
+are added in unit order, so metrics and parameters are byte-identical.
 """
 
 from __future__ import annotations
@@ -143,34 +144,63 @@ def _samples(images: np.ndarray, u: np.ndarray, d: int) -> tuple[np.ndarray, np.
     return images if mc == 1 else np.repeat(images, mc, axis=0), u.reshape(-1, d)
 
 
-def _elbo_sums(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """Summed entropy and recon terms of the single-sample ELBO estimates of
-    the rows of images under their uniforms u, in forward-only chunks of at
-    most CHUNK_ROWS samples. A helper thread encodes and samples the next
-    chunk while this one decodes the current chunk; the sums are added in
-    chunk order."""
+def _chunks(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> tuple:
+    """A forward-only part of a pass (see _pass) over every row of images
+    under its uniforms u, in chunks of at most CHUNK_ROWS samples."""
     step = max(1, CHUNK_ROWS * model.d // u.shape[1])  # examples per chunk
+    return images, u, [slice(start, start + step) for start in range(0, len(images), step)], None
 
-    def encoded(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x, ux = _samples(images[start:start + step], u[start:start + step], model.d)
-        probs = model.encode(x)
+
+def _pass(model: DiscreteVae, parts: list[tuple], epoch: int = 0) -> list[list[float]]:
+    """Summed entropy and recon terms of the ELBO estimates of each part's
+    units, one [entropy, recon] per part, added in unit order. A part is
+    (images, u, indices, lr): unit i is the rows images[indices[i]], one per
+    Monte Carlo sample, under u[indices[i]]; with lr None it is a
+    forward-only chunk, else a training batch, whose estimate must be finite
+    and whose mean gradient steps each net (not at lr 0). This thread decodes
+    each unit while the helper encodes and samples the next; after a batch's
+    estimate, the helper first runs the encoder's backward pass and step and
+    this thread the decoder's."""
+    units = [(part, i, rows) for part, (_, _, indices, _) in enumerate(parts)
+             for i, rows in enumerate(indices)]
+    sums = [[0.0, 0.0] for _ in parts]
+
+    def encoded(unit: tuple | None) -> tuple | None:
+        if unit is None:
+            return None
+        images, u, _, _ = parts[unit[0]]
+        x, ux = _samples(images[unit[2]], u[unit[2]], model.d)
+        probs = model.encode(x := np.asarray(x, dtype=np.float64))
         return x, probs, model.sample_latent(probs, ux)
 
-    def decoded(x: np.ndarray, probs: np.ndarray, z: np.ndarray) -> ElboBreakdown:
-        return elbo_estimate(x, probs, model.decode(z))
+    ahead = encoded(units[0] if units else None)
+    for (part, i, _), following in zip(units, units[1:] + [None]):
+        x, probs, z = ahead
+        lr = parts[part][3]
+        if lr is not None:
+            xhat = model.decode(z)
+            bd = elbo_estimate(x, probs, xhat)
+            if not np.isfinite(bd.total).all():
+                raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
-    entropy_sum = recon_sum = 0.0
-    ahead = encoded(0)
-    for start in range(0, len(images), step):
-        current = ahead
-        if start + step < len(images):
-            bd, ahead = overlapped(lambda: decoded(*current), lambda: encoded(start + step),
-                                   model.encoder.params.size)
+            def side(backward, net: Mlp, unit: tuple | None = None) -> tuple | None:
+                backward()
+                if lr > 0.0:  # the step takes the batch mean
+                    net.sga_step(lr, 1.0 / len(x))
+                return encoded(unit)
+
+            decoder_backward, encoder_backward = model.backward_passes(x, probs, z, xhat, bd)
+            _, ahead = overlapped(lambda: side(decoder_backward, model.decoder),
+                                  lambda: side(encoder_backward, model.encoder, following),
+                                  model.encoder.params.size)
+        elif following is not None:
+            bd, ahead = overlapped(lambda: elbo_estimate(x, probs, model.decode(z)),
+                                   lambda: encoded(following), model.encoder.params.size)
         else:
-            bd = decoded(*current)
-        entropy_sum += bd.entropy_term.sum()
-        recon_sum += bd.recon_term.sum()
-    return entropy_sum, recon_sum
+            bd = elbo_estimate(x, probs, model.decode(z))
+        sums[part][0] += bd.entropy_term.sum()
+        sums[part][1] += bd.recon_term.sum()
+    return sums
 
 
 def _mean_breakdown(model: DiscreteVae, entropy_sum: float, recon_sum: float,
@@ -183,17 +213,18 @@ def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:
     """Mean of single-sample ELBO estimates over the dataset, iterated in
     index order and drawing latents sequentially from rng."""
     u = rng.uniforms(dataset.n * model.d).reshape(dataset.n, model.d)
-    return _mean_breakdown(model, *_elbo_sums(model, dataset.images, u), dataset.n)
+    (sums,) = _pass(model, [_chunks(model, dataset.images, u)])
+    return _mean_breakdown(model, *sums, dataset.n)
 
 
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
           checkpoint_path=None) -> tuple[DiscreteVae, list[MetricsRow]]:
-    """Run the ascent loop: per batch, one gradient pass over its examples,
-    averaged, then one step of each net, the encoder's on a helper thread
-    while the decoder's runs on this one (the two write disjoint vectors, so
-    their order does not matter). Training stops
-    when the mean validation ELBO has not improved for `patience` epochs or
-    at max_epochs; the returned model carries the best-validation parameters.
+    """Run the ascent loop: per batch, one forward pass over its examples,
+    then each net's backward pass and step by the batch mean of its gradient,
+    the encoder's on a helper thread, together with the next unit's encoding,
+    while the decoder's run on this one (see _pass). Training stops when the
+    mean validation ELBO has not improved for `patience` epochs or at
+    max_epochs; the returned model carries the best-validation parameters.
 
     If checkpoint_path is given, the best model is also serialized there.
     """
@@ -206,65 +237,53 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
     start = time.perf_counter()
     history: list[MetricsRow] = []
 
-    def record(epoch: int, train_bd: ElboBreakdown, val_bd: ElboBreakdown) -> None:
-        history.append(MetricsRow(
-            epoch, train_bd.total, train_bd.entropy_term, train_bd.prior_term,
-            train_bd.recon_term, val_bd.total, time.perf_counter() - start,
-        ))
-
-    def validate(epoch: int) -> ElboBreakdown:
-        bd = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET))
-        if not math.isfinite(bd.total):
-            raise TrainingDiverged(f"non-finite validation ELBO at epoch {epoch}")
-        return bd
-
-    # Example i's stream is re-seeded every epoch, so its draws never change.
+    # Example i's stream is re-seeded every epoch, so its draws never change;
+    # nor do the validation stream's.
     n_draws = config.mc_samples * config.d_latents
     # uint64 sums wrap modulo 2^64, as Rng wraps seed + EXAMPLE_STREAM_BASE + i.
     first = np.uint64((config.seed + EXAMPLE_STREAM_BASE) & MAX_SEED)
     u_train = stream_uniforms(first + np.arange(train_set.n, dtype=np.uint64), n_draws)
     n_samples = train_set.n * config.mc_samples
+    u_val = Rng(config.seed + VALIDATION_OFFSET).uniforms(val_set.n * config.d_latents)
+    validation = _chunks(model, val_set.images, u_val.reshape(val_set.n, config.d_latents))
 
-    val_bd = validate(0)
-    record(0, _mean_breakdown(model, *_elbo_sums(model, train_set.images, u_train),
-                              n_samples), val_bd)
-    best_val = val_bd.total
-    best_epoch = 0
-    best_phi = model.encoder.params.copy()
-    best_theta = model.decoder.params.copy()
-    best_rng_state = shuffle_rng.state
-    stale = 0
+    def record(epoch: int, train_sums: list[float], val_sums: list[float]) -> float:
+        train_bd = _mean_breakdown(model, *train_sums, n_samples)
+        val_bd = _mean_breakdown(model, *val_sums, val_set.n)
+        if not math.isfinite(val_bd.total):
+            raise TrainingDiverged(f"non-finite validation ELBO at epoch {epoch}")
+        history.append(MetricsRow(
+            epoch, train_bd.total, train_bd.entropy_term, train_bd.prior_term,
+            train_bd.recon_term, val_bd.total, time.perf_counter() - start,
+        ))
+        return val_bd.total
 
-    for epoch in range(1, config.max_epochs + 1):
-        entropy_sum = recon_sum = 0.0
-        for batch_i, batch in enumerate(batches(train_set, config.batch_size, shuffle_rng)):
-            bd = model.compute_gradients(*_samples(train_set.images[batch], u_train[batch],
-                                                   config.d_latents))
-            if not np.isfinite(bd.total).all():
-                raise TrainingDiverged(
-                    f"non-finite ELBO estimate at epoch {epoch}, batch {batch_i}"
-                )
-            entropy_sum += bd.entropy_term.sum()
-            recon_sum += bd.recon_term.sum()
-            if config.learning_rate > 0.0:  # each step takes the batch mean
-                scale = 1.0 / (len(batch) * config.mc_samples)
-                overlapped(lambda: model.decoder.sga_step(config.learning_rate, scale),
-                           lambda: model.encoder.sga_step(config.learning_rate, scale),
-                           model.encoder.params.size)
-        train_bd = _mean_breakdown(model, entropy_sum, recon_sum, n_samples)
-        val_bd = validate(epoch)
-        record(epoch, train_bd, val_bd)
-        if val_bd.total > best_val:
-            best_val = val_bd.total
-            best_epoch = epoch
-            best_phi[:] = model.encoder.params
-            best_theta[:] = model.decoder.params
-            best_rng_state = shuffle_rng.state
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+    # A diverging step overflows; the finite checks report it, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        val_sums, train_sums = _pass(model, [validation, _chunks(model, train_set.images,
+                                                                 u_train)])
+        best_val = record(0, train_sums, val_sums)
+        best_epoch = 0
+        best_phi = model.encoder.params.copy()
+        best_theta = model.decoder.params.copy()
+        best_rng_state = shuffle_rng.state
+        stale = 0
+
+        for epoch in range(1, config.max_epochs + 1):
+            steps = (train_set.images, u_train, batches(train_set, config.batch_size, shuffle_rng),
+                     config.learning_rate)
+            val_total = record(epoch, *_pass(model, [steps, validation], epoch))
+            if val_total > best_val:
+                best_val = val_total
+                best_epoch = epoch
+                best_phi[:] = model.encoder.params
+                best_theta[:] = model.decoder.params
+                best_rng_state = shuffle_rng.state
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
 
     model.encoder.params[:] = best_phi
     model.decoder.params[:] = best_theta

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,21 @@ class TestTrainCommand:
         assert main(train_args(train, val, tmp_path / "run")) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: out of memory: encoder backward"]
+
+    @pytest.mark.parametrize("gate", ["closed", "open"])
+    def test_diverging_run_exits_1_with_one_line_under_warnings_as_errors(
+            self, tmp_path, capsys, monkeypatch, gate):
+        # the overflow that makes the estimate non-finite warns on neither thread
+        if gate == "open":
+            open_overlap(monkeypatch)
+        images = tmp_path / "train.idx3-ubyte"
+        write_bars_idx(images, 20, 4, 1)
+        argv = train_args(images, images, tmp_path / "run", lr=1e308, batch=5, d=3, k=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite ELBO estimate at epoch 1, batch 1"]
 
     def test_label_count_mismatch_exits_1(self, bars_files, tmp_path, capsys):
         train, val = bars_files

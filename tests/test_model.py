@@ -328,6 +328,12 @@ class TestOverlapped:
         assert here == threading.get_ident() != there
         assert threading.active_count() == before
 
+    def test_helper_sees_the_callers_numpy_error_state(self, monkeypatch):
+        open_overlap(monkeypatch)
+        with np.errstate(over="ignore"):
+            here, there = overlapped(np.geterr, np.geterr, 1)
+        assert here["over"] == there["over"] == "ignore"
+
     def test_work_below_the_size_gate_runs_in_turn(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(threading, "Thread", None)  # any thread start fails

@@ -14,6 +14,7 @@ from dvae import trainer
 from dvae.data import Dataset, synthetic_bars
 from dvae.distributions import Rng
 from dvae.model import ElboBreakdown, elbo_estimate
+from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
     CHECKPOINT_MAGIC,
@@ -197,17 +198,19 @@ class TestTrainLoop:
 
     def test_non_finite_validation_elbo_diverges(self, monkeypatch):
         train_set, val_set = bars_sets(n_train=40, n_val=10)
-        real_evaluate = trainer.evaluate
+        real_mean = trainer._mean_breakdown
         calls = []
 
-        def nan_after_epoch_0(model, dataset, rng):
-            bd = real_evaluate(model, dataset, rng)
+        def nan_after_epoch_0(model, entropy_sum, recon_sum, n):
+            bd = real_mean(model, entropy_sum, recon_sum, n)
+            if n != val_set.n:  # a training row's mean
+                return bd
             calls.append(bd)
             if len(calls) == 1:
                 return bd
             return ElboBreakdown.from_terms(bd.entropy_term, bd.prior_term, math.nan)
 
-        monkeypatch.setattr(trainer, "evaluate", nan_after_epoch_0)
+        monkeypatch.setattr(trainer, "_mean_breakdown", nan_after_epoch_0)
         with pytest.raises(TrainingDiverged, match="validation ELBO at epoch 1"):
             train(bars_config(max_epochs=3, batch_size=10), train_set, val_set)
         assert len(calls) == 2
@@ -217,13 +220,13 @@ class TestTrainLoop:
         train_set, val_set = bars_sets(n_train=30, n_val=10)
         config = bars_config(seed=2**64 - 1, max_epochs=1)
         seen = []
-        real = trainer._elbo_sums
+        real = trainer._pass
 
-        def spy(model, images, u):
-            seen.append(u)
-            return real(model, images, u)
+        def spy(model, parts, *args):
+            seen.extend(u for _, u, _, _ in parts)
+            return real(model, parts, *args)
 
-        monkeypatch.setattr(trainer, "_elbo_sums", spy)
+        monkeypatch.setattr(trainer, "_pass", spy)
         train(config, train_set, val_set)
         from dvae.trainer import EXAMPLE_STREAM_BASE
         expected = np.stack([Rng(config.seed + EXAMPLE_STREAM_BASE + i).uniforms(config.d_latents)
@@ -273,7 +276,32 @@ class TestRecordedTrajectory:
 
 class TestOverlappedHelper:
     """The helper thread of model.overlapped, opened at the suite's small
-    shapes, changes no output bit."""
+    shapes, changes no output bit, and every pass joins it."""
+
+    @staticmethod
+    def in_turn_and_overlapped(monkeypatch, run):
+        """run() in turn, then again with the helper opened and the two
+        threads trading the interpreter lock often; no thread outlives it."""
+        serial = run()
+        open_overlap(monkeypatch)
+        started = []
+        thread_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            thread_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            both = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert started and not any(t.is_alive() for t in started)
+        return serial, both
 
     @pytest.mark.parametrize("n", [100, 200, 250])  # 1, 2 and 3 chunks, the last one short
     def test_evaluate_is_bit_identical_to_chunks_in_turn(self, monkeypatch, n):
@@ -291,35 +319,96 @@ class TestOverlappedHelper:
         want = ElboBreakdown.from_terms(entropy / n, -model.d * math.log(model.k), recon / n)
         assert evaluate(model, train_set, Rng(56)) == want
         open_overlap(monkeypatch)
+        before = threading.active_count()
         assert evaluate(model, train_set, Rng(56)) == want
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("mc", [1, 3])
     def test_train_is_bit_identical_to_steps_in_turn(self, monkeypatch, mc):
-        train_set, val_set = bars_sets(n_train=220)  # a 3-chunk epoch-0 row
+        # 3 chunks in the epoch-0 row, 11 batches of 20 and a short one of 10
+        train_set, val_set = bars_sets(n_train=230)
         config = bars_config(max_epochs=2, mc_samples=mc)
-        serial_model, serial_history = train(config, train_set, val_set)
-        open_overlap(monkeypatch)
-        started = []
-        thread_start = threading.Thread.start
-
-        def start(thread):
-            started.append(thread)
-            thread_start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", start)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the two threads trade the interpreter lock often
-        try:
-            model, history = train(config, train_set, val_set)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert started and not any(t.is_alive() for t in started)
+        (serial_model, serial_history), (model, history) = self.in_turn_and_overlapped(
+            monkeypatch, lambda: train(config, train_set, val_set))
         assert [dataclasses.replace(r, seconds=0.0) for r in history] == \
                [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         assert np.array_equal(model.encoder.params, serial_model.encoder.params)
         assert np.array_equal(model.decoder.params, serial_model.decoder.params)
+
+    def test_zero_lr_rows_repeat_over_the_helper(self, monkeypatch):
+        train_set, val_set = bars_sets(n_train=230)
+        config = bars_config(learning_rate=0.0, max_epochs=3)
+        (_, serial_history), (model, history) = self.in_turn_and_overlapped(
+            monkeypatch, lambda: train(config, train_set, val_set))
+        rows = [dataclasses.replace(r, seconds=0.0) for r in history]
+        assert rows == [dataclasses.replace(r, seconds=0.0) for r in serial_history]
+        for row in rows[1:]:  # train rows differ from epoch 0's only in summation order
+            assert row.val_elbo == rows[0].val_elbo
+            assert dataclasses.astuple(row)[1:5] == pytest.approx(
+                dataclasses.astuple(rows[0])[1:5], rel=0, abs=1e-9)
+        fresh = build_model(config, train_set.p)
+        assert np.array_equal(model.encoder.params, fresh.encoder.params)
+        assert np.array_equal(model.decoder.params, fresh.decoder.params)
+
+    def test_patience_stop_saves_the_same_checkpoint(self, monkeypatch, tmp_path):
+        train_set, val_set = bars_sets()
+        config = bars_config(learning_rate=0.1, max_epochs=8, patience=2)  # best 2, stop 4
+        paths = iter([tmp_path / "serial.ckpt", tmp_path / "both.ckpt"])
+
+        def run():
+            path = next(paths)
+            _, history = train(config, train_set, val_set, checkpoint_path=path)
+            return history, load_checkpoint(path), path.read_bytes()
+
+        (serial_history, serial, serial_bytes), (history, both, both_bytes) = \
+            self.in_turn_and_overlapped(monkeypatch, run)
+        assert len(history) == len(serial_history) < config.max_epochs + 1  # stopped early
+        assert 0 < both.epoch == serial.epoch
+        assert both.rng_state == serial.rng_state != Rng(config.seed + 3).state
+        assert both_bytes == serial_bytes
+
+    def test_non_finite_estimate_stops_at_the_same_batch(self, monkeypatch):
+        train_set, val_set = bars_sets(n_train=40, n_val=10)
+        broken = Dataset(train_set.images.copy(), train_set.rows, train_set.cols)
+        broken.images[7, 0] = np.nan
+        steps = []
+        sga_step = Mlp.sga_step
+
+        def counted(net, lr, scale=1.0):
+            steps.append(net.head)
+            sga_step(net, lr, scale)
+
+        monkeypatch.setattr(Mlp, "sga_step", counted)
+
+        def run():
+            steps.clear()
+            with pytest.raises(TrainingDiverged) as err:
+                train(bars_config(max_epochs=1, batch_size=10), broken, val_set)
+            return str(err.value), len(steps)
+
+        serial, both = self.in_turn_and_overlapped(monkeypatch, run)
+        assert both == serial
+        message, n_steps = both
+        batch_i = int(message.rpartition("batch ")[2])
+        assert message.startswith("non-finite ELBO estimate at epoch 1,")
+        assert n_steps == 2 * batch_i  # no step after the non-finite estimate
+
+    def test_memory_error_in_the_next_encode_reaches_the_caller(self, monkeypatch):
+        train_set, val_set = bars_sets(n_train=40, n_val=10)
+        open_overlap(monkeypatch)
+        forward = Mlp.forward
+        caller = threading.get_ident()
+
+        def failing(net, x):
+            if net.head == HEAD_SOFTMAX and threading.get_ident() != caller:
+                raise MemoryError("next encode")
+            return forward(net, x)
+
+        monkeypatch.setattr(Mlp, "forward", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="next encode"):
+            train(bars_config(max_epochs=1, batch_size=10), train_set, val_set)
+        assert threading.active_count() == before
 
 
 class TestMetricsCsv:
