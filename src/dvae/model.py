@@ -19,22 +19,15 @@ and the ascent directions are
     c = recon_term held constant (no gradient flows through c, and none
     flows from the decoder into the encoder through the discrete sample).
 
-Once c is known, the two backward passes share no output, so
-compute_gradients runs them at once through overlapped: the encoder's on a
-helper thread, the decoder's on the caller. The helper takes the narrow
-side because each thread that allocates gets its own malloc arena: the
-decoder's P-wide temporaries (784 at MNIST shape) in a second arena cost
-more resident memory than the encoder's do. Each array operation is the
-same one in the same order on either thread, so every output is
-byte-identical to running the two in turn.
+d_recon_d_xhat is the decoder's upstream gradient and d_elbo_d_probs the
+encoder's. Once c is known the two backward passes share no output, which
+lets dvae.trainer run them on two threads; this module runs everything in
+turn.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +39,6 @@ from dvae.tensor import ShapeError
 # Rows per forward-only pass (evaluation, enumeration), bounding the size of
 # the activations a whole dataset or latent table would otherwise allocate.
 CHUNK_ROWS = 100
-
-# Work smaller than this many elements runs in turn in overlapped. It only
-# has to separate the oracle's tiny nets (about a hundred parameters)
-# from real-size ones (about 500k in the MNIST encoder).
-OVERLAP_MIN_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -67,45 +55,6 @@ class ElboBreakdown:
     def from_terms(cls, entropy_term, prior_term, recon_term) -> "ElboBreakdown":
         return cls(entropy_term, prior_term, recon_term,
                    entropy_term + prior_term + recon_term)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def overlapped(here, there, size: int) -> tuple:
-    """Run here() on this thread while there() runs on a new helper thread
-    in a copy of this thread's context (so numpy's error state carries over),
-    join the helper, and return (here(), there()); an exception raised by
-    there() is raised again here. size is the element count the work scales
-    with (callers pass the encoder's parameter count). Below
-    OVERLAP_MIN_SIZE, or when this process may run on one CPU only, the two
-    run in turn on this thread instead: numpy holds the interpreter lock
-    through operations on small arrays, so two threads would only pass it
-    back and forth, and on one CPU the helper only adds its own malloc arena
-    and thread switches (perfbench train-mnist784 pinned to one CPU of a
-    2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB, 7% more time without it)."""
-    if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
-        return here(), there()
-    box = {}
-
-    def helper() -> None:
-        try:
-            box["value"] = there()
-        except BaseException as exc:  # raised again on the caller
-            box["error"] = exc
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    thread.start()
-    try:
-        first = here()
-    finally:
-        thread.join()
-    if "error" in box:
-        raise box["error"]
-    return first, box["value"]
 
 
 def uniform_params(d: int, k: int) -> np.ndarray:
@@ -154,6 +103,15 @@ def d_logq_d_probs(probs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     picked = np.arange(probs.shape[-1]) == np.asarray(z)[..., None]
     return np.where(picked & (probs >= EPS), 1.0 / np.maximum(probs, EPS), 0.0)
+
+
+def d_elbo_d_probs(probs: np.ndarray, z: np.ndarray, recon_term) -> np.ndarray:
+    """The encoder's upstream gradient w.r.t. the probability matrix: the
+    entropy gradient plus the score-function term c * d log q(z|x), with
+    c = recon_term (per example for a batch) held constant. Both terms reach
+    the probabilities, so one encoder backward with their sum takes both."""
+    coeff = np.asarray(recon_term)[..., None, None]
+    return d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z)
 
 
 class DiscreteVae:
@@ -222,37 +180,20 @@ class DiscreteVae:
         sel = np.take_along_axis(probs, z[..., None], axis=-1)[..., 0]
         return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
-    def backward_passes(self, x: np.ndarray, probs: np.ndarray, z: np.ndarray,
-                        xhat: np.ndarray, breakdown: ElboBreakdown) -> tuple:
-        """(decoder_backward, encoder_backward) of the forward pass that gave
-        probs, z, xhat and breakdown for x: each writes one net's ascent
-        gradient, summed over the batch, and they share no output."""
-        def encoder_backward() -> None:
-            # Entropy gradient plus the score-function term with the
-            # reconstruction coefficient detached. Both reach the
-            # probabilities, so a single backward with the summed upstream
-            # takes both.
-            coeff = np.asarray(breakdown.recon_term)[..., None, None]
-            self.encoder.backward(d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z))
-
-        # Decoder: gradient of the reconstruction term only.
-        return lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)), encoder_backward
-
     def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
         """One full pass: encode, sample one latent per example from its
         uniforms u (..., D), decode, and write both ascent gradients, summed
         over the batch, into the networks' buffers.
 
         Each call overwrites the buffers, so they hold this pass's gradients
-        only. The encoder's backward pass runs on a helper thread while the
-        decoder's runs on this one (see overlapped). Returns the per-example
-        terms; recon_term is the detached score coefficient c of each
-        example.
+        only. Returns the per-example terms; recon_term is the detached score
+        coefficient c of each example.
         """
         x = np.asarray(x, dtype=np.float64)
         probs = self.encode(x)
         z = self.sample_latent(probs, u)
         xhat = self.decode(z)
         breakdown = elbo_estimate(x, probs, xhat)
-        overlapped(*self.backward_passes(x, probs, z, xhat, breakdown), self.encoder.params.size)
+        self.decoder.backward(d_recon_d_xhat(x, xhat))
+        self.encoder.backward(d_elbo_d_probs(probs, z, breakdown.recon_term))
         return breakdown

@@ -20,20 +20,22 @@ produce the same metrics row every epoch.
 Training, validation and evaluation are passes over units (_pass), each a
 training batch or a forward-only chunk; an epoch is one pass, its batches
 then the validation chunks (epoch 0: validation, then the training set).
-The caller decodes each unit while a helper thread (model.overlapped; it
-takes the encoder, whose temporaries are the narrow ones, see dvae.model)
-encodes and samples the next; after a batch's estimate the helper first
-runs the encoder's backward pass and step, the caller the decoder's. Each
-net runs the same array operations in the same order as in turn, and sums
-are added in unit order, so metrics and parameters are byte-identical.
+The caller decodes each unit while a helper thread (overlapped) encodes and
+samples the next; after a batch's estimate the helper first runs the
+encoder's backward pass and step, the caller the decoder's. This is the
+only module that starts threads. Each net runs the same array operations in
+the same order as in turn, and sums are added in unit order, so metrics and
+parameters are byte-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import os
 import struct
+import threading
 import time
 from dataclasses import dataclass, fields
 
@@ -41,7 +43,8 @@ import numpy as np
 
 from dvae.data import Dataset, batches
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
-from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, elbo_estimate, overlapped
+from dvae.model import (CHUNK_ROWS, DiscreteVae, ElboBreakdown, d_elbo_d_probs, d_recon_d_xhat,
+                        elbo_estimate)
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.tensor import ShapeError
 
@@ -55,6 +58,12 @@ CHECKPOINT_MAGIC = b"DVAECKPT"
 CHECKPOINT_VERSION = 1
 
 METRICS_HEADER = "epoch,train_elbo,train_entropy,train_prior,train_recon,val_elbo,seconds"
+
+# Work smaller than this many elements runs in turn in overlapped. It
+# separates desk-scale training, such as the test suite's bars nets (a few
+# hundred encoder parameters), from MNIST-size training (about 500k); the
+# oracle's B=1 passes never reach overlapped.
+OVERLAP_MIN_SIZE = 1 << 15
 
 
 class TrainingDiverged(RuntimeError):
@@ -136,6 +145,50 @@ def build_model(config: TrainConfig, p: int) -> DiscreteVae:
     )
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def overlapped(here, there, size: int) -> tuple:
+    """Run here() on this thread while there() runs on a new helper thread
+    in a copy of this thread's context (so numpy's error state carries over),
+    join the helper, and return (here(), there()); an exception raised by
+    there() is raised again here. size is the element count the work scales
+    with (_pass passes the encoder's parameter count). Below
+    OVERLAP_MIN_SIZE, or when this process may run on one CPU only, the two
+    run in turn on this thread instead: numpy holds the interpreter lock
+    through operations on small arrays, so two threads would only pass it
+    back and forth, and on one CPU the helper only adds its own malloc arena
+    and thread switches (perfbench train-mnist784 pinned to one CPU of a
+    2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB, 7% more time without it).
+
+    _pass gives the helper the encoder's work because each thread that
+    allocates gets its own malloc arena: the decoder's P-wide temporaries
+    (784 at MNIST shape) in a second arena would cost more resident memory
+    than the encoder's (D*K wide) do."""
+    if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
+        return here(), there()
+    box = {}
+
+    def helper() -> None:
+        try:
+            box["value"] = there()
+        except BaseException as exc:  # raised again on the caller
+            box["error"] = exc
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        first = here()
+    finally:
+        thread.join()
+    if "error" in box:
+        raise box["error"]
+    return first, box["value"]
+
+
 def _samples(images: np.ndarray, u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of images repeated once per Monte Carlo sample, with each
     sample's D uniforms: u[i] holds example i's draws, D per sample. With
@@ -164,6 +217,7 @@ def _pass(model: DiscreteVae, parts: list[tuple], epoch: int = 0) -> list[list[f
     units = [(part, i, rows) for part, (_, _, indices, _) in enumerate(parts)
              for i, rows in enumerate(indices)]
     sums = [[0.0, 0.0] for _ in parts]
+    size = model.encoder.params.size
 
     def encoded(unit: tuple | None) -> tuple | None:
         if unit is None:
@@ -183,21 +237,19 @@ def _pass(model: DiscreteVae, parts: list[tuple], epoch: int = 0) -> list[list[f
             if not np.isfinite(bd.total).all():
                 raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
-            def side(backward, net: Mlp, unit: tuple | None = None) -> tuple | None:
-                backward()
+            def side(net: Mlp, unit: tuple | None, upstream, *args) -> tuple | None:
+                net.backward(upstream(*args))
                 if lr > 0.0:  # the step takes the batch mean
                     net.sga_step(lr, 1.0 / len(x))
                 return encoded(unit)
 
-            decoder_backward, encoder_backward = model.backward_passes(x, probs, z, xhat, bd)
-            _, ahead = overlapped(lambda: side(decoder_backward, model.decoder),
-                                  lambda: side(encoder_backward, model.encoder, following),
-                                  model.encoder.params.size)
-        elif following is not None:
+            _, ahead = overlapped(
+                lambda: side(model.decoder, None, d_recon_d_xhat, x, xhat),
+                lambda: side(model.encoder, following, d_elbo_d_probs, probs, z, bd.recon_term),
+                size)
+        else:  # size 0 keeps the last unit, with nothing to encode ahead, in turn
             bd, ahead = overlapped(lambda: elbo_estimate(x, probs, model.decode(z)),
-                                   lambda: encoded(following), model.encoder.params.size)
-        else:
-            bd = elbo_estimate(x, probs, model.decode(z))
+                                   lambda: encoded(following), 0 if following is None else size)
         sums[part][0] += bd.entropy_term.sum()
         sums[part][1] += bd.recon_term.sum()
     return sums
@@ -341,8 +393,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     Tensors are looked up by name, so the manifest may list them in any
     order. Raises CheckpointFormatError on a wrong magic or version and
-    CheckpointCorruptError when the header is malformed or the payload does
-    not match the manifest.
+    CheckpointCorruptError when the header is malformed, the payload does
+    not match the manifest or a tensor holds a NaN or infinity.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -391,6 +443,8 @@ def load_checkpoint(path) -> Checkpoint:
         tensors[name] = np.frombuffer(  # read-only; copied into the net's params
             blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += count * 8
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointCorruptError(f"{path}: tensor {name} holds a non-finite value")
 
     def load_net(prefix: str, head: str, softmax_shape=None) -> Mlp:
         n_layers = sum(1 for n in tensors if n.startswith(f"{prefix}.") and n.endswith(".w"))

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from dvae import model
+from dvae import trainer
 from dvae.model import DiscreteVae, elbo_estimate
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 
@@ -25,7 +25,8 @@ def elbo_kl(p):
 
 
 def open_overlap(monkeypatch, cpus=(0, 1)):
-    """Let model.overlapped use its helper thread at any size (the suite's
-    nets are all below its size gate), as if this process may run on cpus."""
-    monkeypatch.setattr(model, "OVERLAP_MIN_SIZE", 0)
+    """Let trainer.overlapped use its helper thread at any size but 0 (the
+    suite's nets are all below its size gate; size 0 is work with nothing
+    for the helper), as if this process may run on cpus."""
+    monkeypatch.setattr(trainer, "OVERLAP_MIN_SIZE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)

@@ -10,6 +10,8 @@ from dvae.distributions import Rng
 from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.trainer import (
     CheckpointCorruptError,
+    TrainConfig,
+    build_model,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -443,6 +445,25 @@ class TestMalformedCheckpoint:
                      "--n", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {err.value}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("net,index,name", [("encoder", 5, "enc.0.w"),
+                                                ("decoder", -1, "dec.1.b")], ids=["enc", "dec"])
+    def test_non_finite_tensor_is_corrupt_and_eval_exits_1(self, bars_files, tmp_path, capsys,
+                                                            value, net, index, name):
+        model = build_model(TrainConfig(d_latents=2, k_categories=3, hidden_width=8), 16)
+        getattr(model, net).params[index] = value
+        path = tmp_path / "broken.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointCorruptError,
+                           match=f"tensor {name} holds a non-finite value"):
+            load_checkpoint(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--model", str(path), "--images", str(bars_files[1])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {path}: tensor {name} holds a non-finite value"]
 
 
 class TestSampleCommand:

@@ -1,11 +1,9 @@
 import math
-import os
 import threading
 
 import numpy as np
 import pytest
 
-from dvae import model as model_module
 from dvae.distributions import EPS, Rng
 from dvae.model import (
     DiscreteVae,
@@ -13,7 +11,6 @@ from dvae.model import (
     d_logq_d_probs,
     d_recon_d_xhat,
     elbo_estimate,
-    overlapped,
     uniform_params,
 )
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
@@ -274,6 +271,23 @@ class TestComputeGradients:
         s_ac = (g_a - g_c) / (c_a - c_c)
         assert np.allclose(s_ab, s_ac, rtol=0, atol=1e-10)
 
+    def test_runs_in_turn_with_the_helper_gate_open(self, monkeypatch):
+        # an encoder over the trainer's size gate, on two CPUs: compute_gradients
+        # still starts no thread
+        rng = Rng(71)
+        x = (rng.uniforms(8 * 64) < 0.5).astype(float).reshape(8, 64)
+        u = rng.uniforms(8 * 2).reshape(8, 2)
+        reference = DiscreteVae.create(64, 2, 3, 512, Rng(72), Rng(73))
+        bd_reference = reference.compute_gradients(x, u)
+        open_overlap(monkeypatch)
+        monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
+        model = DiscreteVae.create(64, 2, 3, 512, Rng(72), Rng(73))
+        assert model.encoder.params.size >= 1 << 15
+        bd = model.compute_gradients(x, u)
+        assert np.array_equal(bd.total, bd_reference.total)
+        assert np.array_equal(model.encoder.grads, reference.encoder.grads)
+        assert np.array_equal(model.decoder.grads, reference.decoder.grads)
+
     def test_report_carries_live_accumulators_and_scalars(self):
         # the gradients land in the networks' live buffers; the returned
         # terms hold one value per example of the batch
@@ -318,83 +332,3 @@ class TestComputeGradients:
         se = np.sqrt(np.maximum(sq - n * mean * mean, 0.0) / (n - 1) / n)
         z = np.abs(mean - exact) / np.where(se > 0, se, 1.0)
         assert float(z.max()) < 6.0
-
-
-class TestOverlapped:
-    def test_runs_there_on_a_helper_thread_and_returns_both(self, monkeypatch):
-        open_overlap(monkeypatch)
-        before = threading.active_count()
-        here, there = overlapped(threading.get_ident, threading.get_ident, 1)
-        assert here == threading.get_ident() != there
-        assert threading.active_count() == before
-
-    def test_helper_sees_the_callers_numpy_error_state(self, monkeypatch):
-        open_overlap(monkeypatch)
-        with np.errstate(over="ignore"):
-            here, there = overlapped(np.geterr, np.geterr, 1)
-        assert here["over"] == there["over"] == "ignore"
-
-    def test_work_below_the_size_gate_runs_in_turn(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
-        me = threading.get_ident()
-        assert overlapped(threading.get_ident, threading.get_ident,
-                          model_module.OVERLAP_MIN_SIZE - 1) == (me, me)
-
-    def test_one_cpu_runs_in_turn(self, monkeypatch):
-        open_overlap(monkeypatch, cpus=(3,))
-        monkeypatch.setattr(threading, "Thread", None)
-        me = threading.get_ident()
-        assert overlapped(threading.get_ident, threading.get_ident, 1 << 40) == (me, me)
-
-    def test_helper_exception_is_raised_on_the_caller_after_the_join(self, monkeypatch):
-        open_overlap(monkeypatch)
-        before = threading.active_count()
-        done = []
-
-        def fail():
-            raise MemoryError("helper")
-
-        with pytest.raises(MemoryError, match="helper"):
-            overlapped(lambda: done.append(True), fail, 1)
-        assert done == [True] and threading.active_count() == before
-
-    def test_compute_gradients_is_bit_identical_to_the_pass_in_turn(self, monkeypatch):
-        rng = Rng(71)
-        x = (rng.uniforms(8 * 6) < 0.5).astype(float).reshape(8, 6)
-        u = rng.uniforms(8 * 3).reshape(8, 3)
-        serial = DiscreteVae.create(6, 3, 4, 5, Rng(72), Rng(73))
-        bd_serial = serial.compute_gradients(x, u)
-        open_overlap(monkeypatch)
-        heads = []
-        backward = Mlp.backward
-
-        def recorded(net, upstream):
-            heads.append((net.head, threading.get_ident()))
-            backward(net, upstream)
-
-        monkeypatch.setattr(Mlp, "backward", recorded)
-        both = DiscreteVae.create(6, 3, 4, 5, Rng(72), Rng(73))
-        bd_both = both.compute_gradients(x, u)
-        assert dict(heads)[HEAD_SOFTMAX] != threading.get_ident() == dict(heads)[HEAD_SIGMOID]
-        for name in ("entropy_term", "recon_term", "total"):
-            assert np.array_equal(getattr(bd_both, name), getattr(bd_serial, name))
-        assert bd_both.prior_term == bd_serial.prior_term
-        assert np.array_equal(both.encoder.grads, serial.encoder.grads)
-        assert np.array_equal(both.decoder.grads, serial.decoder.grads)
-
-    def test_memory_error_in_the_encoder_backward_reaches_the_caller(self, monkeypatch):
-        open_overlap(monkeypatch)
-        backward = Mlp.backward
-
-        def failing(net, upstream):
-            if net.head == HEAD_SOFTMAX:
-                raise MemoryError("encoder backward")
-            backward(net, upstream)
-
-        monkeypatch.setattr(Mlp, "backward", failing)
-        model = DiscreteVae.create(6, 3, 4, 5, Rng(72), Rng(73))
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="encoder backward"):
-            model.compute_gradients(np.ones((2, 6)), np.full((2, 3), 0.5))
-        assert threading.active_count() == before

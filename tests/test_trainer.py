@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import struct
 import sys
 import threading
@@ -274,9 +275,49 @@ class TestRecordedTrajectory:
             np.testing.assert_allclose(net.params, recorded[name], rtol=1e-12, atol=0)
 
 
+class TestOverlapped:
+    def test_runs_there_on_a_helper_thread_and_returns_both(self, monkeypatch):
+        open_overlap(monkeypatch)
+        before = threading.active_count()
+        here, there = trainer.overlapped(threading.get_ident, threading.get_ident, 1)
+        assert here == threading.get_ident() != there
+        assert threading.active_count() == before
+
+    def test_helper_sees_the_callers_numpy_error_state(self, monkeypatch):
+        open_overlap(monkeypatch)
+        with np.errstate(over="ignore"):
+            here, there = trainer.overlapped(np.geterr, np.geterr, 1)
+        assert here["over"] == there["over"] == "ignore"
+
+    def test_work_below_the_size_gate_runs_in_turn(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
+        me = threading.get_ident()
+        assert trainer.overlapped(threading.get_ident, threading.get_ident,
+                                  trainer.OVERLAP_MIN_SIZE - 1) == (me, me)
+
+    def test_one_cpu_runs_in_turn(self, monkeypatch):
+        open_overlap(monkeypatch, cpus=(3,))
+        monkeypatch.setattr(threading, "Thread", None)
+        me = threading.get_ident()
+        assert trainer.overlapped(threading.get_ident, threading.get_ident, 1 << 40) == (me, me)
+
+    def test_helper_exception_is_raised_on_the_caller_after_the_join(self, monkeypatch):
+        open_overlap(monkeypatch)
+        before = threading.active_count()
+        done = []
+
+        def fail():
+            raise MemoryError("helper")
+
+        with pytest.raises(MemoryError, match="helper"):
+            trainer.overlapped(lambda: done.append(True), fail, 1)
+        assert done == [True] and threading.active_count() == before
+
+
 class TestOverlappedHelper:
-    """The helper thread of model.overlapped, opened at the suite's small
-    shapes, changes no output bit, and every pass joins it."""
+    """The helper thread of overlapped, opened at the suite's small shapes,
+    changes no output bit, and every pass joins it."""
 
     @staticmethod
     def in_turn_and_overlapped(monkeypatch, run):
@@ -319,6 +360,8 @@ class TestOverlappedHelper:
         want = ElboBreakdown.from_terms(entropy / n, -model.d * math.log(model.k), recon / n)
         assert evaluate(model, train_set, Rng(56)) == want
         open_overlap(monkeypatch)
+        if n == 100:  # one chunk: nothing to encode ahead, so no helper
+            monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
         before = threading.active_count()
         assert evaluate(model, train_set, Rng(56)) == want
         assert threading.active_count() == before
@@ -393,22 +436,31 @@ class TestOverlappedHelper:
         assert message.startswith("non-finite ELBO estimate at epoch 1,")
         assert n_steps == 2 * batch_i  # no step after the non-finite estimate
 
-    def test_memory_error_in_the_next_encode_reaches_the_caller(self, monkeypatch):
+    @staticmethod
+    def raises_from_the_helper(monkeypatch, method):
+        """A MemoryError from the encoder's Mlp.<method> on the helper thread
+        reaches train's caller, and no thread outlives it."""
         train_set, val_set = bars_sets(n_train=40, n_val=10)
         open_overlap(monkeypatch)
-        forward = Mlp.forward
+        run = getattr(Mlp, method)
         caller = threading.get_ident()
 
-        def failing(net, x):
+        def failing(net, arg):
             if net.head == HEAD_SOFTMAX and threading.get_ident() != caller:
-                raise MemoryError("next encode")
-            return forward(net, x)
+                raise MemoryError(f"encoder {method}")
+            return run(net, arg)
 
-        monkeypatch.setattr(Mlp, "forward", failing)
+        monkeypatch.setattr(Mlp, method, failing)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="next encode"):
+        with pytest.raises(MemoryError, match=f"encoder {method}"):
             train(bars_config(max_epochs=1, batch_size=10), train_set, val_set)
         assert threading.active_count() == before
+
+    def test_memory_error_in_the_next_encode_reaches_the_caller(self, monkeypatch):
+        self.raises_from_the_helper(monkeypatch, "forward")
+
+    def test_memory_error_in_the_encoder_step_reaches_the_caller(self, monkeypatch):
+        self.raises_from_the_helper(monkeypatch, "backward")
 
 
 class TestMetricsCsv:
