@@ -7,25 +7,25 @@ documented offsets:
     seed + 1               encoder parameter init
     seed + 2               decoder parameter init
     seed + 3               epoch shuffling (one stream, advancing over epochs)
-    seed + 4               validation sampling (re-seeded every epoch, so
-                           validation uses common draws across epochs)
+    seed + 4               validation sampling (drawn once, so every epoch
+                           validates on the same draws)
     seed + 1_000_000 + i   gradient sampling for training example i
-                           (re-seeded every epoch, so a frozen model yields
-                           identical metrics in every epoch)
+                           (drawn once, so a frozen model yields identical
+                           metrics in every epoch)
 
 Per-example streams keyed by dataset index make the recorded per-example
 ELBO values independent of batch order, and make a zero-learning-rate run
 produce the same metrics row every epoch.
 
-Training, validation and evaluation are passes over units (_pass), each a
-training batch or a forward-only chunk; an epoch is one pass, its batches
-then the validation chunks (epoch 0: validation, then the training set).
-The caller decodes each unit while a helper thread (overlapped) encodes and
-samples the next; after a batch's estimate the helper first runs the
-encoder's backward pass and step, the caller the decoder's. This is the
-only module that starts threads. Each net runs the same array operations in
-the same order as in turn, and sums are added in unit order, so metrics and
-parameters are byte-identical.
+An epoch's training steps are one pass over its batches (_pass): this thread
+decodes each batch while a helper thread (overlapped) encodes and samples
+the next; after a batch's estimate the helper first runs the encoder's
+backward pass and step, this thread the decoder's. Forward-only estimates
+(_estimates: evaluate, each epoch's validation and the epoch-0 row) split
+their examples in two halves, this thread taking the first and the helper
+the second. This is the only module that starts threads. Each net runs the
+same array operations in the same order as in turn, and sums are added in
+the same order, so metrics and parameters are byte-identical.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def overlapped(here, there, size: int) -> tuple:
     in a copy of this thread's context (so numpy's error state carries over),
     join the helper, and return (here(), there()); an exception raised by
     there() is raised again here. size is the element count the work scales
-    with (_pass passes the encoder's parameter count). Below
+    with (both callers pass the encoder's parameter count). Below
     OVERLAP_MIN_SIZE, or when this process may run on one CPU only, the two
     run in turn on this thread instead: numpy holds the interpreter lock
     through operations on small arrays, so two threads would only pass it
@@ -164,10 +164,11 @@ def overlapped(here, there, size: int) -> tuple:
     and thread switches (perfbench train-mnist784 pinned to one CPU of a
     2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB, 7% more time without it).
 
-    _pass gives the helper the encoder's work because each thread that
-    allocates gets its own malloc arena: the decoder's P-wide temporaries
-    (784 at MNIST shape) in a second arena would cost more resident memory
-    than the encoder's (D*K wide) do."""
+    Each thread that allocates gets its own malloc arena, so the helper takes
+    the encoder's side of a training batch: its temporaries are D*K wide, the
+    decoder's P wide (784 at MNIST shape). Taking both nets of a forward-only
+    estimate's second half, its arena also holds decoder temporaries
+    (perfbench eval-mnist784: peak RSS 87.9 -> 90.8 MB)."""
     if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
         return here(), there()
     box = {}
@@ -197,62 +198,73 @@ def _samples(images: np.ndarray, u: np.ndarray, d: int) -> tuple[np.ndarray, np.
     return images if mc == 1 else np.repeat(images, mc, axis=0), u.reshape(-1, d)
 
 
-def _chunks(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> tuple:
-    """A forward-only part of a pass (see _pass) over every row of images
-    under its uniforms u, in chunks of at most CHUNK_ROWS samples."""
-    step = max(1, CHUNK_ROWS * model.d // u.shape[1])  # examples per chunk
-    return images, u, [slice(start, start + step) for start in range(0, len(images), step)], None
+def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[np.ndarray],
+          lr: float, epoch: int) -> list[float]:
+    """Summed entropy and recon terms, [entropy, recon], of the ELBO
+    estimates of one epoch's training batches, added in batch order. Batch i
+    is the rows images[indices[i]], one per Monte Carlo sample, under
+    u[indices[i]]; its estimate must be finite, and its mean gradient steps
+    each net (not at lr 0). This thread decodes each batch while the helper
+    encodes and samples the next; after a batch's estimate, the helper first
+    runs the encoder's backward pass and step and this thread the decoder's."""
+    sums = [0.0, 0.0]
 
-
-def _pass(model: DiscreteVae, parts: list[tuple], epoch: int = 0) -> list[list[float]]:
-    """Summed entropy and recon terms of the ELBO estimates of each part's
-    units, one [entropy, recon] per part, added in unit order. A part is
-    (images, u, indices, lr): unit i is the rows images[indices[i]], one per
-    Monte Carlo sample, under u[indices[i]]; with lr None it is a
-    forward-only chunk, else a training batch, whose estimate must be finite
-    and whose mean gradient steps each net (not at lr 0). This thread decodes
-    each unit while the helper encodes and samples the next; after a batch's
-    estimate, the helper first runs the encoder's backward pass and step and
-    this thread the decoder's."""
-    units = [(part, i, rows) for part, (_, _, indices, _) in enumerate(parts)
-             for i, rows in enumerate(indices)]
-    sums = [[0.0, 0.0] for _ in parts]
-    size = model.encoder.params.size
-
-    def encoded(unit: tuple | None) -> tuple | None:
-        if unit is None:
+    def encoded(rows: np.ndarray | None) -> tuple | None:
+        if rows is None:
             return None
-        images, u, _, _ = parts[unit[0]]
-        x, ux = _samples(images[unit[2]], u[unit[2]], model.d)
+        x, ux = _samples(images[rows], u[rows], model.d)
         probs = model.encode(x := np.asarray(x, dtype=np.float64))
         return x, probs, model.sample_latent(probs, ux)
 
-    ahead = encoded(units[0] if units else None)
-    for (part, i, _), following in zip(units, units[1:] + [None]):
+    ahead = encoded(indices[0])
+    for i, following in enumerate(indices[1:] + [None]):
         x, probs, z = ahead
-        lr = parts[part][3]
-        if lr is not None:
-            xhat = model.decode(z)
-            bd = elbo_estimate(x, probs, xhat)
-            if not np.isfinite(bd.total).all():
-                raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
+        xhat = model.decode(z)
+        bd = elbo_estimate(x, probs, xhat)
+        if not np.isfinite(bd.total).all():
+            raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
-            def side(net: Mlp, unit: tuple | None, upstream, *args) -> tuple | None:
-                net.backward(upstream(*args))
-                if lr > 0.0:  # the step takes the batch mean
-                    net.sga_step(lr, 1.0 / len(x))
-                return encoded(unit)
+        def side(net: Mlp, rows: np.ndarray | None, upstream, *args) -> tuple | None:
+            net.backward(upstream(*args))
+            if lr > 0.0:  # the step takes the batch mean
+                net.sga_step(lr, 1.0 / len(x))
+            return encoded(rows)
 
-            _, ahead = overlapped(
-                lambda: side(model.decoder, None, d_recon_d_xhat, x, xhat),
-                lambda: side(model.encoder, following, d_elbo_d_probs, probs, z, bd.recon_term),
-                size)
-        else:  # size 0 keeps the last unit, with nothing to encode ahead, in turn
-            bd, ahead = overlapped(lambda: elbo_estimate(x, probs, model.decode(z)),
-                                   lambda: encoded(following), 0 if following is None else size)
-        sums[part][0] += bd.entropy_term.sum()
-        sums[part][1] += bd.recon_term.sum()
+        _, ahead = overlapped(
+            lambda: side(model.decoder, None, d_recon_d_xhat, x, xhat),
+            lambda: side(model.encoder, following, d_elbo_d_probs, probs, z, bd.recon_term),
+            model.encoder.params.size)
+        sums[0] += bd.entropy_term.sum()
+        sums[1] += bd.recon_term.sum()
     return sums
+
+
+def _estimates(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> list[float]:
+    """Summed entropy and recon terms, [entropy, recon], of the ELBO
+    estimates of every row of images, one per Monte Carlo sample, under its
+    uniforms u (u[i] holds example i's draws, D per sample). The examples
+    split at n // 2: this thread estimates the first half on model, the
+    helper the second on a forward-only view of the same parameters (a
+    one-row stack: its own forward caches, no gradient buffer), each in
+    chunks of at most CHUNK_ROWS samples. The per-sample terms are summed in
+    such chunks from the first, so a sum changes only where a term does."""
+    n, mc = len(images), u.shape[1] // model.d
+    step = max(1, CHUNK_ROWS // mc)  # examples per chunk
+    terms = np.empty((2, n * mc))
+    view = model.with_params(model.encoder.params[None], model.decoder.params[None])
+
+    def estimate(net: DiscreteVae, start: int, stop: int) -> None:
+        for first in range(start, stop, step):
+            last = min(first + step, stop)
+            x, ux = _samples(images[first:last], u[first:last], model.d)
+            probs = net.encode(x)
+            bd = elbo_estimate(x, probs, net.decode(net.sample_latent(probs, ux)))
+            samples = slice(first * mc, last * mc)
+            terms[0, samples], terms[1, samples] = bd.entropy_term, bd.recon_term
+
+    overlapped(lambda: estimate(model, 0, n // 2), lambda: estimate(view, n // 2, n),
+               model.encoder.params.size)
+    return [sum(row[i:i + step * mc].sum() for i in range(0, n * mc, step * mc)) for row in terms]
 
 
 def _mean_breakdown(model: DiscreteVae, entropy_sum: float, recon_sum: float,
@@ -265,15 +277,14 @@ def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:
     """Mean of single-sample ELBO estimates over the dataset, iterated in
     index order and drawing latents sequentially from rng."""
     u = rng.uniforms(dataset.n * model.d).reshape(dataset.n, model.d)
-    (sums,) = _pass(model, [_chunks(model, dataset.images, u)])
-    return _mean_breakdown(model, *sums, dataset.n)
+    return _mean_breakdown(model, *_estimates(model, dataset.images, u), dataset.n)
 
 
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
           checkpoint_path=None) -> tuple[DiscreteVae, list[MetricsRow]]:
     """Run the ascent loop: per batch, one forward pass over its examples,
     then each net's backward pass and step by the batch mean of its gradient,
-    the encoder's on a helper thread, together with the next unit's encoding,
+    the encoder's on a helper thread, together with the next batch's encoding,
     while the decoder's run on this one (see _pass). Training stops when the
     mean validation ELBO has not improved for `patience` epochs or at
     max_epochs; the returned model carries the best-validation parameters.
@@ -289,15 +300,14 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
     start = time.perf_counter()
     history: list[MetricsRow] = []
 
-    # Example i's stream is re-seeded every epoch, so its draws never change;
-    # nor do the validation stream's.
+    # Example i's draws and the validation draws are drawn once, for every epoch.
     n_draws = config.mc_samples * config.d_latents
     # uint64 sums wrap modulo 2^64, as Rng wraps seed + EXAMPLE_STREAM_BASE + i.
     first = np.uint64((config.seed + EXAMPLE_STREAM_BASE) & MAX_SEED)
     u_train = stream_uniforms(first + np.arange(train_set.n, dtype=np.uint64), n_draws)
     n_samples = train_set.n * config.mc_samples
     u_val = Rng(config.seed + VALIDATION_OFFSET).uniforms(val_set.n * config.d_latents)
-    validation = _chunks(model, val_set.images, u_val.reshape(val_set.n, config.d_latents))
+    u_val = u_val.reshape(val_set.n, config.d_latents)
 
     def record(epoch: int, train_sums: list[float], val_sums: list[float]) -> float:
         train_bd = _mean_breakdown(model, *train_sums, n_samples)
@@ -312,9 +322,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
 
     # A diverging step overflows; the finite checks report it, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
-        val_sums, train_sums = _pass(model, [validation, _chunks(model, train_set.images,
-                                                                 u_train)])
-        best_val = record(0, train_sums, val_sums)
+        best_val = record(0, _estimates(model, train_set.images, u_train),
+                          _estimates(model, val_set.images, u_val))
         best_epoch = 0
         best_phi = model.encoder.params.copy()
         best_theta = model.decoder.params.copy()
@@ -322,9 +331,10 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
         stale = 0
 
         for epoch in range(1, config.max_epochs + 1):
-            steps = (train_set.images, u_train, batches(train_set, config.batch_size, shuffle_rng),
-                     config.learning_rate)
-            val_total = record(epoch, *_pass(model, [steps, validation], epoch))
+            train_sums = _pass(model, train_set.images, u_train,
+                               batches(train_set, config.batch_size, shuffle_rng),
+                               config.learning_rate, epoch)
+            val_total = record(epoch, train_sums, _estimates(model, val_set.images, u_val))
             if val_total > best_val:
                 best_val = val_total
                 best_epoch = epoch

@@ -332,6 +332,23 @@ class TestEvalCommand:
         assert line == (f"elbo={expected.total:.6f} entropy={expected.entropy_term:.6f} "
                         f"prior={expected.prior_term:.6f} recon={expected.recon_term:.6f}")
 
+    def test_memory_error_in_the_helpers_half_exits_1(self, bars_files, tmp_path, capsys,
+                                                      monkeypatch):
+        ckpt_path = tmp_path / "zero.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt_path)
+        open_overlap(monkeypatch)
+        forward = Mlp.forward
+
+        def failing(net, x):
+            if net.grads is None:  # the forward-only view of the helper's half
+                raise MemoryError("view forward")
+            return forward(net, x)
+
+        monkeypatch.setattr(Mlp, "forward", failing)
+        assert main(["eval", "--model", str(ckpt_path), "--images", str(bars_files[1])]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: out of memory: view forward"]
+
     def test_pixel_count_mismatch_exits_1(self, tmp_path, capsys):
         images = tmp_path / "img.idx3-ubyte"
         write_bars_idx(images, 2, 5, 203)  # p = 25

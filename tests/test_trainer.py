@@ -223,17 +223,16 @@ class TestTrainLoop:
         seen = []
         real = trainer._pass
 
-        def spy(model, parts, *args):
-            seen.extend(u for _, u, _, _ in parts)
-            return real(model, parts, *args)
+        def spy(model, images, u, *args):
+            seen.append(u)
+            return real(model, images, u, *args)
 
         monkeypatch.setattr(trainer, "_pass", spy)
         train(config, train_set, val_set)
         from dvae.trainer import EXAMPLE_STREAM_BASE
         expected = np.stack([Rng(config.seed + EXAMPLE_STREAM_BASE + i).uniforms(config.d_latents)
                              for i in range(train_set.n)])
-        train_u = [u for u in seen if len(u) == train_set.n]  # not the 10 validation rows
-        assert train_u and train_u[0].tobytes() == expected.tobytes()
+        assert seen and seen[0].tobytes() == expected.tobytes()
 
     def test_batch_mean_equals_mean_of_per_example_gradients(self):
         # the trainer steps by one batch pass's grads times 1/B (sga_step's
@@ -320,11 +319,8 @@ class TestOverlappedHelper:
     changes no output bit, and every pass joins it."""
 
     @staticmethod
-    def in_turn_and_overlapped(monkeypatch, run):
-        """run() in turn, then again with the helper opened and the two
-        threads trading the interpreter lock often; no thread outlives it."""
-        serial = run()
-        open_overlap(monkeypatch)
+    def thread_starts(monkeypatch):
+        """The list to which each thread started from now on is appended."""
         started = []
         thread_start = threading.Thread.start
 
@@ -333,6 +329,15 @@ class TestOverlappedHelper:
             thread_start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", start)
+        return started
+
+    @staticmethod
+    def in_turn_and_overlapped(monkeypatch, run):
+        """run() in turn, then again with the helper opened and the two
+        threads trading the interpreter lock often; no thread outlives it."""
+        serial = run()
+        open_overlap(monkeypatch)
+        started = TestOverlappedHelper.thread_starts(monkeypatch)
         before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -359,12 +364,45 @@ class TestOverlappedHelper:
             recon += bd.recon_term.sum()
         want = ElboBreakdown.from_terms(entropy / n, -model.d * math.log(model.k), recon / n)
         assert evaluate(model, train_set, Rng(56)) == want
-        open_overlap(monkeypatch)
-        if n == 100:  # one chunk: nothing to encode ahead, so no helper
-            monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
+        with monkeypatch.context() as one_cpu:  # the halves in turn, no helper
+            open_overlap(one_cpu, cpus=(0,))
+            one_cpu.setattr(threading, "Thread", None)  # any thread start fails
+            assert evaluate(model, train_set, Rng(56)) == want
+        open_overlap(monkeypatch)  # one helper, for the second half
+        started = self.thread_starts(monkeypatch)
         before = threading.active_count()
         assert evaluate(model, train_set, Rng(56)) == want
-        assert threading.active_count() == before
+        assert len(started) == 1 and threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 250])  # halves of 0|1, 1|1, 1|2 and 125|125
+    def test_evaluate_halves_are_bit_identical_to_halves_in_turn(self, monkeypatch, n):
+        train_set, _ = bars_sets(n_train=n)
+        model = build_model(bars_config(), train_set.p)
+        serial, both = self.in_turn_and_overlapped(
+            monkeypatch, lambda: evaluate(model, train_set, Rng(57)))
+        assert both == serial
+
+    def test_epoch_0_row_at_three_samples_is_bit_identical_to_chunks_in_turn(self, monkeypatch):
+        # 230 examples split 115|115, each side in chunks of 33 examples (99 samples)
+        train_set, val_set = bars_sets(n_train=230)
+        config = bars_config(max_epochs=1, mc_samples=3)
+        model = build_model(config, train_set.p)
+        from dvae.trainer import EXAMPLE_STREAM_BASE
+        u = np.stack([Rng(config.seed + EXAMPLE_STREAM_BASE + i).uniforms(3 * config.d_latents)
+                      for i in range(train_set.n)])
+        # The training set's chunk loop written out: 99 samples a chunk, in turn.
+        entropy = recon = 0.0
+        for start in range(0, train_set.n, 33):
+            x = np.repeat(train_set.images[start:start + 33], 3, axis=0)
+            probs = model.encode(x)
+            z = model.sample_latent(probs, u[start:start + 33].reshape(-1, config.d_latents))
+            bd = elbo_estimate(x, probs, model.decode(z))
+            entropy += bd.entropy_term.sum()
+            recon += bd.recon_term.sum()
+        serial, both = self.in_turn_and_overlapped(
+            monkeypatch, lambda: train(config, train_set, val_set)[1][0])
+        assert dataclasses.replace(both, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
+        assert (both.train_entropy, both.train_recon) == (entropy / 690, recon / 690)
 
     @pytest.mark.parametrize("mc", [1, 3])
     def test_train_is_bit_identical_to_steps_in_turn(self, monkeypatch, mc):
@@ -437,23 +475,29 @@ class TestOverlappedHelper:
         assert n_steps == 2 * batch_i  # no step after the non-finite estimate
 
     @staticmethod
-    def raises_from_the_helper(monkeypatch, method):
-        """A MemoryError from the encoder's Mlp.<method> on the helper thread
-        reaches train's caller, and no thread outlives it."""
+    def raises_from_the_helper(monkeypatch, method, run=None, view=False):
+        """A MemoryError from Mlp.<method> on the helper thread reaches the
+        caller of run (a one-epoch train by default), and no thread outlives
+        it. The model's own encoder raises it or, with view, either net of the
+        forward-only view that estimates the helper's half."""
         train_set, val_set = bars_sets(n_train=40, n_val=10)
         open_overlap(monkeypatch)
-        run = getattr(Mlp, method)
+        real = getattr(Mlp, method)
         caller = threading.get_ident()
 
         def failing(net, arg):
-            if net.head == HEAD_SOFTMAX and threading.get_ident() != caller:
-                raise MemoryError(f"encoder {method}")
-            return run(net, arg)
+            ours = net.grads is None if view else net.head == HEAD_SOFTMAX and net.grads is not None
+            if ours and threading.get_ident() != caller:
+                raise MemoryError(f"helper {method}")
+            return real(net, arg)
 
         monkeypatch.setattr(Mlp, method, failing)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match=f"encoder {method}"):
-            train(bars_config(max_epochs=1, batch_size=10), train_set, val_set)
+        with pytest.raises(MemoryError, match=f"helper {method}"):
+            if run is None:
+                train(bars_config(max_epochs=1, batch_size=10), train_set, val_set)
+            else:
+                run(train_set)
         assert threading.active_count() == before
 
     def test_memory_error_in_the_next_encode_reaches_the_caller(self, monkeypatch):
@@ -461,6 +505,11 @@ class TestOverlappedHelper:
 
     def test_memory_error_in_the_encoder_step_reaches_the_caller(self, monkeypatch):
         self.raises_from_the_helper(monkeypatch, "backward")
+
+    def test_memory_error_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
+        model = build_model(bars_config(), 16)
+        self.raises_from_the_helper(monkeypatch, "forward", view=True,
+                                    run=lambda dataset: evaluate(model, dataset, Rng(58)))
 
 
 class TestMetricsCsv:
