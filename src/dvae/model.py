@@ -20,9 +20,7 @@ and the ascent directions are
     flows from the decoder into the encoder through the discrete sample).
 
 d_recon_d_xhat is the decoder's upstream gradient and d_elbo_d_probs the
-encoder's. Once c is known the two backward passes share no output, which
-lets dvae.trainer run them on two threads; this module runs everything in
-turn.
+encoder's; once c is known, the two backward passes share no output.
 """
 
 from __future__ import annotations

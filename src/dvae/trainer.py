@@ -17,15 +17,36 @@ Per-example streams keyed by dataset index make the recorded per-example
 ELBO values independent of batch order, and make a zero-learning-rate run
 produce the same metrics row every epoch.
 
-An epoch's training steps are one pass over its batches (_pass): this thread
-decodes each batch while a helper thread (overlapped) encodes and samples
-the next; after a batch's estimate the helper first runs the encoder's
-backward pass and step, this thread the decoder's. Forward-only estimates
-(_estimates: evaluate, each epoch's validation and the epoch-0 row) split
-their examples in two halves, this thread taking the first and the helper
-the second. This is the only module that starts threads. Each net runs the
-same array operations in the same order as in turn, and sums are added in
-the same order, so metrics and parameters are byte-identical.
+Every pass turns its examples into sample rows, their encoder probabilities
+and their latents in one step, _encoded. This is the only module that
+starts threads, and it uses at most two cores:
+
+* overlapped runs one callable on the caller while a helper thread runs
+  another. Below OVERLAP_MIN_SIZE, or when the process may run on one CPU
+  only, it runs the two in turn on the caller: numpy holds the interpreter
+  lock through operations on small arrays, so two threads would only pass
+  it back and forth, and on one CPU the helper only adds its own malloc
+  arena and thread switches (perfbench train-mnist784 pinned to one CPU of
+  a 2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB, 7% more time with it).
+* An epoch's training steps are one pass over its batches (_pass). The
+  caller decodes each batch and takes its ELBO estimate. Then the helper
+  runs the encoder's backward pass and step and encodes and samples the
+  next batch, while the caller runs the decoder's backward pass and step.
+  Each thread that allocates gets its own malloc arena, so the helper takes
+  the encoder's side: its temporaries are D*K wide, the decoder's P wide
+  (784 at MNIST shape).
+* Forward-only estimates (_estimates: evaluate, each epoch's validation and
+  the epoch-0 row) split their examples at n // 2. The caller estimates the
+  first half on the model, and the helper the second on a one-row stack
+  over the same parameters, with its own forward caches and no gradient
+  buffer; its arena then also holds decoder temporaries (perfbench
+  eval-mnist784: peak RSS 87.9 -> 90.8 MB). Both work in chunks of at most
+  CHUNK_ROWS samples, and the per-sample terms are summed in the same
+  chunks as in turn.
+
+Each net runs the same array operations in the same order as in turn, and
+sums are added in the same order, so metrics and parameters are
+byte-identical whichever way a pass runs.
 """
 
 from __future__ import annotations
@@ -59,10 +80,17 @@ CHECKPOINT_VERSION = 1
 
 METRICS_HEADER = "epoch,train_elbo,train_entropy,train_prior,train_recon,val_elbo,seconds"
 
-# Work smaller than this many elements runs in turn in overlapped. It
-# separates desk-scale training, such as the test suite's bars nets (a few
-# hundred encoder parameters), from MNIST-size training (about 500k); the
-# oracle's B=1 passes never reach overlapped.
+# Work smaller than this many elements runs in turn in overlapped; the
+# oracle's B=1 passes never reach overlapped. Only two sizes were measured
+# when it was set: the suite's nets (under 1k encoder parameters) and the
+# benchmark's 505k-parameter encoder. Between them the helper does not
+# always pay. Two shapes above the gate, each run 7 times alternately in
+# turn and with the helper (5-epoch train on 500 + 200 bars images, batch
+# 100, one BLAS thread, 2-vCPU x86-64 host; medians):
+# - 8x8 images, D=4, K=5, hidden 600 (51.0k encoder parameters): 137 ms in
+#   turn against 145 ms with the helper, which was faster in 2 of 7 pairs;
+# - 28x28 images, D=20, K=10, hidden 96 (94.8k): 389 against 316 ms, the
+#   helper faster in 6 of 7.
 OVERLAP_MIN_SIZE = 1 << 15
 
 
@@ -155,20 +183,10 @@ def overlapped(here, there, size: int) -> tuple:
     """Run here() on this thread while there() runs on a new helper thread
     in a copy of this thread's context (so numpy's error state carries over),
     join the helper, and return (here(), there()); an exception raised by
-    there() is raised again here. size is the element count the work scales
-    with (both callers pass the encoder's parameter count). Below
-    OVERLAP_MIN_SIZE, or when this process may run on one CPU only, the two
-    run in turn on this thread instead: numpy holds the interpreter lock
-    through operations on small arrays, so two threads would only pass it
-    back and forth, and on one CPU the helper only adds its own malloc arena
-    and thread switches (perfbench train-mnist784 pinned to one CPU of a
-    2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB, 7% more time without it).
-
-    Each thread that allocates gets its own malloc arena, so the helper takes
-    the encoder's side of a training batch: its temporaries are D*K wide, the
-    decoder's P wide (784 at MNIST shape). Taking both nets of a forward-only
-    estimate's second half, its arena also holds decoder temporaries
-    (perfbench eval-mnist784: peak RSS 87.9 -> 90.8 MB)."""
+    there() is raised again here, after the join. size is the element count
+    the work scales with (both callers pass the encoder's parameter count).
+    Below OVERLAP_MIN_SIZE, or when this process may run on one CPU only, the
+    two run in turn on this thread instead."""
     if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
         return here(), there()
     box = {}
@@ -190,12 +208,15 @@ def overlapped(here, there, size: int) -> tuple:
     return first, box["value"]
 
 
-def _samples(images: np.ndarray, u: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of images repeated once per Monte Carlo sample, with each
-    sample's D uniforms: u[i] holds example i's draws, D per sample. With
-    one sample per example, images are returned uncopied."""
-    mc = u.shape[1] // d
-    return images if mc == 1 else np.repeat(images, mc, axis=0), u.reshape(-1, d)
+def _encoded(net: DiscreteVae, images: np.ndarray, u: np.ndarray, rows) -> tuple:
+    """(x, probs, z) of the examples images[rows]: each example's row once per
+    Monte Carlo sample (uncopied at one sample), their encoder probabilities
+    and the latents drawn from the uniforms u[rows], D per sample."""
+    x, ux = images[rows], u[rows]
+    if ux.shape[1] > net.d:
+        x = np.repeat(x, ux.shape[1] // net.d, axis=0)
+    probs = net.encode(x)
+    return x, probs, net.sample_latent(probs, ux.reshape(-1, net.d))
 
 
 def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[np.ndarray],
@@ -204,19 +225,9 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
     estimates of one epoch's training batches, added in batch order. Batch i
     is the rows images[indices[i]], one per Monte Carlo sample, under
     u[indices[i]]; its estimate must be finite, and its mean gradient steps
-    each net (not at lr 0). This thread decodes each batch while the helper
-    encodes and samples the next; after a batch's estimate, the helper first
-    runs the encoder's backward pass and step and this thread the decoder's."""
+    each net (not at lr 0)."""
     sums = [0.0, 0.0]
-
-    def encoded(rows: np.ndarray | None) -> tuple | None:
-        if rows is None:
-            return None
-        x, ux = _samples(images[rows], u[rows], model.d)
-        probs = model.encode(x := np.asarray(x, dtype=np.float64))
-        return x, probs, model.sample_latent(probs, ux)
-
-    ahead = encoded(indices[0])
+    ahead = _encoded(model, images, u, indices[0])
     for i, following in enumerate(indices[1:] + [None]):
         x, probs, z = ahead
         xhat = model.decode(z)
@@ -228,7 +239,7 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
             net.backward(upstream(*args))
             if lr > 0.0:  # the step takes the batch mean
                 net.sga_step(lr, 1.0 / len(x))
-            return encoded(rows)
+            return None if rows is None else _encoded(model, images, u, rows)
 
         _, ahead = overlapped(
             lambda: side(model.decoder, None, d_recon_d_xhat, x, xhat),
@@ -242,23 +253,23 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
 def _estimates(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> list[float]:
     """Summed entropy and recon terms, [entropy, recon], of the ELBO
     estimates of every row of images, one per Monte Carlo sample, under its
-    uniforms u (u[i] holds example i's draws, D per sample). The examples
-    split at n // 2: this thread estimates the first half on model, the
-    helper the second on a forward-only view of the same parameters (a
-    one-row stack: its own forward caches, no gradient buffer), each in
-    chunks of at most CHUNK_ROWS samples. The per-sample terms are summed in
-    such chunks from the first, so a sum changes only where a term does."""
+    uniforms u (u[i] holds example i's draws, D per sample). The per-sample
+    terms are summed in chunks of at most CHUNK_ROWS samples from the first,
+    so a sum changes only where a term does."""
     n, mc = len(images), u.shape[1] // model.d
     step = max(1, CHUNK_ROWS // mc)  # examples per chunk
     terms = np.empty((2, n * mc))
+    # The helper's half runs on a view, not on a twin that shallow-copies the
+    # two nets: the twin read train-mnist784 call_ms.p50 276.7 against
+    # 265.1 ms (slower in 8 of 10 alternating pairs), and a view with its own
+    # gradient buffers read peak RSS 93.5-95.3 against 90.3-90.6 MB.
     view = model.with_params(model.encoder.params[None], model.decoder.params[None])
 
     def estimate(net: DiscreteVae, start: int, stop: int) -> None:
         for first in range(start, stop, step):
             last = min(first + step, stop)
-            x, ux = _samples(images[first:last], u[first:last], model.d)
-            probs = net.encode(x)
-            bd = elbo_estimate(x, probs, net.decode(net.sample_latent(probs, ux)))
+            x, probs, z = _encoded(net, images, u, slice(first, last))
+            bd = elbo_estimate(x, probs, net.decode(z))
             samples = slice(first * mc, last * mc)
             terms[0, samples], terms[1, samples] = bd.entropy_term, bd.recon_term
 
@@ -283,11 +294,10 @@ def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:
 def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
           checkpoint_path=None) -> tuple[DiscreteVae, list[MetricsRow]]:
     """Run the ascent loop: per batch, one forward pass over its examples,
-    then each net's backward pass and step by the batch mean of its gradient,
-    the encoder's on a helper thread, together with the next batch's encoding,
-    while the decoder's run on this one (see _pass). Training stops when the
-    mean validation ELBO has not improved for `patience` epochs or at
-    max_epochs; the returned model carries the best-validation parameters.
+    then each net's backward pass and step by the batch mean of its gradient
+    (see _pass). Training stops when the mean validation ELBO has not
+    improved for `patience` epochs or at max_epochs; the returned model
+    carries the best-validation parameters.
 
     If checkpoint_path is given, the best model is also serialized there.
     """
@@ -365,6 +375,16 @@ def write_metrics_csv(history: list[MetricsRow], path) -> None:
                 r.train_recon, r.val_elbo, r.seconds))
 
 
+def _manifest(model: DiscreteVae) -> list[tuple[str, np.ndarray]]:
+    """Checkpoint v1's tensors of model as (name, view) pairs in the order
+    the writer lists them: the encoder's, then the decoder's, each layer's
+    weights (w), then its bias (b)."""
+    return [(f"{prefix}.{i}.{kind}", view)
+            for prefix, net in (("enc", model.encoder), ("dec", model.decoder))
+            for i, layer in enumerate(net.layers)
+            for kind, view in (("w", layer.weights), ("b", layer.bias))]
+
+
 def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
                     epoch: int = 0, rng_state: int = 0) -> None:
     """Serialize a model: 8-byte magic, uint32 version, a length-prefixed
@@ -373,14 +393,12 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
 
     The bytes go to a sibling temporary file that then replaces path, so a
     write that fails midway leaves any previous checkpoint intact."""
-    nets = (("enc", model.encoder), ("dec", model.decoder))
     lines = [f"d={model.d}", f"k={model.k}", f"p={model.p}",
              f"epoch={epoch}", f"rng_state={rng_state}"]
     if config is not None:
         lines += [f"cfg.{f.name}={getattr(config, f.name)}" for f in fields(config)]
-    lines += [f"tensor={prefix}.{i}.{kind} shape={','.join(str(s) for s in arr.shape)}"
-              for prefix, net in nets for i, layer in enumerate(net.layers)
-              for kind, arr in (("w", layer.weights), ("b", layer.bias))]
+    lines += [f"tensor={name} shape={','.join(str(s) for s in view.shape)}"
+              for name, view in _manifest(model)]
     header = ("\n".join(lines) + "\n").encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -389,7 +407,7 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
             f.write(struct.pack("<I", CHECKPOINT_VERSION))
             f.write(struct.pack("<I", len(header)))
             f.write(header)
-            for _, net in nets:  # params is every tensor in manifest order
+            for net in (model.encoder, model.decoder):  # params: its tensors in manifest order
                 f.write(np.ascontiguousarray(net.params, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
@@ -404,7 +422,8 @@ def load_checkpoint(path) -> Checkpoint:
     Tensors are looked up by name, so the manifest may list them in any
     order. Raises CheckpointFormatError on a wrong magic or version and
     CheckpointCorruptError when the header is malformed, the payload does
-    not match the manifest or a tensor holds a NaN or infinity.
+    not match the manifest, a tensor holds a NaN or infinity, or the
+    manifest lists a tensor the model has no place for.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -456,37 +475,37 @@ def load_checkpoint(path) -> Checkpoint:
         if not np.isfinite(tensors[name]).all():
             raise CheckpointCorruptError(f"{path}: tensor {name} holds a non-finite value")
 
-    def load_net(prefix: str, head: str, softmax_shape=None) -> Mlp:
-        n_layers = sum(1 for n in tensors if n.startswith(f"{prefix}.") and n.endswith(".w"))
-        if n_layers == 0:
+    def sizes(prefix: str) -> list[int]:
+        """Layer sizes of the net whose weights are prefix.0.w, prefix.1.w, ..."""
+        weights = []
+        while (name := f"{prefix}.{len(weights)}.w") in tensors:
+            if tensors[name].ndim != 2:
+                raise ShapeError(f"tensor {name} has shape {tensors[name].shape}, not 2-D")
+            weights.append(tensors[name])
+        if not weights:
             raise KeyError(f"{prefix}.0.w")
-        weights = [tensors[f"{prefix}.{i}.w"] for i in range(n_layers)]
-        for i, w in enumerate(weights):
-            if w.ndim != 2:
-                raise ShapeError(f"tensor {prefix}.{i}.w has shape {w.shape}, not 2-D")
-        net = Mlp([weights[0].shape[1]] + [w.shape[0] for w in weights], head, softmax_shape)
-        # Exact shapes, no broadcasting; a layer that does not chain fails here.
-        for i, layer in enumerate(net.layers):
-            for kind, view in (("w", layer.weights), ("b", layer.bias)):
-                name = f"{prefix}.{i}.{kind}"
-                if tensors[name].shape != view.shape:
-                    raise ShapeError(
-                        f"tensor {name} has shape {tensors[name].shape}, expected {view.shape}"
-                    )
-                view[...] = tensors[name]
-        return net
+        return [weights[0].shape[1]] + [w.shape[0] for w in weights]
 
     try:
         d, k = int(meta["d"]), int(meta["k"])
-        encoder = load_net("enc", HEAD_SOFTMAX, softmax_shape=(d, k))
-        decoder = load_net("dec", HEAD_SIGMOID)
-        model = DiscreteVae(encoder, decoder, d, k)
+        encoder = Mlp(sizes("enc"), HEAD_SOFTMAX, softmax_shape=(d, k))
+        model = DiscreteVae(encoder, Mlp(sizes("dec"), HEAD_SIGMOID), d, k)
+        views = dict(_manifest(model))
+        for name, _ in manifest:
+            if name not in views:
+                raise ValueError(f"tensor {name} has no place in the model")
+        # Exact shapes, no broadcasting; a layer that does not chain fails here.
+        for name, view in views.items():
+            if tensors[name].shape != view.shape:
+                raise ShapeError(f"tensor {name} has shape {tensors[name].shape}, "
+                                 f"expected {view.shape}")
+            view[...] = tensors[name]
         if int(meta["p"]) != model.p:
             raise ShapeError(f"header p={meta['p']} != decoder output {model.p}")
         epoch, rng_state = int(meta["epoch"]), int(meta["rng_state"])
     except KeyError as exc:
         raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None
-    except ValueError as exc:  # ShapeError, or a header value that is not an integer
+    except ValueError as exc:  # ShapeError, an unplaced tensor or a non-integer value
         raise CheckpointCorruptError(f"{path}: {exc}") from None
     config = {key[4:]: value for key, value in meta.items() if key.startswith("cfg.")}
     return Checkpoint(version, config, model, epoch, rng_state)

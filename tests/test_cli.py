@@ -482,6 +482,20 @@ class TestMalformedCheckpoint:
         assert out == "" and err.splitlines() == [
             f"error: {path}: tensor {name} holds a non-finite value"]
 
+    def test_tensor_with_no_place_in_the_model_eval_exits_1(self, bars_files, tmp_path, capsys):
+        path = tmp_path / "extra.ckpt"
+        save_checkpoint(build_model(TrainConfig(d_latents=2, k_categories=3, hidden_width=8), 16),
+                        path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[12:16])
+        header = blob[16:16 + header_len] + b"tensor=dec.7.b shape=3\ntensor=enc.0.bias shape=2\n"
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + header_len:] + bytes(40))
+        assert main(["eval", "--model", str(path), "--images", str(bars_files[1])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {path}: tensor dec.7.b has no place in the model"]
+
 
 class TestSampleCommand:
     @pytest.fixture

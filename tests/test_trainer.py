@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dvae import trainer
-from dvae.data import Dataset, synthetic_bars
+from dvae.data import Dataset, batches, synthetic_bars
 from dvae.distributions import Rng
 from dvae.model import ElboBreakdown, elbo_estimate
 from dvae.network import HEAD_SOFTMAX, Mlp
@@ -253,6 +253,36 @@ class TestTrainLoop:
             separate += np.concatenate([model.encoder.grads, model.decoder.grads])
         separate /= 3.0
         assert np.allclose(batched, separate, rtol=0, atol=1e-12)
+
+
+class TestTrainingStep:
+    """The step train takes is the step dvae verify checks: after each batch
+    of _pass, both nets' params hold the bytes that compute_gradients on the
+    same rows and each net's sga_step at the batch mean give."""
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["in-turn", "helper"])
+    @pytest.mark.parametrize("mc", [1, 3])
+    def test_pass_steps_as_compute_gradients(self, monkeypatch, mc, overlap):
+        train_set, _ = bars_sets(n_train=50, n_val=1)
+        config = bars_config()
+        model, reference = build_model(config, train_set.p), build_model(config, train_set.p)
+        u = Rng(59).uniforms(50 * mc * model.d).reshape(50, mc * model.d)
+        indices = batches(train_set, 20, Rng(60))
+        assert [len(rows) for rows in indices] == [20, 20, 10]
+        for rows in indices:
+            x = np.repeat(train_set.images[rows], mc, axis=0)  # one row per sample
+            reference.compute_gradients(x, u[rows].reshape(-1, model.d))
+            reference.encoder.sga_step(0.05, 1.0 / len(x))
+            reference.decoder.sga_step(0.05, 1.0 / len(x))
+        if overlap:
+            open_overlap(monkeypatch)
+        started = TestOverlappedHelper.thread_starts(monkeypatch)
+        trainer._pass(model, train_set.images, u, indices, 0.05, 1)
+        assert len(started) == (3 if overlap else 0)
+        assert model.encoder.params.tobytes() == reference.encoder.params.tobytes()
+        assert model.decoder.params.tobytes() == reference.decoder.params.tobytes()
+        fresh = build_model(config, train_set.p)
+        assert not np.array_equal(model.encoder.params, fresh.encoder.params)
 
 
 class TestRecordedTrajectory:
@@ -612,6 +642,18 @@ class TestCheckpoint:
         loaded = load_checkpoint(path).model
         assert np.array_equal(loaded.encoder.params, model.encoder.params)
         assert np.array_equal(loaded.decoder.params, model.decoder.params)
+
+    def test_tensor_with_no_place_in_the_model_is_corrupt(self, tmp_path):
+        # the payload holds every listed tensor, but the model has no layer 7
+        # and no tensor named bias
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model_and_input(919)[0], path)
+        meta, tensors = read_tensors(path)
+        write_tensors(path, meta, tensors + [("dec.7.b", (3,), np.ones(3)),
+                                             ("enc.0.bias", (2,), np.ones(2))])
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"model\.ckpt: tensor dec\.7\.b has no place in the model$"):
+            load_checkpoint(path)
 
     def test_bias_shaped_as_a_row_is_rejected(self, tmp_path):
         # the byte count is right, but a (1, n) tensor must not broadcast into (n,)
