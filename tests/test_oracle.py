@@ -182,6 +182,25 @@ class TestFiniteDifference:
         assert params.tobytes() == p0.tobytes()
 
 
+class TestScaledGradientError:
+    def test_relative_error_above_the_floor(self):
+        # |1 - 1.00005| / 1.00005
+        err = scaled_gradient_error(np.array([1.0]), np.array([1.00005]))
+        assert err == pytest.approx(5e-5, rel=1e-4)
+
+    def test_near_zero_gradients_are_scaled_by_the_floor(self):
+        # 5e-9 / (1e-8 / 1e-4): an absolute 1e-8 reads as the relative 1e-4
+        err = scaled_gradient_error(np.array([0.0]), np.array([5e-9]))
+        assert err == pytest.approx(5e-5, rel=1e-12)
+
+    def test_worst_parameter_decides(self):
+        analytic = np.array([1.0, 0.0, 3.0, -2.0])
+        numeric = np.array([1.0, 2e-9, 3.003, -2.00001])
+        err = scaled_gradient_error(analytic, numeric)
+        assert err == pytest.approx(0.003 / 3.003, rel=1e-9)
+        assert scaled_gradient_error(analytic[[0, 1, 3]], numeric[[0, 1, 3]]) < err
+
+
 class TestExactEncoderGradient:
     def test_matches_finite_differences_of_exact_elbo(self):
         model, x = tiny_model_and_input(777)
