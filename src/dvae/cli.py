@@ -39,7 +39,7 @@ def cmd_train(args) -> int:
         patience=args.patience, seed=args.seed, binarize_threshold=args.threshold,
         mc_samples=args.mc_samples,
     )
-    train_set = data.load_binarized(args.train_images, args.train_labels, args.threshold)
+    train_set = data.load_binarized(args.train_images, threshold=args.threshold)
     val_set = data.load_binarized(args.val_images, threshold=args.threshold)
     out = Path(args.out)
     created = not out.exists()
@@ -160,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train on IDX images")
     p_train.add_argument("--train-images", required=True)
-    p_train.add_argument("--train-labels", default=None)
     p_train.add_argument("--val-images", required=True)
     p_train.add_argument("--d", type=int, default=20)
     p_train.add_argument("--k", type=int, default=10)

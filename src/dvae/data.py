@@ -37,7 +37,6 @@ class Dataset:
     images: np.ndarray
     rows: int
     cols: int
-    labels: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -85,11 +84,6 @@ def load_images(path) -> np.ndarray:
     return load_idx(path, expected_magic=IDX_IMAGES_MAGIC)
 
 
-def load_labels(path) -> np.ndarray:
-    """IDX label file -> uint8 array (N,)."""
-    return load_idx(path, expected_magic=IDX_LABELS_MAGIC)
-
-
 def write_idx(path, array: np.ndarray) -> None:
     """Write a uint8 array as IDX; 3-D arrays become image files, 1-D label
     files. Round-trips bit-exactly through load_idx."""
@@ -119,21 +113,16 @@ def binarize(raw: np.ndarray, threshold: int = 128) -> np.ndarray:
     return (flat >= threshold).astype(np.float64)
 
 
-def load_binarized(images_path, labels_path=None, threshold: int = 128) -> Dataset:
-    """Load and binarize an IDX image file (plus optional labels). A file
-    that holds no images or images of no pixels, or labels whose count
-    differs from the images', is rejected."""
+def load_binarized(images_path, threshold: int = 128) -> Dataset:
+    """Load and binarize an IDX image file. A file that holds no images or
+    images of no pixels is rejected."""
     raw = load_images(images_path)
     if raw.shape[0] == 0:
         raise ValueError(f"{images_path}: the file holds no images")
     if raw.shape[1] == 0 or raw.shape[2] == 0:
         raise ValueError(f"{images_path}: images of {raw.shape[1]} x {raw.shape[2]} "
                          "pixels hold no pixels")
-    labels = load_labels(labels_path).astype(np.int64) if labels_path else None
-    if labels is not None and len(labels) != raw.shape[0]:
-        raise ValueError(f"{labels_path}: {len(labels)} labels for "
-                         f"{raw.shape[0]} images in {images_path}")
-    return Dataset(binarize(raw, threshold), raw.shape[1], raw.shape[2], labels)
+    return Dataset(binarize(raw, threshold), raw.shape[1], raw.shape[2])
 
 
 def batches(dataset: Dataset, batch_size: int, rng: Rng) -> list[np.ndarray]:
@@ -152,12 +141,11 @@ def batches(dataset: Dataset, batch_size: int, rng: Rng) -> list[np.ndarray]:
 
 def synthetic_bars(n: int, side: int, rng: Rng) -> Dataset:
     """n binary images of one full-row or full-column bar on a side x side
-    grid. Labels number the 2*side patterns: 0..side-1 are rows, the rest
-    columns."""
+    grid, each of the 2*side bars drawn as randint(2*side): 0..side-1 are
+    rows, the rest columns."""
     if side < 2:
         raise ValueError(f"side must be >= 2, got {side}")
     images = np.zeros((n, side * side))
-    labels = np.empty(n, dtype=np.int64)
     for i in range(n):
         pattern = rng.randint(2 * side)
         grid = images[i].reshape(side, side)
@@ -165,5 +153,4 @@ def synthetic_bars(n: int, side: int, rng: Rng) -> Dataset:
             grid[pattern, :] = 1.0
         else:
             grid[:, pattern - side] = 1.0
-        labels[i] = pattern
-    return Dataset(images, side, side, labels)
+    return Dataset(images, side, side)

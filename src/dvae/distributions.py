@@ -64,11 +64,10 @@ class Rng:
         0xBDD732262FEB6E95, 0x28EFE333B266F103, 0x47526757130F9F52
     """
 
-    __slots__ = ("seed", "state")
+    __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self.state = self.seed
+        self.state = seed & _MASK64
 
     def next_uint64(self) -> int:
         """Next raw 64-bit output."""

@@ -166,13 +166,17 @@ def finite_difference(objective, params: np.ndarray, h: float) -> np.ndarray:
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
-def scaled_gradient_error(analytic: np.ndarray, numeric: np.ndarray,
-                          rel_tol: float = 1e-4, abs_floor: float = 1e-8) -> float:
+GRAD_REL_TOL, GRAD_ABS_FLOOR = 1e-4, 1e-8
+
+
+def scaled_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst-case per-parameter error, scaled so that a return value
-    <= rel_tol means every parameter matches within relative rel_tol with
-    an absolute floor of abs_floor for near-zero gradients."""
+    <= GRAD_REL_TOL means every parameter matches within relative
+    GRAD_REL_TOL with an absolute floor of GRAD_ABS_FLOOR for near-zero
+    gradients."""
     a = np.abs(np.asarray(analytic) - np.asarray(numeric))
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), abs_floor / rel_tol)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
+                       GRAD_ABS_FLOOR / GRAD_REL_TOL)
     return float((a / denom).max())
 
 
@@ -194,22 +198,20 @@ class CheckResult:
     note: str = ""
 
 
-def tiny_models_and_inputs(seeds, p: int = TINY_P, d: int = TINY_D, k: int = TINY_K,
-                           hidden: int = TINY_HIDDEN) -> tuple[DiscreteVae, np.ndarray]:
-    """A stack of randomly initialized desk-scale models, one per int seed
-    s, and their random binary inputs (m, p). Model s is DiscreteVae.create
-    with Rng(s) and Rng(s + 1), and its input takes randint(2) = floor(2u)
-    per pixel from Rng(s + 2). Seeds of any size wrap modulo 2^64."""
+def tiny_models_and_inputs(seeds, p: int = TINY_P) -> tuple[DiscreteVae, np.ndarray]:
+    """A stack of randomly initialized desk-scale models (TINY_* sizes), one
+    per int seed s, and their random binary inputs (m, p). Model s is
+    DiscreteVae.create with Rng(s) and Rng(s + 1), and its input takes
+    randint(2) = floor(2u) per pixel from Rng(s + 2). Seeds of any size wrap
+    modulo 2^64."""
     seeds = np.array([s & MAX_SEED for s in seeds], dtype=np.uint64)  # uint64 sums wrap
-    model = DiscreteVae.create(p, d, k, hidden, seeds, seeds + 1)
+    model = DiscreteVae.create(p, TINY_D, TINY_K, TINY_HIDDEN, seeds, seeds + 1)
     return model, np.floor(stream_uniforms(seeds + 2, p) * 2.0)
 
 
-def tiny_model_and_input(seed: int, p: int = TINY_P, d: int = TINY_D,
-                         k: int = TINY_K, hidden: int = TINY_HIDDEN
-                         ) -> tuple[DiscreteVae, np.ndarray]:
+def tiny_model_and_input(seed: int, p: int = TINY_P) -> tuple[DiscreteVae, np.ndarray]:
     """The one-seed case of tiny_models_and_inputs, as a model of its own."""
-    models, x = tiny_models_and_inputs([seed], p, d, k, hidden)
+    models, x = tiny_models_and_inputs([seed], p)
     return models.with_params(models.encoder.params[0], models.decoder.params[0]), x[0]
 
 
@@ -254,10 +256,10 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         worst_enc = max(worst_enc, scaled_gradient_error(analytic_enc, fd_enc))
 
     return [
-        CheckResult("decoder-grad-vs-finite-diff", worst_dec <= 1e-4, worst_dec,
-                    1e-4, f"max scaled error over {n_nets} nets"),
-        CheckResult("encoder-grad-vs-finite-diff", worst_enc <= 1e-4, worst_enc,
-                    1e-4, f"max scaled error over {n_nets} nets"),
+        CheckResult("decoder-grad-vs-finite-diff", worst_dec <= GRAD_REL_TOL, worst_dec,
+                    GRAD_REL_TOL, f"max scaled error over {n_nets} nets"),
+        CheckResult("encoder-grad-vs-finite-diff", worst_enc <= GRAD_REL_TOL, worst_enc,
+                    GRAD_REL_TOL, f"max scaled error over {n_nets} nets"),
     ]
 
 

@@ -7,8 +7,8 @@ documented offsets:
     seed + 1               encoder parameter init
     seed + 2               decoder parameter init
     seed + 3               epoch shuffling (one stream, advancing over epochs)
-    seed + 4               validation sampling (drawn once, so every epoch
-                           validates on the same draws)
+    seed + 4               validation sampling (the same draws every epoch:
+                           each epoch evaluates on a fresh Rng(seed + 4))
     seed + 1_000_000 + i   gradient sampling for training example i
                            (drawn once, so a frozen model yields identical
                            metrics in every epoch)
@@ -45,8 +45,10 @@ starts threads, and it uses at most two cores:
   chunks as in turn.
 
 Each net runs the same array operations in the same order as in turn, and
-sums are added in the same order, so metrics and parameters are
-byte-identical whichever way a pass runs.
+sums are added in the same order, so at a given BLAS thread count metrics
+and parameters are byte-identical whichever way a pass runs. The pinned
+bytes are those of one BLAS thread (OPENBLAS_NUM_THREADS=1, as CI and
+perfbench set it); another count may train to other parameter bytes.
 """
 
 from __future__ import annotations
@@ -157,7 +159,6 @@ class MetricsRow:
 class Checkpoint:
     """A deserialized model with the context it was saved under."""
 
-    version: int
     config: dict[str, str]
     model: DiscreteVae
     epoch: int
@@ -310,30 +311,27 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
     start = time.perf_counter()
     history: list[MetricsRow] = []
 
-    # Example i's draws and the validation draws are drawn once, for every epoch.
+    # Example i's draws are drawn once, for every epoch.
     n_draws = config.mc_samples * config.d_latents
     # uint64 sums wrap modulo 2^64, as Rng wraps seed + EXAMPLE_STREAM_BASE + i.
     first = np.uint64((config.seed + EXAMPLE_STREAM_BASE) & MAX_SEED)
     u_train = stream_uniforms(first + np.arange(train_set.n, dtype=np.uint64), n_draws)
     n_samples = train_set.n * config.mc_samples
-    u_val = Rng(config.seed + VALIDATION_OFFSET).uniforms(val_set.n * config.d_latents)
-    u_val = u_val.reshape(val_set.n, config.d_latents)
 
-    def record(epoch: int, train_sums: list[float], val_sums: list[float]) -> float:
+    def record(epoch: int, train_sums: list[float]) -> float:
         train_bd = _mean_breakdown(model, *train_sums, n_samples)
-        val_bd = _mean_breakdown(model, *val_sums, val_set.n)
-        if not math.isfinite(val_bd.total):
+        val_total = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET)).total
+        if not math.isfinite(val_total):
             raise TrainingDiverged(f"non-finite validation ELBO at epoch {epoch}")
         history.append(MetricsRow(
             epoch, train_bd.total, train_bd.entropy_term, train_bd.prior_term,
-            train_bd.recon_term, val_bd.total, time.perf_counter() - start,
+            train_bd.recon_term, val_total, time.perf_counter() - start,
         ))
-        return val_bd.total
+        return val_total
 
     # A diverging step overflows; the finite checks report it, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
-        best_val = record(0, _estimates(model, train_set.images, u_train),
-                          _estimates(model, val_set.images, u_val))
+        best_val = record(0, _estimates(model, train_set.images, u_train))
         best_epoch = 0
         best_phi = model.encoder.params.copy()
         best_theta = model.decoder.params.copy()
@@ -344,7 +342,7 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
             train_sums = _pass(model, train_set.images, u_train,
                                batches(train_set, config.batch_size, shuffle_rng),
                                config.learning_rate, epoch)
-            val_total = record(epoch, train_sums, _estimates(model, val_set.images, u_val))
+            val_total = record(epoch, train_sums)
             if val_total > best_val:
                 best_val = val_total
                 best_epoch = epoch
@@ -421,7 +419,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     Tensors are looked up by name, so the manifest may list them in any
     order. Raises CheckpointFormatError on a wrong magic or version and
-    CheckpointCorruptError when the header is malformed, the payload does
+    CheckpointCorruptError when the header is malformed (a line without
+    "=", or a key other than tensor listed twice), the payload does
     not match the manifest, a tensor holds a NaN or infinity, or the
     manifest lists a tensor the model has no place for.
     """
@@ -446,7 +445,9 @@ def load_checkpoint(path) -> Checkpoint:
     meta: dict[str, str] = {}
     manifest: list[tuple[str, tuple[int, ...]]] = []
     for line in header.splitlines():
-        key, _, value = line.partition("=")
+        key, equals, value = line.partition("=")
+        if not equals:
+            raise CheckpointCorruptError(f"{path}: header line {line!r} has no '='")
         if key == "tensor":
             name, _, shape_part = value.partition(" shape=")
             if any(name == seen for seen, _ in manifest):
@@ -456,6 +457,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointCorruptError(
                     f"{path}: tensor {name} has malformed shape {shape_part!r}")
             manifest.append((name, tuple(int(dim) for dim in dims)))
+        elif key in meta:
+            raise CheckpointCorruptError(f"{path}: header key {key} is listed twice")
         else:
             meta[key] = value
 
@@ -508,4 +511,4 @@ def load_checkpoint(path) -> Checkpoint:
     except ValueError as exc:  # ShapeError, an unplaced tensor or a non-integer value
         raise CheckpointCorruptError(f"{path}: {exc}") from None
     config = {key[4:]: value for key, value in meta.items() if key.startswith("cfg.")}
-    return Checkpoint(version, config, model, epoch, rng_state)
+    return Checkpoint(config, model, epoch, rng_state)

@@ -260,15 +260,17 @@ class TestTrainCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: non-finite ELBO estimate at epoch 1, batch 1"]
 
-    def test_label_count_mismatch_exits_1(self, bars_files, tmp_path, capsys):
+    def test_train_labels_is_an_unknown_option(self, bars_files, tmp_path, capsys):
+        # training is unsupervised: no label file is read
         train, val = bars_files
         labels = tmp_path / "labels.idx1-ubyte"
-        write_idx(labels, np.zeros(7, dtype=np.uint8))
+        write_idx(labels, np.zeros(60, dtype=np.uint8))
         out = tmp_path / "run"
         argv = train_args(train, val, out)
-        assert main(argv[:1] + ["--train-labels", str(labels)] + argv[1:]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "7 labels for 60 images" in err[0]
+        assert main(argv[:1] + ["--train-labels", str(labels)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dvae ")
+        assert f"dvae: error: unrecognized arguments: --train-labels {labels}\n" in err
         assert not out.exists()
 
     def test_image_dimensions_beyond_int64_exit_1_naming_the_file(self, bars_files, tmp_path,
@@ -495,6 +497,23 @@ class TestMalformedCheckpoint:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [
             f"error: {path}: tensor dec.7.b has no place in the model"]
+
+    @pytest.mark.parametrize("line,message", [
+        (b"epoch=9\n", "header key epoch is listed twice"),
+        (b"noequals\n", "header line 'noequals' has no '='"),
+    ], ids=["repeated-key", "no-equals"])
+    def test_malformed_header_line_eval_exits_1(self, bars_files, tmp_path, capsys,
+                                                line, message):
+        path = tmp_path / "edited.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), path, epoch=3)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[12:16])
+        header = blob[16:16 + header_len] + line
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header
+                         + blob[16 + header_len:])
+        assert main(["eval", "--model", str(path), "--images", str(bars_files[1])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {path}: {message}"]
 
 
 class TestSampleCommand:

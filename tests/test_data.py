@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dvae.data import (
+    IDX_LABELS_MAGIC,
     Dataset,
     IdxFormatError,
     IdxLengthError,
@@ -12,7 +13,6 @@ from dvae.data import (
     load_binarized,
     load_idx,
     load_images,
-    load_labels,
     synthetic_bars,
     write_idx,
 )
@@ -57,7 +57,7 @@ class TestLoadIdx:
         assert raw.tolist() == [[[0, 128], [255, 7]], [[200, 127], [128, 1]]]
 
     def test_labels_load(self, label_file):
-        assert load_labels(label_file).tolist() == [5, 9]
+        assert load_idx(label_file, IDX_LABELS_MAGIC).tolist() == [5, 9]
 
     def test_label_magic_rejected_by_image_loader(self, label_file):
         with pytest.raises(IdxFormatError) as err:
@@ -127,19 +127,10 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize(raw, threshold=255)
 
-    def test_load_binarized_dataset(self, image_file, label_file):
-        ds = load_binarized(image_file, label_file)
+    def test_load_binarized_dataset(self, image_file):
+        ds = load_binarized(image_file)
         assert ds.n == 2 and ds.p == 4 and ds.rows == 2 and ds.cols == 2
-        assert ds.labels.tolist() == [5, 9]
         assert set(np.unique(ds.images)) <= {0.0, 1.0}
-
-    def test_load_binarized_rejects_label_count_mismatch(self, tmp_path):
-        images, labels = tmp_path / "img.idx3-ubyte", tmp_path / "lbl.idx1-ubyte"
-        write_idx(images, np.zeros((30, 2, 2), dtype=np.uint8))
-        write_idx(labels, np.zeros(7, dtype=np.uint8))
-        with pytest.raises(ValueError, match="7 labels for 30 images") as err:
-            load_binarized(images, labels)
-        assert str(labels) in str(err.value)
 
     def test_load_binarized_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.idx3-ubyte"
@@ -185,6 +176,16 @@ class TestBatches:
             batches(self.dataset(3), 0, Rng(1))
 
 
+def bar_patterns(ds):
+    """Each image's bar, numbered as synthetic_bars draws it: the index of
+    its one full row, or side plus the index of its one full column."""
+    grids = ds.images.reshape(ds.n, ds.rows, ds.cols) == 1.0
+    full_rows, full_cols = grids.all(axis=2), grids.all(axis=1)
+    assert np.all(full_rows.sum(axis=1) + full_cols.sum(axis=1) == 1)
+    return np.where(full_rows.any(axis=1), full_rows.argmax(axis=1),
+                    ds.rows + full_cols.argmax(axis=1))
+
+
 class TestSyntheticBars:
     def test_each_image_has_side_ones(self):
         ds = synthetic_bars(50, 4, Rng(3))
@@ -192,25 +193,28 @@ class TestSyntheticBars:
         assert ds.p == 16 and ds.rows == 4 and ds.cols == 4
 
     def test_bars_are_full_rows_or_columns(self):
-        ds = synthetic_bars(100, 3, Rng(4))
-        for img, label in zip(ds.images, ds.labels):
-            grid = img.reshape(3, 3)
-            if label < 3:
-                assert np.all(grid[label, :] == 1.0)
+        rng, draws = Rng(4), Rng(4)
+        ds = synthetic_bars(100, 3, rng)
+        for img, pattern in zip(ds.images, bar_patterns(ds)):
+            assert pattern == draws.randint(6)  # one draw per image
+            grid = np.zeros((3, 3))
+            if pattern < 3:
+                grid[pattern, :] = 1.0
             else:
-                assert np.all(grid[:, label - 3] == 1.0)
+                grid[:, pattern - 3] = 1.0
+            assert np.array_equal(img.reshape(3, 3), grid)
+        assert rng.state == draws.state
 
     def test_seeded_determinism(self):
         a = synthetic_bars(20, 4, Rng(5))
         b = synthetic_bars(20, 4, Rng(5))
         assert np.array_equal(a.images, b.images)
-        assert np.array_equal(a.labels, b.labels)
 
     def test_pattern_distribution_roughly_uniform(self):
         # expected 1250 per pattern; 6 sigma ~ 198
         n, side = 10_000, 4
         ds = synthetic_bars(n, side, Rng(6))
-        counts = np.bincount(ds.labels, minlength=2 * side)
+        counts = np.bincount(bar_patterns(ds), minlength=2 * side)
         expected = n / (2 * side)
         sigma = (n * (1 / (2 * side)) * (1 - 1 / (2 * side))) ** 0.5
         assert np.all(np.abs(counts - expected) < 6 * sigma)

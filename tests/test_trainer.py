@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import sys
 import threading
@@ -629,6 +630,29 @@ class TestCheckpoint:
                          + blob[16 + header_len:] + np.full(6, 7.0).tobytes())
         with pytest.raises(CheckpointCorruptError, match="dec.1.b is listed twice"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra,message", [
+        (["epoch=9"], "header key epoch is listed twice"),
+        (["cfg.seed=7"], "header key cfg.seed is listed twice"),
+        (["noequals"], "header line 'noequals' has no '='"),
+        ([""], "header line '' has no '='"),
+    ], ids=["epoch", "cfg", "no-equals", "empty"])
+    def test_malformed_header_line_is_corrupt(self, tmp_path, extra, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model_and_input(920)[0], path, config=bars_config(), epoch=3)
+        meta, tensors = read_tensors(path)
+        write_tensors(path, meta + extra, tensors)
+        with pytest.raises(CheckpointCorruptError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
+    def test_unknown_header_keys_are_accepted(self, tmp_path):
+        # a later writer may add keys, for example cfg.estimator=
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model_and_input(921)[0], path, config=bars_config(), epoch=3)
+        meta, tensors = read_tensors(path)
+        write_tensors(path, meta + ["cfg.estimator=score", "note=a=b"], tensors)
+        ckpt = load_checkpoint(path)
+        assert ckpt.epoch == 3 and ckpt.config["estimator"] == "score"
 
     def test_any_manifest_order_loads_bit_identically(self, tmp_path):
         model, _ = tiny_model_and_input(916)
