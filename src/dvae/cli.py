@@ -59,10 +59,15 @@ def cmd_train(args) -> int:
 
 def _load_images_for(ckpt: trainer.Checkpoint, args) -> data.Dataset:
     """args.images binarized at --threshold, else at the checkpoint's
-    training threshold; its pixel count must match the model's."""
+    training threshold (128 if it echoes none); its pixel count must match
+    the model's."""
     threshold = args.threshold
     if threshold is None:
-        threshold = int(ckpt.config.get("binarize_threshold", 128))
+        echo = ckpt.config.get("binarize_threshold", "128")
+        if not (echo.isdecimal() and 0 < int(echo) < 255):
+            raise ValueError(f"{args.model}: cfg.binarize_threshold is {echo!r}, not an "
+                             "integer strictly inside (0, 255)")
+        threshold = int(echo)
     dataset = data.load_binarized(args.images, threshold=threshold)
     if dataset.p != ckpt.model.p:
         raise ValueError(f"model expects {ckpt.model.p} pixels, images have {dataset.p}")

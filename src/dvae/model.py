@@ -32,7 +32,6 @@ import numpy as np
 
 from dvae.distributions import EPS, Rng, aggregate_bce, aggregate_entropy, categorical_sample
 from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
-from dvae.tensor import ShapeError
 
 # Rows per forward-only pass (evaluation, enumeration), bounding the size of
 # the activations a whole dataset or latent table would otherwise allocate.
@@ -112,6 +111,11 @@ def d_elbo_d_probs(probs: np.ndarray, z: np.ndarray, recon_term) -> np.ndarray:
     return d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z)
 
 
+def _layer_sizes(p: int, d: int, k: int, hidden: int) -> tuple[list[int], list[int]]:
+    """The encoder's and the decoder's layer sizes."""
+    return [p, hidden, d * k], [d * k, hidden, p]
+
+
 class DiscreteVae:
     """Encoder/decoder pair over D categorical latents with K categories.
 
@@ -119,42 +123,35 @@ class DiscreteVae:
     the returned arrays are batch axes, and a single example has none.
     """
 
-    def __init__(self, encoder: Mlp, decoder: Mlp, d: int, k: int):
-        if encoder.head != HEAD_SOFTMAX or encoder.softmax_shape != (d, k):
-            raise ShapeError(f"encoder head must be softmax over ({d}, {k})")
-        if decoder.head != HEAD_SIGMOID:
-            raise ShapeError("decoder head must be sigmoid")
-        if decoder.sizes[0] != d * k:
-            raise ShapeError(f"decoder input {decoder.sizes[0]} != D*K = {d * k}")
-        if encoder.sizes[0] != decoder.sizes[-1]:
-            raise ShapeError(f"encoder input {encoder.sizes[0]} != decoder output "
-                             f"{decoder.sizes[-1]}")
-        self.encoder = encoder
-        self.decoder = decoder
-        self.d = d
-        self.k = k
-        self.p = decoder.sizes[-1]
+    def __init__(self, p: int, d: int, k: int, hidden: int,
+                 phi: np.ndarray | None = None, theta: np.ndarray | None = None):
+        """p -> hidden -> D*K softmax rows, D*K -> hidden -> p sigmoid. The
+        encoder views phi and the decoder theta, each a flat parameter vector
+        or an (m, n) stack of them; None gives all-zero parameters. Over a
+        stack, encode and decode return one result per row (see Mlp)."""
+        self.p, self.d, self.k = p, d, k
+        encoder_sizes, decoder_sizes = _layer_sizes(p, d, k, hidden)
+        self.encoder = Mlp(encoder_sizes, HEAD_SOFTMAX, (d, k), phi)
+        self.decoder = Mlp(decoder_sizes, HEAD_SIGMOID, params=theta)
         self._one_hot_rows = np.eye(k)  # decode gathers its one-hot rows from here
 
     @classmethod
     def create(cls, p: int, d: int, k: int, hidden: int,
                encoder_rng: Rng | np.ndarray, decoder_rng: Rng | np.ndarray) -> "DiscreteVae":
-        """Fresh model: p -> hidden -> D*K softmax rows, D*K -> hidden -> p
-        sigmoid, each net initialised by Mlp.create from its Rng. Given two
-        arrays of m seeds in place of the Rngs, a stack of m models."""
-        encoder = Mlp.create([p, hidden, d * k], HEAD_SOFTMAX, encoder_rng, softmax_shape=(d, k))
-        decoder = Mlp.create([d * k, hidden, p], HEAD_SIGMOID, decoder_rng)
-        return cls(encoder, decoder, d, k)
+        """Fresh model, each net initialised by Mlp.create from its Rng.
+        Given two arrays of m seeds in place of the Rngs, a stack of m models."""
+        encoder_sizes, decoder_sizes = _layer_sizes(p, d, k, hidden)
+        return cls(p, d, k, hidden,
+                   Mlp.create(encoder_sizes, HEAD_SOFTMAX, encoder_rng, (d, k)).params,
+                   Mlp.create(decoder_sizes, HEAD_SIGMOID, decoder_rng).params)
 
     def with_params(self, phi: np.ndarray | None = None,
                     theta: np.ndarray | None = None) -> "DiscreteVae":
-        """This model with its encoder running phi and its decoder theta, each
-        a flat parameter vector or an (m, n) stack of them, which the new nets
-        view without copying; None keeps the model's own net. Over a stack,
-        encode and decode return one result per row (see Mlp)."""
-        def over(net: Mlp, params: np.ndarray | None) -> Mlp:
-            return net if params is None else Mlp(net.sizes, net.head, net.softmax_shape, params)
-        return DiscreteVae(over(self.encoder, phi), over(self.decoder, theta), self.d, self.k)
+        """This model's shape over phi and theta, which the new nets view
+        without copying; None views this model's own parameters."""
+        return DiscreteVae(self.p, self.d, self.k, self.encoder.sizes[1],
+                           self.encoder.params if phi is None else phi,
+                           self.decoder.params if theta is None else theta)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """(..., D, K) category probabilities for input x (entries expected

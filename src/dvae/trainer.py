@@ -68,8 +68,7 @@ from dvae.data import Dataset, batches
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
 from dvae.model import (CHUNK_ROWS, DiscreteVae, ElboBreakdown, d_elbo_d_probs, d_recon_d_xhat,
                         elbo_estimate)
-from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
-from dvae.tensor import ShapeError
+from dvae.network import Mlp
 
 ENCODER_INIT_OFFSET = 1
 DECODER_INIT_OFFSET = 2
@@ -417,12 +416,14 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint back into a model plus its saved context.
 
-    Tensors are looked up by name, so the manifest may list them in any
-    order. Raises CheckpointFormatError on a wrong magic or version and
+    The model is the one the header's d, k and p and the first dimension of
+    enc.0.w (the hidden width) describe, and the manifest must list exactly
+    its tensors at their exact shapes, in any order. Raises
+    CheckpointFormatError on a wrong magic or version and
     CheckpointCorruptError when the header is malformed (a line without
-    "=", or a key other than tensor listed twice), the payload does
-    not match the manifest, a tensor holds a NaN or infinity, or the
-    manifest lists a tensor the model has no place for.
+    "=", or a key other than tensor listed twice), the payload does not
+    match the manifest, a tensor holds a NaN or infinity, or the manifest
+    lists a tensor the model has no place for or one of the wrong shape.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -478,37 +479,22 @@ def load_checkpoint(path) -> Checkpoint:
         if not np.isfinite(tensors[name]).all():
             raise CheckpointCorruptError(f"{path}: tensor {name} holds a non-finite value")
 
-    def sizes(prefix: str) -> list[int]:
-        """Layer sizes of the net whose weights are prefix.0.w, prefix.1.w, ..."""
-        weights = []
-        while (name := f"{prefix}.{len(weights)}.w") in tensors:
-            if tensors[name].ndim != 2:
-                raise ShapeError(f"tensor {name} has shape {tensors[name].shape}, not 2-D")
-            weights.append(tensors[name])
-        if not weights:
-            raise KeyError(f"{prefix}.0.w")
-        return [weights[0].shape[1]] + [w.shape[0] for w in weights]
-
     try:
-        d, k = int(meta["d"]), int(meta["k"])
-        encoder = Mlp(sizes("enc"), HEAD_SOFTMAX, softmax_shape=(d, k))
-        model = DiscreteVae(encoder, Mlp(sizes("dec"), HEAD_SIGMOID), d, k)
+        model = DiscreteVae(int(meta["p"]), int(meta["d"]), int(meta["k"]),
+                            tensors["enc.0.w"].shape[0])
         views = dict(_manifest(model))
         for name, _ in manifest:
             if name not in views:
                 raise ValueError(f"tensor {name} has no place in the model")
-        # Exact shapes, no broadcasting; a layer that does not chain fails here.
-        for name, view in views.items():
+        for name, view in views.items():  # exact shapes, no broadcasting
             if tensors[name].shape != view.shape:
-                raise ShapeError(f"tensor {name} has shape {tensors[name].shape}, "
+                raise ValueError(f"tensor {name} has shape {tensors[name].shape}, "
                                  f"expected {view.shape}")
             view[...] = tensors[name]
-        if int(meta["p"]) != model.p:
-            raise ShapeError(f"header p={meta['p']} != decoder output {model.p}")
         epoch, rng_state = int(meta["epoch"]), int(meta["rng_state"])
     except KeyError as exc:
         raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None
-    except ValueError as exc:  # ShapeError, an unplaced tensor or a non-integer value
+    except (ValueError, MemoryError) as exc:  # a misfit, a non-integer, sizes too large
         raise CheckpointCorruptError(f"{path}: {exc}") from None
     config = {key[4:]: value for key, value in meta.items() if key.startswith("cfg.")}
     return Checkpoint(config, model, epoch, rng_state)

@@ -16,7 +16,8 @@ from dvae.trainer import (
     load_checkpoint,
     save_checkpoint,
 )
-from helpers import open_overlap, zero_init_model
+from helpers import (open_overlap, read_tensors, write_tensors, write_third_layer_checkpoint,
+                     zero_init_model)
 
 
 def write_bars_idx(path, n, side, seed):
@@ -436,11 +437,13 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("old,new,extra,message", [
         (b"d=2\n", b"d=\xff\n", 0, "header is not UTF-8"),
         (b"enc.0.b shape=4\n", b"enc.0.b shape=four\n", 0, "malformed shape 'four'"),
-        (b"enc.0.w shape=4,16\n", b"enc.0.w shape=64\n", 0, "(64,), not 2-D"),
-        (b"enc.0.w shape=4,16\n", b"enc.0.w shape=2,2,16\n", 0, "(2, 2, 16), not 2-D"),
+        (b"enc.0.w shape=4,16\n", b"enc.0.w shape=64\n", 0,
+         "tensor enc.0.w has shape (64,), expected (64, 16)"),
+        (b"enc.0.w shape=4,16\n", b"enc.0.w shape=2,2,16\n", 0,
+         "tensor enc.0.w has shape (2, 2, 16), expected (2, 16)"),
         (b"enc.0.w shape=4,16\n", b"enc.0.w shape=4,17\n", 4,
-         "encoder input 17 != decoder output 16"),
-        (b"p=16\n", b"p=99\n", 0, "header p=99 != decoder output 16"),
+         "tensor enc.0.w has shape (4, 17), expected (4, 16)"),
+        (b"p=16\n", b"p=99\n", 0, "tensor enc.0.w has shape (4, 16), expected (4, 99)"),
         (b"epoch=0\n", b"epoch=zero\n", 0, "'zero'"),
     ], ids=["non-utf8", "non-integer-shape", "1-d-weight", "3-d-weight", "widths-differ",
             "pixel-count-differs", "non-integer-epoch"])
@@ -498,6 +501,14 @@ class TestMalformedCheckpoint:
         assert out == "" and err.splitlines() == [
             f"error: {path}: tensor dec.7.b has no place in the model"]
 
+    def test_third_encoder_layer_eval_exits_1(self, bars_files, tmp_path, capsys):
+        path = tmp_path / "deep.ckpt"
+        write_third_layer_checkpoint(path)
+        assert main(["eval", "--model", str(path), "--images", str(bars_files[1])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {path}: tensor enc.2.w has no place in the model"]
+
     @pytest.mark.parametrize("line,message", [
         (b"epoch=9\n", "header key epoch is listed twice"),
         (b"noequals\n", "header line 'noequals' has no '='"),
@@ -514,6 +525,46 @@ class TestMalformedCheckpoint:
         assert main(["eval", "--model", str(path), "--images", str(bars_files[1])]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [f"error: {path}: {message}"]
+
+
+class TestThresholdEcho:
+    """eval and reconstruct binarize at the checkpoint's cfg.binarize_threshold
+    unless --threshold is given."""
+
+    @staticmethod
+    def echoing(tmp_path, value):
+        path = tmp_path / "echo.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), path,
+                        config=TrainConfig(d_latents=2, k_categories=4))
+        meta, tensors = read_tensors(path)
+        assert "cfg.binarize_threshold=128" in meta
+        write_tensors(path, [f"cfg.binarize_threshold={value}"
+                             if line.startswith("cfg.binarize_threshold=") else line
+                             for line in meta], tensors)
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "reconstruct"])
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_echo_exits_1_naming_the_file_and_key(self, bars_files, tmp_path, capsys,
+                                                            command, value):
+        path = self.echoing(tmp_path, value)
+        extra = ["--out", str(tmp_path / "recs")] if command == "reconstruct" else []
+        assert main([command, "--model", str(path), "--images", str(bars_files[1])] + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {path}: cfg.binarize_threshold is '{value}', not an integer strictly "
+            "inside (0, 255)"]
+        assert not (tmp_path / "recs").exists()
+
+    def test_explicit_threshold_overrides_the_echo(self, bars_files, tmp_path, capsys):
+        path = self.echoing(tmp_path, "abc")
+        args = ["eval", "--model", str(path), "--images", str(bars_files[1])]
+        assert main(args + ["--threshold", "128"]) == 0
+        plain = tmp_path / "plain.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), plain)  # no echo: 128
+        assert main(["eval", "--model", str(plain), "--images", str(bars_files[1])]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
 
 
 class TestSampleCommand:

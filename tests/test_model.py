@@ -13,14 +13,13 @@ from dvae.model import (
     elbo_estimate,
     uniform_params,
 )
-from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
+from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.oracle import (
     enumerate_table,
     exact_encoder_gradient,
     finite_difference,
     tiny_model_and_input,
 )
-from dvae.tensor import ShapeError
 from helpers import open_overlap, zero_init_model
 
 # Regression fixture: model from DiscreteVae.create(5, 2, 3, 4, Rng(901), Rng(902))
@@ -76,18 +75,23 @@ class TestEncodeDecode:
         thetas = model.decoder.params + 1e-2 * Rng(4).uniforms(
             5 * model.decoder.params.size).reshape(5, -1)
         stacked = model.with_params(theta=thetas)
-        assert stacked.encoder is model.encoder and stacked.decoder.params is thetas
+        assert stacked.encoder.params is model.encoder.params
+        assert stacked.decoder.params is thetas
         z = np.array([[0, 2], [1, 1]])
         xhat = stacked.decode(z)
         assert xhat.shape == (5, 2, model.p)
         for theta, rows in zip(thetas, xhat):
             assert rows.tobytes() == model.with_params(theta=theta).decode(z).tobytes()
 
-    def test_encoder_input_must_match_decoder_output(self):
-        encoder = Mlp([5, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
-        decoder = Mlp([6, 4], HEAD_SIGMOID)
-        with pytest.raises(ShapeError, match="encoder input 5 != decoder output 4"):
-            DiscreteVae(encoder, decoder, 2, 3)
+    def test_nets_view_the_given_parameters_and_are_zero_without_them(self):
+        model = DiscreteVae.create(5, 2, 3, 4, Rng(901), Rng(902))
+        again = DiscreteVae(5, 2, 3, 4, model.encoder.params, model.decoder.params)
+        assert again.encoder.params is model.encoder.params
+        assert again.decoder.params is model.decoder.params
+        assert [net.sizes for net in (again.encoder, again.decoder)] == [(5, 4, 6), (6, 4, 5)]
+        assert again.encode(FIXTURE_X).tobytes() == model.encode(FIXTURE_X).tobytes()
+        zero = DiscreteVae(5, 2, 3, 4)
+        assert not zero.encoder.params.any() and not zero.decoder.params.any()
 
 
 class TestSampleLatent:
@@ -255,12 +259,11 @@ class TestComputeGradients:
         # swapping decoders changes the encoder gradient only by scaling the
         # score direction: (gA - gB) / (cA - cB) is decoder-independent
         model, x = tiny_model_and_input(326)
-        encoder = model.encoder
 
         def encoder_grad_with(decoder_seed):
-            other = DiscreteVae.create(model.p, model.d, model.k, 8,
+            other = DiscreteVae.create(model.p, model.d, model.k, model.encoder.sizes[1],
                                        Rng(decoder_seed), Rng(decoder_seed + 1))
-            hybrid = DiscreteVae(encoder, other.decoder, model.d, model.k)
+            hybrid = model.with_params(theta=other.decoder.params)
             bd = hybrid.compute_gradients(x, Rng(99).uniforms(model.d))  # same z every call
             return hybrid.encoder.grads.copy(), bd.recon_term
 

@@ -34,7 +34,8 @@ from dvae.trainer import (
     train,
     write_metrics_csv,
 )
-from helpers import open_overlap, zero_init_model
+from helpers import (open_overlap, read_tensors, write_tensors, write_third_layer_checkpoint,
+                     zero_init_model)
 
 # A 6x6 bars run (D=2, K=3, hidden 8, 3 epochs) at mc_samples 1 and 3: every
 # metrics row but seconds, and the final params of both nets, as recorded
@@ -52,33 +53,6 @@ def bars_config(**overrides):
 def bars_sets(n_train=120, n_val=40, side=4, seed=1234):
     rng = Rng(seed)
     return synthetic_bars(n_train, side, rng), synthetic_bars(n_val, side, rng)
-
-
-def read_tensors(path):
-    """A checkpoint's non-tensor header lines and its (name, shape, values)
-    tensors in manifest order."""
-    blob = path.read_bytes()
-    (header_len,) = struct.unpack("<I", blob[12:16])
-    meta, tensors, offset = [], [], 16 + header_len
-    for line in blob[16:16 + header_len].decode().splitlines():
-        name, _, dims = line.removeprefix("tensor=").partition(" shape=")
-        if not dims:
-            meta.append(line)
-            continue
-        shape = tuple(int(s) for s in dims.split(","))
-        values = np.frombuffer(blob, "<f8", math.prod(shape), offset)
-        tensors.append((name, shape, values))
-        offset += values.nbytes
-    return meta, tensors
-
-
-def write_tensors(path, meta, tensors):
-    """A version-1 checkpoint with these header lines and tensors."""
-    header = "".join(f"{line}\n" for line in meta) + "".join(
-        f"tensor={name} shape={','.join(map(str, shape))}\n" for name, shape, _ in tensors)
-    header = header.encode()
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(header)) + header
-                     + b"".join(np.asarray(v, "<f8").tobytes() for _, _, v in tensors))
 
 
 class TestTrainConfig:
@@ -331,6 +305,24 @@ class TestOverlapped:
         monkeypatch.setattr(threading, "Thread", None)
         me = threading.get_ident()
         assert trainer.overlapped(threading.get_ident, threading.get_ident, 1 << 40) == (me, me)
+
+    @pytest.mark.parametrize("count", [1, None])
+    def test_without_affinity_one_or_unknown_cpu_count_runs_in_turn(self, monkeypatch, count):
+        # where os has no sched_getaffinity (macOS, Windows), os.cpu_count decides
+        monkeypatch.setattr(trainer, "OVERLAP_MIN_SIZE", 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
+        me = threading.get_ident()
+        assert trainer.overlapped(threading.get_ident, threading.get_ident, 1) == (me, me)
+
+    def test_without_affinity_two_cpus_start_one_helper(self, monkeypatch):
+        monkeypatch.setattr(trainer, "OVERLAP_MIN_SIZE", 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = TestOverlappedHelper.thread_starts(monkeypatch)
+        here, there = trainer.overlapped(threading.get_ident, threading.get_ident, 1)
+        assert len(started) == 1 and here == threading.get_ident() != there
 
     def test_helper_exception_is_raised_on_the_caller_after_the_join(self, monkeypatch):
         open_overlap(monkeypatch)
@@ -699,6 +691,26 @@ class TestCheckpoint:
         write_tensors(path, meta, tensors)
         with pytest.raises(CheckpointCorruptError,
                            match=r"enc\.1\.w has shape \(6, 9\), expected \(6, 8\)"):
+            load_checkpoint(path)
+
+    def test_a_third_encoder_layer_is_corrupt(self, tmp_path):
+        # a [16, 8, 8, 6] encoder before a 4-wide decoder: the header's sizes
+        # and enc.0.w's 8 rows describe a model whose encoder has two layers
+        path = tmp_path / "model.ckpt"
+        write_third_layer_checkpoint(path)
+        with pytest.raises(CheckpointCorruptError,
+                           match=r"model\.ckpt: tensor enc\.2\.w has no place in the model$"):
+            load_checkpoint(path)
+
+    def test_sizes_too_large_to_allocate_are_corrupt(self, tmp_path):
+        # K = 10^15 asks for a 71 PiB encoder, refused before any is made
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_model_and_input(922)[0], path)
+        meta, tensors = read_tensors(path)
+        write_tensors(path, ["k=1000000000000000" if line.startswith("k=") else line
+                             for line in meta], tensors)
+        with pytest.raises(CheckpointCorruptError,
+                           match=f"^{re.escape(str(path))}: Unable to allocate"):
             load_checkpoint(path)
 
     def test_bad_magic_is_format_error(self, tmp_path):
