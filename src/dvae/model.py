@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dvae.distributions import EPS, Rng, aggregate_bce, aggregate_entropy, categorical_sample
-from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
+from dvae.network import Mlp
 
 # Rows per forward-only pass (evaluation, enumeration), bounding the size of
 # the activations a whole dataset or latent table would otherwise allocate.
@@ -131,8 +131,8 @@ class DiscreteVae:
         stack, encode and decode return one result per row (see Mlp)."""
         self.p, self.d, self.k = p, d, k
         encoder_sizes, decoder_sizes = _layer_sizes(p, d, k, hidden)
-        self.encoder = Mlp(encoder_sizes, HEAD_SOFTMAX, (d, k), phi)
-        self.decoder = Mlp(decoder_sizes, HEAD_SIGMOID, params=theta)
+        self.encoder = Mlp(encoder_sizes, (d, k), phi)
+        self.decoder = Mlp(decoder_sizes, params=theta)
         self._one_hot_rows = np.eye(k)  # decode gathers its one-hot rows from here
 
     @classmethod
@@ -142,8 +142,8 @@ class DiscreteVae:
         Given two arrays of m seeds in place of the Rngs, a stack of m models."""
         encoder_sizes, decoder_sizes = _layer_sizes(p, d, k, hidden)
         return cls(p, d, k, hidden,
-                   Mlp.create(encoder_sizes, HEAD_SOFTMAX, encoder_rng, (d, k)).params,
-                   Mlp.create(decoder_sizes, HEAD_SIGMOID, decoder_rng).params)
+                   Mlp.create(encoder_sizes, encoder_rng, (d, k)).params,
+                   Mlp.create(decoder_sizes, decoder_rng).params)
 
     def with_params(self, phi: np.ndarray | None = None,
                     theta: np.ndarray | None = None) -> "DiscreteVae":

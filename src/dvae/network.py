@@ -3,8 +3,8 @@
 An Mlp is its layer sizes [in, hidden..., out] and two flat float64
 vectors, params and grads, in checkpoint manifest order (each layer's
 weights, then its bias). Layer i maps x to x W^T + b, with a rectifier after
-every layer but the last and a head on top: either an elementwise sigmoid or
-a row-wise softmax over a (rows, cols) reshape of the final layer output.
+every layer but the last and a head on top: a row-wise softmax over a
+given (rows, cols) softmax shape of the final output, else a sigmoid.
 net.layers[i] holds layer i's weights, bias, grad_weights and grad_bias as
 reshaped views into params and grads. Each backward() overwrites grads with
 the gradient of that pass alone; sga_step() applies gradient ASCENT,
@@ -47,26 +47,21 @@ class Layer(NamedTuple):
 
 
 class Mlp:
-    """Affine layers joined by rectifiers, finished by a sigmoid or softmax head.
+    """Affine layers joined by rectifiers, finished by the head softmax_shape picks.
 
-    For the softmax head, the final layer's output is reshaped to
-    (..., rows, cols) with softmax_shape = (rows, cols), and each row is
-    normalized independently; the sigmoid head keeps the final layer's shape.
+    Given softmax_shape = (rows, cols), head is "softmax": the final layer's
+    output is reshaped to (..., rows, cols) and each row normalized
+    independently; given none, head is "sigmoid", which keeps its shape.
     Leading input axes are batch axes, and an unbatched vector is a batch
     with no leading axis. A new net's parameters are all zero, unless params
     is given: the net is then a view over that (n,) vector or (m, n) stack.
     """
 
-    def __init__(self, sizes: list[int], head: str,
-                 softmax_shape: tuple[int, int] | None = None,
+    def __init__(self, sizes: list[int], softmax_shape: tuple[int, int] | None = None,
                  params: np.ndarray | None = None):
-        if head not in (HEAD_SIGMOID, HEAD_SOFTMAX):
-            raise ValueError(f"unknown head {head!r}")
         if len(sizes) < 2:
             raise ShapeError(f"an Mlp needs an input and an output size, got {list(sizes)}")
-        if head == HEAD_SOFTMAX:
-            if softmax_shape is None:
-                raise ValueError("softmax head needs softmax_shape")
+        if softmax_shape is not None:
             rows, cols = softmax_shape
             if sizes[-1] != rows * cols:
                 raise ShapeError(
@@ -93,13 +88,13 @@ class Mlp:
                 None if lead else self.grads[mid:end],
             ))
             offset = end
-        self.head = head
+        self.head = HEAD_SIGMOID if softmax_shape is None else HEAD_SOFTMAX
         self.softmax_shape = softmax_shape
         self._inputs: list[np.ndarray] = []
         self._output: np.ndarray | None = None
 
     @classmethod
-    def create(cls, sizes: list[int], head: str, rng: Rng | np.ndarray,
+    def create(cls, sizes: list[int], rng: Rng | np.ndarray,
                softmax_shape: tuple[int, int] | None = None) -> "Mlp":
         """Fresh net with symmetric fan-scaled init: each layer's weights
         uniform in +-sqrt(6/(fan_in+fan_out)), biases zero. Draws are
@@ -109,7 +104,7 @@ class Mlp:
         is bit-identical to the net built from Rng(seeds[i])."""
         stacked = not isinstance(rng, Rng)
         n = sum(o * i + o for i, o in zip(sizes, sizes[1:]))
-        net = cls(sizes, head, softmax_shape, np.zeros((len(rng), n)) if stacked else None)
+        net = cls(sizes, softmax_shape, np.zeros((len(rng), n)) if stacked else None)
         drawn = 0
         for w, *_ in net.layers:
             fan_out, fan_in = w.shape[-2:]

@@ -413,6 +413,14 @@ def save_checkpoint(model: DiscreteVae, path, config: TrainConfig | None = None,
         raise
 
 
+def _header_count(meta: dict[str, str], key: str, least: int) -> int:
+    """The header's value for key, which must be decimal digits >= least."""
+    value = meta[key]
+    if not value.isdecimal() or int(value) < least:
+        raise ValueError(f"header {key}={value!r} is not a decimal integer >= {least}")
+    return int(value)
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint back into a model plus its saved context.
 
@@ -421,9 +429,11 @@ def load_checkpoint(path) -> Checkpoint:
     its tensors at their exact shapes, in any order. Raises
     CheckpointFormatError on a wrong magic or version and
     CheckpointCorruptError when the header is malformed (a line without
-    "=", or a key other than tensor listed twice), the payload does not
-    match the manifest, a tensor holds a NaN or infinity, or the manifest
-    lists a tensor the model has no place for or one of the wrong shape.
+    "=", a key other than tensor listed twice, a d, k or p other than
+    decimal digits >= 1, an epoch or rng_state other than decimal digits,
+    or an enc.0.w with no rows), the payload does not match the manifest,
+    a tensor holds a NaN or infinity, or the manifest lists a tensor the
+    model has no place for or one of the wrong shape.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -480,8 +490,12 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointCorruptError(f"{path}: tensor {name} holds a non-finite value")
 
     try:
-        model = DiscreteVae(int(meta["p"]), int(meta["d"]), int(meta["k"]),
-                            tensors["enc.0.w"].shape[0])
+        d, k, p, epoch, rng_state = (_header_count(meta, key, least) for key, least in (
+            ("d", 1), ("k", 1), ("p", 1), ("epoch", 0), ("rng_state", 0)))
+        hidden = tensors["enc.0.w"].shape[0]
+        if hidden < 1:
+            raise ValueError("tensor enc.0.w has no rows; the hidden width must be >= 1")
+        model = DiscreteVae(p, d, k, hidden)
         views = dict(_manifest(model))
         for name, _ in manifest:
             if name not in views:
@@ -491,10 +505,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"tensor {name} has shape {tensors[name].shape}, "
                                  f"expected {view.shape}")
             view[...] = tensors[name]
-        epoch, rng_state = int(meta["epoch"]), int(meta["rng_state"])
     except KeyError as exc:
         raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None
-    except (ValueError, MemoryError) as exc:  # a misfit, a non-integer, sizes too large
+    except (ValueError, MemoryError) as exc:  # a misfit, a bad size, sizes too large
         raise CheckpointCorruptError(f"{path}: {exc}") from None
     config = {key[4:]: value for key, value in meta.items() if key.startswith("cfg.")}
     return Checkpoint(config, model, epoch, rng_state)

@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -445,8 +446,17 @@ class TestMalformedCheckpoint:
          "tensor enc.0.w has shape (4, 17), expected (4, 16)"),
         (b"p=16\n", b"p=99\n", 0, "tensor enc.0.w has shape (4, 16), expected (4, 99)"),
         (b"epoch=0\n", b"epoch=zero\n", 0, "'zero'"),
+        (b"d=2\n", b"d=-2\n", 0, "header d='-2' is not a decimal integer >= 1"),
+        (b"p=16\n", b"p=-16\n", 0, "header p='-16' is not a decimal integer >= 1"),
+        (b"k=4\n", b"k=0\n", 0, "header k='0' is not a decimal integer >= 1"),
+        (b"d=2\n", b"d=2.0\n", 0, "header d='2.0' is not a decimal integer >= 1"),
+        (b"d=2\n", b"d= 2\n", 0, "header d=' 2' is not a decimal integer >= 1"),
+        (b"epoch=0\n", b"epoch=-1\n", 0, "header epoch='-1' is not a decimal integer >= 0"),
+        (b"rng_state=0\n", b"rng_state=+0\n", 0,
+         "header rng_state='+0' is not a decimal integer >= 0"),
     ], ids=["non-utf8", "non-integer-shape", "1-d-weight", "3-d-weight", "widths-differ",
-            "pixel-count-differs", "non-integer-epoch"])
+            "pixel-count-differs", "non-integer-epoch", "negative-d", "negative-p", "zero-k",
+            "fractional-d", "spaced-d", "negative-epoch", "signed-rng-state"])
     def test_is_corrupt_and_exits_1_naming_the_file(self, bars_files, tmp_path, capsys,
                                                     old, new, extra, message):
         path = tmp_path / "zero.ckpt"
@@ -508,6 +518,28 @@ class TestMalformedCheckpoint:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [
             f"error: {path}: tensor enc.2.w has no place in the model"]
+
+    def test_zero_hidden_width_eval_exits_1(self, bars_files, tmp_path, capsys):
+        path = tmp_path / "hollow.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4, hidden=0), path)
+        message = f"{path}: tensor enc.0.w has no rows; the hidden width must be >= 1"
+        with pytest.raises(CheckpointCorruptError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+        assert main(["eval", "--model", str(path), "--images", str(bars_files[1])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {message}"]
+
+    def test_header_length_past_the_end_eval_exits_1(self, bars_files, tmp_path, capsys):
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(zero_init_model(p=16, d=2, k=4), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:12] + struct.pack("<I", len(blob)) + blob[16:])
+        message = f"{path}: truncated header"
+        with pytest.raises(CheckpointCorruptError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+        assert main(["eval", "--model", str(path), "--images", str(bars_files[1])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("line,message", [
         (b"epoch=9\n", "header key epoch is listed twice"),

@@ -13,7 +13,7 @@ from dvae.model import (
     elbo_estimate,
     uniform_params,
 )
-from dvae.network import HEAD_SOFTMAX, Mlp
+from dvae.network import Mlp
 from dvae.oracle import (
     enumerate_table,
     exact_encoder_gradient,
@@ -89,6 +89,7 @@ class TestEncodeDecode:
         assert again.encoder.params is model.encoder.params
         assert again.decoder.params is model.decoder.params
         assert [net.sizes for net in (again.encoder, again.decoder)] == [(5, 4, 6), (6, 4, 5)]
+        assert (again.encoder.head, again.decoder.head) == ("softmax", "sigmoid")
         assert again.encode(FIXTURE_X).tobytes() == model.encode(FIXTURE_X).tobytes()
         zero = DiscreteVae(5, 2, 3, 4)
         assert not zero.encoder.params.any() and not zero.decoder.params.any()
@@ -196,7 +197,7 @@ class TestComputeGradients:
     def test_score_gradient_vanishes_at_unit_probability(self):
         # a (numerically) one-hot row gives grad log q = 0 through the softmax
         logits = np.array([[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]])
-        net = Mlp([6, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
+        net = Mlp([6, 6], (2, 3))
         net.layers[0].weights[:] = np.eye(6)
         probs = net.forward(logits.reshape(-1))
         indices = np.array([0, 1])

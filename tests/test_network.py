@@ -5,7 +5,7 @@ import pytest
 
 from dvae.distributions import Rng, aggregate_bce, aggregate_entropy
 from dvae import network
-from dvae.network import BLOCK, HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
+from dvae.network import BLOCK, Mlp
 from dvae.oracle import finite_difference, scaled_gradient_error
 from dvae.tensor import ShapeError, sigmoid
 
@@ -18,7 +18,7 @@ class TestFlatVectors:
     def test_layer_arrays_are_views_in_manifest_order(self):
         ws = [np.arange(12.0).reshape(4, 3), np.arange(8.0).reshape(2, 4) - 3.0]
         bs = [np.array([0.5, -0.5, 1.5, 2.5]), np.array([7.0, -7.0])]
-        net = Mlp([3, 4, 2], HEAD_SIGMOID)
+        net = Mlp([3, 4, 2])
         assert not net.params.any() and not net.grads.any()
         for layer, w, b in zip(net.layers, ws, bs):
             layer.weights[:] = w
@@ -40,7 +40,7 @@ class TestFlatVectors:
         assert offset == net.params.size
 
     def test_vector_writes_reach_the_layers(self):
-        net = Mlp.create([3, 4, 2], HEAD_SIGMOID, Rng(60))
+        net = Mlp.create([3, 4, 2], Rng(60))
         net.params[:] = np.linspace(-0.5, 0.5, net.params.size)
         assert net.layers[0].weights[0, 0] == -0.5 and net.layers[1].bias[-1] == 0.5
         net.forward(np.ones(3))
@@ -51,22 +51,31 @@ class TestFlatVectors:
 
 class TestForward:
     def test_zero_net_sigmoid_outputs_half(self):
-        net = Mlp([3, 4, 5], HEAD_SIGMOID)
+        net = Mlp([3, 4, 5])
         assert np.array_equal(net.forward(np.array([0.3, -1.0, 2.0])), np.full(5, 0.5))
 
     def test_zero_net_softmax_outputs_uniform(self):
-        net = Mlp([3, 6], HEAD_SOFTMAX, softmax_shape=(2, 3))
+        net = Mlp([3, 6], softmax_shape=(2, 3))
         out = net.forward(np.array([1.0, 2.0, 3.0]))
         assert np.allclose(out, 1.0 / 3.0, rtol=0, atol=1e-15)
 
+    def test_softmax_shape_decides_the_head(self):
+        assert Mlp([3, 6], softmax_shape=(2, 3)).head == "softmax"
+        assert Mlp([3, 6]).head == "sigmoid"
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3)], ids=["short", "over"])
+    def test_softmax_shape_must_fit_the_output(self, shape):
+        with pytest.raises(ShapeError, match=r"output width 6 does not fill softmax shape"):
+            Mlp([3, 6], softmax_shape=shape)
+
     def test_identity_layer_sigmoid_composition(self):
-        net = Mlp([2, 2], HEAD_SIGMOID)
+        net = Mlp([2, 2])
         net.layers[0].weights[:] = np.eye(2)
         out = net.forward(np.array([0.0, math.log(3.0)]))
         assert np.allclose(out, [0.5, 0.75], rtol=0, atol=1e-15)
 
     def test_shape_mismatch(self):
-        net = Mlp([3, 2], HEAD_SIGMOID)
+        net = Mlp([3, 2])
         with pytest.raises(ShapeError):
             net.forward(np.zeros(4))
 
@@ -75,13 +84,13 @@ class TestForward:
         # with no layer to make a fresh array, the in-place head would
         # overwrite the caller's input
         with pytest.raises(ShapeError, match="input and an output size"):
-            Mlp(sizes, HEAD_SIGMOID)
+            Mlp(sizes)
 
 
 class TestBackward:
     def test_zero_upstream_leaves_accumulators(self):
         rng = Rng(70)
-        net = Mlp.create([4, 3, 2], HEAD_SIGMOID, rng)
+        net = Mlp.create([4, 3, 2], rng)
         net.forward(random_input(4, rng))
         net.backward(np.zeros(2))
         assert np.all(net.grads == 0.0)
@@ -90,7 +99,7 @@ class TestBackward:
         # single linear layer; with c the gradient at its output (the head's
         # upstream times the sigmoid slope y (1 - y)), grad_W = outer(c, x)
         w = np.array([[0.5, -0.25], [0.25, 0.75]])
-        net = Mlp([2, 2], HEAD_SIGMOID)
+        net = Mlp([2, 2])
         layer = net.layers[0]
         layer.weights[:] = w
         x = np.array([5.0, -1.0])
@@ -112,7 +121,7 @@ class TestBackward:
         assert np.allclose(layer.grad_bias, cs.sum(axis=0), rtol=0, atol=1e-12)
 
     def test_backward_before_forward_raises(self):
-        net = Mlp([2, 2], HEAD_SIGMOID)
+        net = Mlp([2, 2])
         with pytest.raises(RuntimeError):
             net.backward(np.zeros(2))
 
@@ -120,7 +129,7 @@ class TestBackward:
         # gradients are linear in the upstream: separate passes for a and b
         # sum to the pass for a + b
         rng = Rng(71)
-        net = Mlp.create([4, 5, 3], HEAD_SIGMOID, rng)
+        net = Mlp.create([4, 5, 3], rng)
         x = random_input(4, rng)
         a = np.array([rng.uniform() for _ in range(3)])
         b = np.array([rng.uniform() for _ in range(3)])
@@ -133,11 +142,10 @@ class TestBackward:
         assert np.allclose(from_a + net.grads, combined, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("refresh", [False, True], ids=["replay", "new-forward"])
-    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
-    def test_backward_keeps_only_the_last_pass(self, head, refresh):
+    @pytest.mark.parametrize("shape", [None, (2, 3)], ids=["sigmoid", "softmax"])
+    def test_backward_keeps_only_the_last_pass(self, shape, refresh):
         # grads hold the last pass only, bit for bit, whatever came before
-        shape = (2, 3) if head == HEAD_SOFTMAX else None
-        net, fresh = (Mlp.create([3, 4, 6], head, Rng(72), shape) for _ in range(2))
+        net, fresh = (Mlp.create([3, 4, 6], Rng(72), shape) for _ in range(2))
         rng = Rng(73)
         x_a, x = rng.uniforms(5 * 3).reshape(5, 3), rng.uniforms(5 * 3).reshape(5, 3)
         out_shape = net.forward(x_a).shape
@@ -153,7 +161,7 @@ class TestBackward:
 
     def test_zero_upstream_after_a_pass_leaves_zero_grads(self):
         rng = Rng(95)
-        net = Mlp.create([3, 3], HEAD_SIGMOID, rng)
+        net = Mlp.create([3, 3], rng)
         net.forward(random_input(3, rng))
         net.backward(np.ones(3))
         assert np.all(net.grads != 0.0)
@@ -168,7 +176,7 @@ class TestBackward:
         up = rng.uniforms(4 * 7).reshape(4, 7) - 0.5
 
         def run():
-            net = Mlp.create([5, 8, 7], HEAD_SIGMOID, Rng(75))
+            net = Mlp.create([5, 8, 7], Rng(75))
             y = net.forward(x).copy()
             net.backward(up)
             return y.tobytes(), net.grads.tobytes()
@@ -185,7 +193,7 @@ class TestFiniteDifferenceAgreement:
     @pytest.mark.parametrize("seed", range(10))
     def test_sigmoid_head_bce_objective(self, seed):
         rng = Rng(300 + seed)
-        net = Mlp.create([5, 8, 4], HEAD_SIGMOID, rng)
+        net = Mlp.create([5, 8, 4], rng)
         x = random_input(5, rng)
         targets = np.array([float(rng.randint(2)) for _ in range(4)])
 
@@ -195,7 +203,7 @@ class TestFiniteDifferenceAgreement:
         analytic = net.grads.copy()
 
         def objective(thetas):
-            return -aggregate_bce(Mlp(net.sizes, HEAD_SIGMOID, params=thetas).forward(x),
+            return -aggregate_bce(Mlp(net.sizes, params=thetas).forward(x),
                                   targets)
 
         fd = finite_difference(objective, net.params, 1e-5)
@@ -205,7 +213,7 @@ class TestFiniteDifferenceAgreement:
     def test_softmax_head_entropy_plus_pick_objective(self, seed):
         rng = Rng(400 + seed)
         d, k = 2, 3
-        net = Mlp.create([4, 6, d * k], HEAD_SOFTMAX, rng, softmax_shape=(d, k))
+        net = Mlp.create([4, 6, d * k], rng, (d, k))
         x = random_input(4, rng)
         picks = np.array([rng.randint(k) for _ in range(d)])
 
@@ -216,7 +224,7 @@ class TestFiniteDifferenceAgreement:
         analytic = net.grads.copy()
 
         def objective(thetas):
-            p = Mlp(net.sizes, HEAD_SOFTMAX, (d, k), thetas).forward(x)
+            p = Mlp(net.sizes, (d, k), thetas).forward(x)
             return aggregate_entropy(p) + np.log(p[:, np.arange(d), picks]).sum(axis=-1)
 
         fd = finite_difference(objective, net.params, 1e-5)
@@ -227,92 +235,88 @@ class TestStackedParams:
     """A net over an (m, n) stack runs m nets in one forward pass."""
 
     @pytest.mark.parametrize("rows", [None, 1, 4], ids=["vector", "1-row", "4-rows"])
-    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
-    def test_each_row_bit_identical_to_its_own_net(self, head, rows):
+    @pytest.mark.parametrize("shape", [None, (2, 3)], ids=["sigmoid", "softmax"])
+    def test_each_row_bit_identical_to_its_own_net(self, shape, rows):
         rng = Rng(500)
-        shape = (2, 3) if head == HEAD_SOFTMAX else None
-        net = Mlp.create([5, 8, 6], head, rng, softmax_shape=shape)
+        net = Mlp.create([5, 8, 6], rng, softmax_shape=shape)
         stack = net.params + 0.1 * (Rng(501).uniforms(7 * net.params.size).reshape(7, -1) - 0.5)
         x = rng.uniforms(5) if rows is None else rng.uniforms(rows * 5).reshape(rows, 5)
-        stacked = Mlp(net.sizes, head, shape, stack)
+        stacked = Mlp(net.sizes, shape, stack)
         out = stacked.forward(x)
         for i in range(len(stack)):
-            one = Mlp(net.sizes, head, shape, stack[i].copy()).forward(x)
+            one = Mlp(net.sizes, shape, stack[i].copy()).forward(x)
             assert out[i].shape == one.shape
             assert out[i].tobytes() == one.tobytes()
         assert out.shape == (7, *one.shape) and out.flags.c_contiguous
 
     @pytest.mark.parametrize("rows", [1, 4])
-    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
-    def test_one_batch_per_net_bit_identical_to_each_net(self, head, rows):
-        shape = (2, 3) if head == HEAD_SOFTMAX else None
-        stacked = Mlp.create([5, 8, 6], head, np.arange(600, 607), softmax_shape=shape)
+    @pytest.mark.parametrize("shape", [None, (2, 3)], ids=["sigmoid", "softmax"])
+    def test_one_batch_per_net_bit_identical_to_each_net(self, shape, rows):
+        stacked = Mlp.create([5, 8, 6], np.arange(600, 607), softmax_shape=shape)
         x = Rng(502).uniforms(7 * rows * 5).reshape(7, rows, 5)
         out = stacked.forward(x)
         for i in range(7):
-            one = Mlp(stacked.sizes, head, shape, stacked.params[i].copy()).forward(x[i])
+            one = Mlp(stacked.sizes, shape, stacked.params[i].copy()).forward(x[i])
             assert out[i].tobytes() == one.tobytes()
         assert out.shape == (7, *one.shape) and out.flags.c_contiguous
 
-    @pytest.mark.parametrize("head", [HEAD_SIGMOID, HEAD_SOFTMAX])
-    def test_stacked_create_rows_equal_nets_from_each_rng(self, head):
-        shape = (2, 3) if head == HEAD_SOFTMAX else None
+    @pytest.mark.parametrize("shape", [None, (2, 3)], ids=["sigmoid", "softmax"])
+    def test_stacked_create_rows_equal_nets_from_each_rng(self, shape):
         seeds = np.uint64(2**64 - 2) + np.arange(4, dtype=np.uint64)  # wraps past 2^64
-        stacked = Mlp.create([5, 8, 6], head, seeds, softmax_shape=shape)
+        stacked = Mlp.create([5, 8, 6], seeds, softmax_shape=shape)
         for i, row in enumerate(stacked.params):
-            one = Mlp.create([5, 8, 6], head, Rng(2**64 - 2 + i), shape)
+            one = Mlp.create([5, 8, 6], Rng(2**64 - 2 + i), shape)
             assert row.tobytes() == one.params.tobytes()
 
     def test_rejects_a_batch_stack_of_the_wrong_length(self):
-        stacked = Mlp([3, 2], HEAD_SIGMOID, params=np.zeros((4, 8)))
+        stacked = Mlp([3, 2], params=np.zeros((4, 8)))
         with pytest.raises(ShapeError, match="stack of 4"):
             stacked.forward(np.ones((3, 1, 3)))
 
     def test_layers_are_views_into_the_stack(self):
         stack = np.arange(2 * 26, dtype=np.float64).reshape(2, 26)
-        stacked = Mlp([3, 4, 2], HEAD_SIGMOID, params=stack)
+        stacked = Mlp([3, 4, 2], params=stack)
         assert stacked.grads is None and stacked.params is stack
-        for layer, (w, b, *_) in zip(stacked.layers, Mlp([3, 4, 2], HEAD_SIGMOID,
-                                                        params=stack[1]).layers):
+        for layer, (w, b, *_) in zip(stacked.layers, Mlp([3, 4, 2], params=stack[1]).layers):
             assert layer.grad_weights is None and layer.grad_bias is None
             assert np.shares_memory(layer.weights, stack)
             assert np.array_equal(layer.weights[1], w)
             assert np.array_equal(layer.bias[1, 0], b) and layer.bias.shape == (2, 1, len(b))
 
     def test_forward_only(self):
-        stacked = Mlp([3, 2], HEAD_SIGMOID, params=np.zeros((4, 8)))
+        stacked = Mlp([3, 2], params=np.zeros((4, 8)))
         stacked.forward(np.ones(3))
         with pytest.raises(RuntimeError, match="forward-only"):
             stacked.backward(np.ones((4, 2)))
 
     def test_sga_step_rejected_before_anything_is_written(self):
         params = Rng(98).uniforms(4 * 8).reshape(4, 8)
-        stacked = Mlp([3, 2], HEAD_SIGMOID, params=params.copy())
+        stacked = Mlp([3, 2], params=params.copy())
         with pytest.raises(RuntimeError, match="forward-only"):
             stacked.sga_step(0.1)
         assert stacked.params.tobytes() == params.tobytes()
 
     def test_rejects_inputs_with_more_than_one_batch_axis(self):
-        stacked = Mlp([3, 2], HEAD_SIGMOID, params=np.zeros((4, 8)))
+        stacked = Mlp([3, 2], params=np.zeros((4, 8)))
         with pytest.raises(ShapeError):
             stacked.forward(np.ones((2, 2, 3)))
 
     @pytest.mark.parametrize("shape", [(7,), (4, 7), (2, 4, 8)])
     def test_rejects_params_of_the_wrong_shape(self, shape):
         with pytest.raises(ShapeError):
-            Mlp([3, 2], HEAD_SIGMOID, params=np.zeros(shape))
+            Mlp([3, 2], params=np.zeros(shape))
 
 
 class TestSgaStep:
     def test_zero_grads_means_no_movement(self):
         rng = Rng(80)
-        net = Mlp.create([3, 4, 2], HEAD_SIGMOID, rng)
+        net = Mlp.create([3, 4, 2], rng)
         before = net.params.copy()
         net.sga_step(0.5)
         assert np.array_equal(net.params, before)
 
     def test_unit_lr_adds_gradient(self):
-        net = Mlp([1, 1], HEAD_SIGMOID)
+        net = Mlp([1, 1])
         layer = net.layers[0]
         layer.weights[0, 0] = 2.0
         layer.grad_weights[0, 0] = 0.25
@@ -321,8 +325,8 @@ class TestSgaStep:
 
     def test_two_half_steps_equal_one_full_step(self):
         rng = Rng(81)
-        a = Mlp.create([3, 4, 2], HEAD_SIGMOID, rng)
-        b = Mlp.create([3, 4, 2], HEAD_SIGMOID, Rng(81))
+        a = Mlp.create([3, 4, 2], rng)
+        b = Mlp.create([3, 4, 2], Rng(81))
         x = random_input(3, rng)
         up = np.array([0.3, -0.8])
         for net in (a, b):
@@ -345,11 +349,11 @@ class TestSgaStep:
         # the former step: grads *= scale, then w += lr * grad_w layer by layer
         assert BLOCK == 2 ** 15
         lr, scale = 1e-3, 1.0 / 7.0
-        net = Mlp(sizes, HEAD_SIGMOID, params=Rng(82).uniforms(n) - 0.5)
+        net = Mlp(sizes, params=Rng(82).uniforms(n) - 0.5)
         assert net.params.size == n
         net.grads[:] = 100.0 * (Rng(83).uniforms(n) - 0.5)
         grads = net.grads.copy()
-        old = Mlp(sizes, HEAD_SIGMOID, params=net.params.copy())
+        old = Mlp(sizes, params=net.params.copy())
         old.grads[:] = grads
         old.grads *= scale
         for w, b, grad_w, grad_b in old.layers:
@@ -360,7 +364,7 @@ class TestSgaStep:
         assert net.grads.tobytes() == grads.tobytes()
 
     def test_nonpositive_lr_rejected(self):
-        net = Mlp([2, 2], HEAD_SIGMOID)
+        net = Mlp([2, 2])
         with pytest.raises(ValueError):
             net.sga_step(0.0)
         with pytest.raises(ValueError):
@@ -371,7 +375,7 @@ class TestDeterminism:
     def test_same_seed_bit_identical_after_steps(self):
         def run():
             rng = Rng(90)
-            net = Mlp.create([4, 6, 3], HEAD_SIGMOID, rng)
+            net = Mlp.create([4, 6, 3], rng)
             data_rng = Rng(91)
             for _ in range(5):
                 x = random_input(4, data_rng)
@@ -389,9 +393,9 @@ def test_blocked_init_bit_identical_to_whole_layer_draws(stacked):
     # layer 0 holds 75,000 weights, more than two blocks of draws
     sizes, seeds = [300, 250, 60], [2**64 - 1, 97]
     assert sizes[0] * sizes[1] > 2 * BLOCK
-    nets = ([Mlp.create(sizes, HEAD_SIGMOID, Rng(s)) for s in seeds] if not stacked else
-            [Mlp(sizes, HEAD_SIGMOID, params=row.copy()) for row in
-             Mlp.create(sizes, HEAD_SIGMOID, np.array(seeds, dtype=np.uint64)).params])
+    nets = ([Mlp.create(sizes, Rng(s)) for s in seeds] if not stacked else
+            [Mlp(sizes, params=row.copy()) for row in
+             Mlp.create(sizes, np.array(seeds, dtype=np.uint64)).params])
     for net, seed in zip(nets, seeds):
         rng = Rng(seed)
         for (w, b, *_), fan_in, fan_out in zip(net.layers, sizes, sizes[1:]):
@@ -401,7 +405,7 @@ def test_blocked_init_bit_identical_to_whole_layer_draws(stacked):
 
 
 def test_init_bounds_follow_fan_scaling():
-    net = Mlp.create([5, 8, 3], HEAD_SIGMOID, Rng(96))
+    net = Mlp.create([5, 8, 3], Rng(96))
     for layer, fan_sum in zip(net.layers, (13, 11)):
         limit = math.sqrt(6.0 / fan_sum)
         assert 0.5 * limit < np.abs(layer.weights).max() <= limit
