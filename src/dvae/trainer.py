@@ -21,13 +21,17 @@ Every pass turns its examples into sample rows, their encoder probabilities
 and their latents in one step, _encoded. This is the only module that
 starts threads, and it uses at most two cores:
 
-* overlapped runs one callable on the caller while a helper thread runs
-  another. Below OVERLAP_MIN_SIZE, or when the process may run on one CPU
-  only, it runs the two in turn on the caller: numpy holds the interpreter
-  lock through operations on small arrays, so two threads would only pass
-  it back and forth, and on one CPU the helper only adds its own malloc
-  arena and thread switches (perfbench train-mnist784 pinned to one CPU of
-  a 2-vCPU x86-64 host: peak RSS 85.6 -> 89.6 MB, 7% more time with it).
+* overlapped runs one callable on the caller while the caller's helper
+  thread runs another. Each calling thread has one helper, started on its
+  first call that overlaps and serving its calls one at a time until the
+  calling thread ends: starting a thread per call cost more than the work
+  some calls hand over. Below OVERLAP_MIN_SIZE, or when the process may run
+  on one CPU only, the two run in turn on the caller and no helper starts:
+  numpy holds the interpreter lock through operations on small arrays, so
+  two threads would only pass it back and forth, and on one CPU the helper
+  only adds its own malloc arena and thread switches (perfbench
+  train-mnist784 pinned to one CPU of a 2-vCPU x86-64 host: peak RSS 85.6
+  -> 89.6 MB, 7% more time with it).
 * An epoch's training steps are one pass over its batches (_pass). The
   caller decodes each batch and takes its ELBO estimate. Then the helper
   runs the encoder's backward pass and step and encodes and samples the
@@ -85,13 +89,14 @@ METRICS_HEADER = "epoch,train_elbo,train_entropy,train_prior,train_recon,val_elb
 # oracle's B=1 passes never reach overlapped. Only two sizes were measured
 # when it was set: the suite's nets (under 1k encoder parameters) and the
 # benchmark's 505k-parameter encoder. Between them the helper does not
-# always pay. Two shapes above the gate, each run 7 times alternately in
-# turn and with the helper (5-epoch train on 500 + 200 bars images, batch
-# 100, one BLAS thread, 2-vCPU x86-64 host; medians):
-# - 8x8 images, D=4, K=5, hidden 600 (51.0k encoder parameters): 137 ms in
-#   turn against 145 ms with the helper, which was faster in 2 of 7 pairs;
-# - 28x28 images, D=20, K=10, hidden 96 (94.8k): 389 against 316 ms, the
-#   helper faster in 6 of 7.
+# always pay. Two shapes above the gate, in 12 alternating pairs of fresh
+# processes in turn and with the helper (each the median of five 5-epoch
+# trains on 500 + 200 bars images, batch 100, after one more; one BLAS
+# thread, 2-vCPU x86-64 host; medians of the 12):
+# - 8x8 images, D=4, K=5, hidden 600 (51.0k encoder parameters): 91.6 ms
+#   in turn against 96.9 ms with the helper, which was faster in 7 of 12;
+# - 28x28 images, D=20, K=10, hidden 96 (94.8k): 274 against 214 ms, the
+#   helper faster in 12 of 12.
 OVERLAP_MIN_SIZE = 1 << 15
 
 
@@ -179,30 +184,85 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def overlapped(here, there, size: int) -> tuple:
-    """Run here() on this thread while there() runs on a new helper thread
-    in a copy of this thread's context (so numpy's error state carries over),
-    join the helper, and return (here(), there()); an exception raised by
-    there() is raised again here, after the join. size is the element count
-    the work scales with (both callers pass the encoder's parameter count).
-    Below OVERLAP_MIN_SIZE, or when this process may run on one CPU only, the
-    two run in turn on this thread instead."""
-    if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
-        return here(), there()
-    box = {}
+_callers = threading.local()  # .helper: the calling thread's _Helper
 
-    def helper() -> None:
+
+def _serve(handed: threading.Lock, jobs: list) -> None:
+    """A helper thread's loop: take each job handed over, run there() in the
+    job's context, leave its value or exception in the job's box and release
+    the job's lock, until it takes None."""
+    while True:
+        handed.acquire()
+        job = jobs.pop()
+        if job is None:
+            return
+        context, there, box, ended = job
         try:
-            box["value"] = there()
+            box["value"] = context.run(there)
         except BaseException as exc:  # raised again on the caller
             box["error"] = exc
+        ended.release()
 
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    thread.start()
+
+class _Helper:
+    """One calling thread's helper thread. A daemon, so that it never holds
+    up the interpreter's exit, and sharing no reference to this object, so
+    that dropping it stops the thread: threading.local drops it when its
+    calling thread ends, and overlapped replaces it in a forked child, where
+    the thread did not survive the fork."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.handed = threading.Lock()
+        self.handed.acquire()
+        self.jobs: list = []
+        threading.Thread(target=_serve, args=(self.handed, self.jobs), daemon=True).start()
+
+    def __del__(self):
+        self.jobs.append(None)
+        self.handed.release()
+
+    def hand(self, there) -> tuple[dict, threading.Lock]:
+        """Hand there() over to run in a copy of this thread's context; the
+        returned box is filled before the returned lock is released. Each job
+        has a lock of its own: an interrupt can end an acquire just after it
+        took the lock, so a caller that resumes waiting reads the box, and
+        the lock is never taken twice."""
+        box, ended = {}, threading.Lock()
+        ended.acquire()
+        self.jobs.append((contextvars.copy_context(), there, box, ended))
+        self.handed.release()
+        return box, ended
+
+
+def overlapped(here, there, size: int) -> tuple:
+    """Run here() on this thread while there() runs on this thread's helper
+    thread in a copy of this thread's context (so numpy's error state
+    carries over), and return (here(), there()) once both have ended. An
+    exception raised by there() is raised again here, and one that
+    interrupts the wait (KeyboardInterrupt) is raised once there() has
+    ended; the helper then serves the next call. The helper starts on this
+    thread's first call that overlaps and ends when this thread ends. size
+    is the element count the work scales with (both callers pass the
+    encoder's parameter count). Below OVERLAP_MIN_SIZE, or when this process
+    may run on one CPU only, the two run in turn on this thread instead."""
+    if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
+        return here(), there()
+    helper = getattr(_callers, "helper", None)
+    if helper is None or helper.pid != os.getpid():
+        helper = _callers.helper = _Helper()
+    box, ended = helper.hand(there)
     try:
         first = here()
     finally:
-        thread.join()
+        interrupt = None
+        while not box:
+            try:
+                ended.acquire()
+            except BaseException as exc:  # there() still runs: wait on, then raise it
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
     if "error" in box:
         raise box["error"]
     return first, box["value"]

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import re
+import signal
 import struct
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -251,9 +253,12 @@ class TestTrainingStep:
             reference.decoder.sga_step(0.05, 1.0 / len(x))
         if overlap:
             open_overlap(monkeypatch)
-        started = TestOverlappedHelper.thread_starts(monkeypatch)
+        else:
+            monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
+        jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
         trainer._pass(model, train_set.images, u, indices, 0.05, 1)
-        assert len(started) == (3 if overlap else 0)
+        assert len(jobs) == (3 if overlap else 0)  # one per batch, all to one helper
+        assert len(set(map(id, jobs))) == (1 if overlap else 0)
         assert model.encoder.params.tobytes() == reference.encoder.params.tobytes()
         assert model.decoder.params.tobytes() == reference.decoder.params.tobytes()
         fresh = build_model(config, train_set.p)
@@ -279,19 +284,125 @@ class TestRecordedTrajectory:
             np.testing.assert_allclose(net.params, recorded[name], rtol=1e-12, atol=0)
 
 
+def helper_ident():
+    """The ident of the thread on which overlapped runs there(), with the
+    gate open."""
+    return trainer.overlapped(lambda: None, threading.get_ident, 1)[1]
+
+
+def thread_by_ident(ident):
+    return next(thread for thread in threading.enumerate() if thread.ident == ident)
+
+
 class TestOverlapped:
     def test_runs_there_on_a_helper_thread_and_returns_both(self, monkeypatch):
         open_overlap(monkeypatch)
-        before = threading.active_count()
         here, there = trainer.overlapped(threading.get_ident, threading.get_ident, 1)
         assert here == threading.get_ident() != there
-        assert threading.active_count() == before
+        count = threading.active_count()
+        for _ in range(3):  # later calls go to the same helper and start no thread
+            assert trainer.overlapped(threading.get_ident, threading.get_ident, 1) == \
+                   (here, there)
+        assert threading.active_count() == count
+        assert thread_by_ident(there).daemon
 
     def test_helper_sees_the_callers_numpy_error_state(self, monkeypatch):
         open_overlap(monkeypatch)
         with np.errstate(over="ignore"):
             here, there = trainer.overlapped(np.geterr, np.geterr, 1)
         assert here["over"] == there["over"] == "ignore"
+
+    def test_each_job_runs_in_a_copy_of_its_callers_numpy_error_state(self, monkeypatch):
+        open_overlap(monkeypatch)
+        for mode in ("raise", "warn", "ignore"):
+            with np.errstate(over=mode):  # the last job's seterr left nothing behind
+                _, (seen, _) = trainer.overlapped(
+                    lambda: None, lambda: (np.geterr()["over"], np.seterr(over="call")), 1)
+            assert seen == mode
+        assert np.geterr()["over"] != "call"
+
+    def test_calling_threads_get_one_helper_each(self, monkeypatch):
+        # more calling threads than cores, trading the interpreter lock often:
+        # every call gets its own job's value back, from its own thread's helper
+        open_overlap(monkeypatch)
+        barrier = threading.Barrier(4, timeout=10)
+        answers = {}
+
+        def caller(name):
+            barrier.wait()  # all call at once
+            answers[name] = [trainer.overlapped(lambda: i, lambda: (i, threading.get_ident()), 1)
+                             for i in range(50)]
+            barrier.wait()  # no helper ends, and frees its ident, before all have run
+
+        callers = [threading.Thread(target=caller, args=(name,)) for name in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        helpers = set()
+        for name in range(4):
+            assert [(i, j) for i, (j, _) in answers[name]] == [(i, i) for i in range(50)]
+            (helper,) = {ident for _, (_, ident) in answers[name]}
+            helpers.add(helper)
+        assert len(helpers) == 4 and threading.get_ident() not in helpers
+
+    def test_a_calling_threads_exit_ends_its_helper(self, monkeypatch):
+        open_overlap(monkeypatch)
+        helpers = []
+        caller = threading.Thread(target=lambda: helpers.append(thread_by_ident(helper_ident())))
+        caller.start()
+        caller.join(10)
+        assert not caller.is_alive()
+        (helper,) = helpers
+        helper.join(10)
+        assert not helper.is_alive()
+
+    def test_helper_serves_the_next_call_after_an_exception(self, monkeypatch):
+        open_overlap(monkeypatch)
+        first = helper_ident()
+
+        def fail():
+            raise ValueError(threading.get_ident())
+
+        with pytest.raises(ValueError) as err:
+            trainer.overlapped(lambda: None, fail, 1)
+        assert err.value.args == (first,)
+        assert helper_ident() == first
+
+    def test_interrupted_wait_raises_once_the_helpers_job_has_ended(self, monkeypatch):
+        # SIGINT reaches the caller while it waits for there(), which then
+        # runs on: KeyboardInterrupt is raised after there() has returned
+        open_overlap(monkeypatch)
+        first = helper_ident()
+        sent, done = threading.Event(), []
+
+        def there():
+            sent.wait(10)
+            time.sleep(0.2)
+            done.append(True)
+
+        def interrupt(caller):
+            time.sleep(0.05)
+            signal.pthread_kill(caller, signal.SIGINT)
+            sent.set()
+
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        kill = threading.Thread(target=interrupt, args=(threading.get_ident(),))
+        try:
+            kill.start()
+            with pytest.raises(KeyboardInterrupt):
+                trainer.overlapped(lambda: None, there, 1)
+            assert done == [True]
+        finally:
+            kill.join(10)
+            signal.signal(signal.SIGINT, previous)
+        assert helper_ident() == first  # which then serves the next call
 
     def test_work_below_the_size_gate_runs_in_turn(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -320,12 +431,13 @@ class TestOverlapped:
         monkeypatch.setattr(trainer, "OVERLAP_MIN_SIZE", 1)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        started = TestOverlappedHelper.thread_starts(monkeypatch)
+        jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
         here, there = trainer.overlapped(threading.get_ident, threading.get_ident, 1)
-        assert len(started) == 1 and here == threading.get_ident() != there
+        assert len(jobs) == 1 and here == threading.get_ident() != there
 
     def test_helper_exception_is_raised_on_the_caller_after_the_join(self, monkeypatch):
         open_overlap(monkeypatch)
+        helper_ident()  # this thread's helper is running
         before = threading.active_count()
         done = []
 
@@ -339,29 +451,37 @@ class TestOverlapped:
 
 class TestOverlappedHelper:
     """The helper thread of overlapped, opened at the suite's small shapes,
-    changes no output bit, and every pass joins it."""
+    changes no output bit, and every pass hands its jobs to the calling
+    thread's one helper."""
 
     @staticmethod
-    def thread_starts(monkeypatch):
-        """The list to which each thread started from now on is appended."""
-        started = []
-        thread_start = threading.Thread.start
+    def handed_jobs(monkeypatch):
+        """The list to which, for each job handed over from now on, the
+        helper it is handed to is appended."""
+        jobs = []
+        hand = trainer._Helper.hand
 
-        def start(thread):
-            started.append(thread)
-            thread_start(thread)
+        def counted(helper, there):
+            jobs.append(helper)
+            return hand(helper, there)
 
-        monkeypatch.setattr(threading.Thread, "start", start)
-        return started
+        monkeypatch.setattr(trainer._Helper, "hand", counted)
+        return jobs
 
     @staticmethod
     def in_turn_and_overlapped(monkeypatch, run):
-        """run() in turn, then again with the helper opened and the two
-        threads trading the interpreter lock often; no thread outlives it."""
-        serial = run()
+        """(run() in turn, run() again with the helper opened and the two
+        threads trading the interpreter lock often, the number of jobs the
+        second run handed over). The first run starts no thread; the second
+        hands every job to this thread's helper and starts no thread."""
+        with monkeypatch.context() as in_turn:
+            in_turn.setattr(threading, "Thread", None)  # any thread start fails
+            in_turn.setattr(trainer._Helper, "hand", None)  # any handover fails
+            serial = run()
         open_overlap(monkeypatch)
-        started = TestOverlappedHelper.thread_starts(monkeypatch)
+        helper_ident()  # this thread's helper is running
         before = threading.active_count()
+        jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -369,8 +489,8 @@ class TestOverlappedHelper:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
-        assert started and not any(t.is_alive() for t in started)
-        return serial, both
+        assert jobs and all(helper is trainer._callers.helper for helper in jobs)
+        return serial, both, len(jobs)
 
     @pytest.mark.parametrize("n", [100, 200, 250])  # 1, 2 and 3 chunks, the last one short
     def test_evaluate_is_bit_identical_to_chunks_in_turn(self, monkeypatch, n):
@@ -391,19 +511,53 @@ class TestOverlappedHelper:
             open_overlap(one_cpu, cpus=(0,))
             one_cpu.setattr(threading, "Thread", None)  # any thread start fails
             assert evaluate(model, train_set, Rng(56)) == want
-        open_overlap(monkeypatch)  # one helper, for the second half
-        started = self.thread_starts(monkeypatch)
-        before = threading.active_count()
+        open_overlap(monkeypatch)  # one job, the second half, for the helper
+        jobs = self.handed_jobs(monkeypatch)
         assert evaluate(model, train_set, Rng(56)) == want
-        assert len(started) == 1 and threading.active_count() == before
+        assert len(jobs) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 250])  # halves of 0|1, 1|1, 1|2 and 125|125
     def test_evaluate_halves_are_bit_identical_to_halves_in_turn(self, monkeypatch, n):
         train_set, _ = bars_sets(n_train=n)
         model = build_model(bars_config(), train_set.p)
-        serial, both = self.in_turn_and_overlapped(
+        serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: evaluate(model, train_set, Rng(57)))
-        assert both == serial
+        assert both == serial and jobs == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # fork with threads
+    def test_forked_child_evaluates_byte_identically(self, monkeypatch):
+        train_set, _ = bars_sets(n_train=250)
+        model = build_model(bars_config(), train_set.p)
+        open_overlap(monkeypatch)
+        want = np.array(dataclasses.astuple(evaluate(model, train_set, Rng(57)))).tobytes()
+        jobs = self.handed_jobs(monkeypatch)  # the parent's helper is running
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: the parent's helper did not survive the fork
+            code = 1
+            try:
+                got = evaluate(model, train_set, Rng(57))
+                os.write(write, np.array(dataclasses.astuple(got)).tobytes())
+                helper = trainer._callers.helper
+                code = 0 if jobs == [helper] and helper.pid == os.getpid() else 2
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not end within 30 s")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as child:
+            got = child.read()
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert got == want
+        got = evaluate(model, train_set, Rng(57))  # the parent's helper serves on
+        assert np.array(dataclasses.astuple(got)).tobytes() == want
+        assert jobs == [trainer._callers.helper]
 
     def test_epoch_0_row_at_three_samples_is_bit_identical_to_chunks_in_turn(self, monkeypatch):
         # 230 examples split 115|115, each side in chunks of 33 examples (99 samples)
@@ -422,9 +576,10 @@ class TestOverlappedHelper:
             bd = elbo_estimate(x, probs, model.decode(z))
             entropy += bd.entropy_term.sum()
             recon += bd.recon_term.sum()
-        serial, both = self.in_turn_and_overlapped(
+        serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set)[1][0])
         assert dataclasses.replace(both, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
+        assert jobs == 2 + 12 + 1  # the epoch-0 row's two estimates, epoch 1's steps and estimate
         assert (both.train_entropy, both.train_recon) == (entropy / 690, recon / 690)
 
     @pytest.mark.parametrize("mc", [1, 3])
@@ -432,8 +587,9 @@ class TestOverlappedHelper:
         # 3 chunks in the epoch-0 row, 11 batches of 20 and a short one of 10
         train_set, val_set = bars_sets(n_train=230)
         config = bars_config(max_epochs=2, mc_samples=mc)
-        (serial_model, serial_history), (model, history) = self.in_turn_and_overlapped(
+        (serial_model, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
+        assert jobs == 2 + 2 * (12 + 1)
         assert [dataclasses.replace(r, seconds=0.0) for r in history] == \
                [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         assert np.array_equal(model.encoder.params, serial_model.encoder.params)
@@ -442,8 +598,9 @@ class TestOverlappedHelper:
     def test_zero_lr_rows_repeat_over_the_helper(self, monkeypatch):
         train_set, val_set = bars_sets(n_train=230)
         config = bars_config(learning_rate=0.0, max_epochs=3)
-        (_, serial_history), (model, history) = self.in_turn_and_overlapped(
+        (_, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
+        assert jobs == 2 + 3 * (12 + 1)
         rows = [dataclasses.replace(r, seconds=0.0) for r in history]
         assert rows == [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         for row in rows[1:]:  # train rows differ from epoch 0's only in summation order
@@ -464,9 +621,10 @@ class TestOverlappedHelper:
             _, history = train(config, train_set, val_set, checkpoint_path=path)
             return history, load_checkpoint(path), path.read_bytes()
 
-        (serial_history, serial, serial_bytes), (history, both, both_bytes) = \
+        (serial_history, serial, serial_bytes), (history, both, both_bytes), jobs = \
             self.in_turn_and_overlapped(monkeypatch, run)
         assert len(history) == len(serial_history) < config.max_epochs + 1  # stopped early
+        assert jobs == 2 + (len(history) - 1) * (6 + 1)  # 6 batches and a validation an epoch
         assert 0 < both.epoch == serial.epoch
         assert both.rng_state == serial.rng_state != Rng(config.seed + 3).state
         assert both_bytes == serial_bytes
@@ -490,18 +648,19 @@ class TestOverlappedHelper:
                 train(bars_config(max_epochs=1, batch_size=10), broken, val_set)
             return str(err.value), len(steps)
 
-        serial, both = self.in_turn_and_overlapped(monkeypatch, run)
+        serial, both, jobs = self.in_turn_and_overlapped(monkeypatch, run)
         assert both == serial
         message, n_steps = both
         batch_i = int(message.rpartition("batch ")[2])
         assert message.startswith("non-finite ELBO estimate at epoch 1,")
         assert n_steps == 2 * batch_i  # no step after the non-finite estimate
+        assert jobs == 2 + batch_i
 
     @staticmethod
     def raises_from_the_helper(monkeypatch, method, run=None, view=False):
         """A MemoryError from Mlp.<method> on the helper thread reaches the
-        caller of run (a one-epoch train by default), and no thread outlives
-        it. The model's own encoder raises it or, with view, either net of the
+        caller of run (a one-epoch train by default), no thread is started,
+        and the same helper serves the next call. The model's own encoder raises it or, with view, either net of the
         forward-only view that estimates the helper's half."""
         train_set, val_set = bars_sets(n_train=40, n_val=10)
         open_overlap(monkeypatch)
@@ -515,13 +674,14 @@ class TestOverlappedHelper:
             return real(net, arg)
 
         monkeypatch.setattr(Mlp, method, failing)
+        first = helper_ident()
         before = threading.active_count()
         with pytest.raises(MemoryError, match=f"helper {method}"):
             if run is None:
                 train(bars_config(max_epochs=1, batch_size=10), train_set, val_set)
             else:
                 run(train_set)
-        assert threading.active_count() == before
+        assert threading.active_count() == before and helper_ident() == first
 
     def test_memory_error_in_the_next_encode_reaches_the_caller(self, monkeypatch):
         self.raises_from_the_helper(monkeypatch, "forward")
