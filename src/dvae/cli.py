@@ -229,6 +229,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. an absurd --n, --hidden or --mc-samples
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: a runtime failure, not a traceback
+        print("error: interrupted", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -25,6 +25,10 @@ from dvae.model import CHUNK_ROWS, DiscreteVae, d_entropy_d_probs
 CAPACITY_LIMIT = 10 ** 6
 # Uniforms drawn per block, in latent rows, by the Monte Carlo suite.
 DRAW_BLOCK = 10_000
+# The suites' sizes: gradient-suite nets, Monte Carlo draws, bound-suite models.
+GRAD_NETS, MC_DRAWS, BOUND_MODELS = 10, 200_000, 100
+# The step h of every central difference.
+FD_STEP = 1e-5
 
 
 class CapacityError(ValueError):
@@ -39,7 +43,7 @@ class EnumerationTable:
     latents: np.ndarray          # (K^D, D) category indices, table order
     q_probs: np.ndarray          # (K^D,), products of encoder row probabilities
     log_px_given_z: np.ndarray   # (K^D,), Bernoulli log-likelihood of x per z
-    probs: np.ndarray | None = None  # (D, K) encoder rows; None for a hand-built table
+    probs: np.ndarray            # (D, K) encoder rows that q_probs multiplies
 
 
 def lexicographic_indices(d: int, k: int, flat) -> np.ndarray:
@@ -86,13 +90,13 @@ def exact_marginal_log_px(table: EnumerationTable) -> float | np.ndarray:
     return float(value) if value.ndim == 0 else value
 
 
-def exact_elbo(table: EnumerationTable, probs: np.ndarray) -> float | np.ndarray:
-    """Exact ELBO for the encoder's (..., D, K) probabilities: aggregate
-    entropy - D*ln(K) + E_q[log p(x|z)] over the table, whose q_probs are
-    (..., K^D). A float for one (D, K), else one value per leading index."""
-    d, k = probs.shape[-2:]
+def exact_elbo(table: EnumerationTable) -> float | np.ndarray:
+    """Exact ELBO of the table's encoder rows: aggregate entropy of its
+    (..., D, K) probs - D*ln(K) + E_q[log p(x|z)] over its (..., K^D)
+    q_probs. A float for one table, else one value per leading index."""
+    d, k = table.probs.shape[-2:]
     expected_ll = (table.q_probs * table.log_px_given_z).sum(axis=-1)
-    value = aggregate_entropy(probs) - d * math.log(k) + expected_ll
+    value = aggregate_entropy(table.probs) - d * math.log(k) + expected_ll
     return float(value) if value.ndim == 0 else value
 
 
@@ -147,23 +151,21 @@ def configuration_gradients(model: DiscreteVae, x: np.ndarray, table: Enumeratio
     return grads, totals
 
 
-def finite_difference(objective, params: np.ndarray, h: float) -> np.ndarray:
-    """Central difference (f(p+h) - f(p-h)) / 2h per coordinate of the flat
-    float64 vector params, from one objective call on a (2n, n) stack: row
-    2j is params with entry j set to p_j + h, row 2j+1 with it set to p_j - h.
-    The objective returns the 2n values of its rows; params is not written.
-    The stack holds 2n^2 floats, which suits desk-scale nets only."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step must be positive and finite, got h={h}")
+def finite_difference(objective, params: np.ndarray) -> np.ndarray:
+    """Central difference (f(p+h) - f(p-h)) / 2h, h = FD_STEP, per coordinate
+    of the flat float64 vector params, from one objective call on a (2n, n)
+    stack: row 2j is params with entry j set to p_j + h, row 2j+1 with it set
+    to p_j - h. The objective returns the 2n values of its rows; params is not
+    written. The stack holds 2n^2 floats, which suits desk-scale nets only."""
     n = params.size
     stack = np.tile(params, (2 * n, 1))
     coord = np.arange(n)
-    stack[2 * coord, coord] = params + h
-    stack[2 * coord + 1, coord] = params - h
+    stack[2 * coord, coord] = params + FD_STEP
+    stack[2 * coord + 1, coord] = params - FD_STEP
     values = np.asarray(objective(stack), dtype=np.float64)
     if values.shape != (2 * n,):
         raise ValueError(f"objective returned shape {values.shape}, expected {(2 * n,)}")
-    return (values[0::2] - values[1::2]) / (2.0 * h)
+    return (values[0::2] - values[1::2]) / (2.0 * FD_STEP)
 
 
 GRAD_REL_TOL, GRAD_ABS_FLOOR = 1e-4, 1e-8
@@ -215,19 +217,16 @@ def tiny_model_and_input(seed: int, p: int = TINY_P) -> tuple[DiscreteVae, np.nd
     return models.with_params(models.encoder.params[0], models.decoder.params[0]), x[0]
 
 
-def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
-    """Analytic gradients vs central finite differences (h = 1e-5) on random
-    tiny models: the decoder's reconstruction gradient at a frozen latent,
-    and the exact encoder gradient against the enumerated ELBO. The nets are
-    built and enumerated as one stack, then checked one at a time."""
-    if n_nets < 1:
-        raise ValueError(f"n_nets must be at least 1, got {n_nets}")
-    h = 1e-5
-    models, xs = tiny_models_and_inputs([seed + 1000 * i for i in range(n_nets)])
+def suite_gradient_checks(seed: int) -> list[CheckResult]:
+    """Analytic gradients vs central finite differences (FD_STEP) on GRAD_NETS
+    random tiny models: the decoder's reconstruction gradient at a frozen
+    latent, and the exact encoder gradient against the enumerated ELBO. The
+    nets are built and enumerated as one stack, then checked one at a time."""
+    models, xs = tiny_models_and_inputs([seed + 1000 * i for i in range(GRAD_NETS)])
     tables = enumerate_table(models, xs)  # log p(x|z) does not depend on phi
     worst_dec = 0.0
     worst_enc = 0.0
-    for i in range(n_nets):
+    for i in range(GRAD_NETS):
         model = models.with_params(models.encoder.params[i], models.decoder.params[i])
         x = xs[i]
         draw = seed + 1000 * i + 3
@@ -240,33 +239,33 @@ def suite_gradient_checks(seed: int, n_nets: int = 10) -> list[CheckResult]:
         def recon_of(thetas):
             return -aggregate_bce(model.with_params(theta=thetas).decode(z), x)
 
-        fd_dec = finite_difference(recon_of, model.decoder.params, h)
+        fd_dec = finite_difference(recon_of, model.decoder.params)
         worst_dec = max(worst_dec, scaled_gradient_error(model.decoder.grads, fd_dec))
 
-        table = EnumerationTable(tables.latents, tables.q_probs[i], tables.log_px_given_z[i])
+        table = EnumerationTable(tables.latents, tables.q_probs[i], tables.log_px_given_z[i],
+                                 tables.probs[i])
         analytic_enc = exact_encoder_gradient(model, x, table)
 
         def elbo_of(phis):
             probs = model.with_params(phi=phis).encode(x)
-            q_probs = table_q_probs(probs, table.latents)
-            return exact_elbo(EnumerationTable(table.latents, q_probs, table.log_px_given_z),
-                              probs)
+            return exact_elbo(EnumerationTable(
+                table.latents, table_q_probs(probs, table.latents), table.log_px_given_z, probs))
 
-        fd_enc = finite_difference(elbo_of, model.encoder.params, h)
+        fd_enc = finite_difference(elbo_of, model.encoder.params)
         worst_enc = max(worst_enc, scaled_gradient_error(analytic_enc, fd_enc))
 
     return [
         CheckResult("decoder-grad-vs-finite-diff", worst_dec <= GRAD_REL_TOL, worst_dec,
-                    GRAD_REL_TOL, f"max scaled error over {n_nets} nets"),
+                    GRAD_REL_TOL, f"max scaled error over {GRAD_NETS} nets"),
         CheckResult("encoder-grad-vs-finite-diff", worst_enc <= GRAD_REL_TOL, worst_enc,
-                    GRAD_REL_TOL, f"max scaled error over {n_nets} nets"),
+                    GRAD_REL_TOL, f"max scaled error over {GRAD_NETS} nets"),
     ]
 
 
-def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
-    """Monte Carlo means vs enumerated ground truth on one tiny model:
-    per-parameter encoder gradients within 5 standard errors (at most 1% of
-    parameters beyond 3), and the single-sample ELBO total within 5.
+def suite_unbiasedness(seed: int) -> list[CheckResult]:
+    """MC_DRAWS-draw Monte Carlo means vs enumerated ground truth on one tiny
+    model: per-parameter encoder gradients within 5 standard errors (at most
+    1% of parameters beyond 3), and the single-sample ELBO total within 5.
 
     The model is never stepped, so each draw's encoder gradient and ELBO
     estimate is one of the K^D values of configuration_gradients. The suite
@@ -274,27 +273,25 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     squares as count-weighted sums of that table. This equals the per-draw
     loop up to float summation order.
     """
-    if n_draws < 2:
-        raise ValueError(f"n_draws must be at least 2, got {n_draws}")
     model, x = tiny_model_and_input(seed + 77, p=4)
     table = enumerate_table(model, x)
     exact_grad = exact_encoder_gradient(model, x, table)
     probs = table.probs
-    exact_value = exact_elbo(table, probs)
+    exact_value = exact_elbo(table)
     grads, totals = configuration_gradients(model, x, table)
 
     place = model.k ** np.arange(model.d - 1, -1, -1)  # inverts lexicographic_indices
     counts = np.zeros(len(table.latents))
     stream = Rng(seed + 78)
-    for start in range(0, n_draws, DRAW_BLOCK):
-        u = stream.uniforms(min(DRAW_BLOCK, n_draws - start) * model.d).reshape(-1, model.d)
+    for start in range(0, MC_DRAWS, DRAW_BLOCK):
+        u = stream.uniforms(min(DRAW_BLOCK, MC_DRAWS - start) * model.d).reshape(-1, model.d)
         counts += np.bincount(model.sample_latent(probs, u) @ place, minlength=len(counts))
 
     g_sum = counts @ grads
     g_sumsq = counts @ (grads * grads)
     e_sum = float(counts @ totals)
     e_sumsq = float(counts @ (totals * totals))
-    n = float(n_draws)
+    n = float(MC_DRAWS)
     g_mean = g_sum / n
     g_var = np.maximum(g_sumsq - n * g_mean * g_mean, 0.0) / (n - 1.0)
     g_se = np.sqrt(g_var / n)
@@ -309,7 +306,7 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     frac3 = float((zscores > 3.0).mean())
     return [
         CheckResult("encoder-grad-mc-mean-max-z", float(zscores.max()) <= 5.0,
-                    float(zscores.max()), 5.0, f"{n_draws} draws"),
+                    float(zscores.max()), 5.0, f"{MC_DRAWS} draws"),
         CheckResult("encoder-grad-mc-mean-frac-above-3z", frac3 <= 0.01,
                     frac3, 0.01, f"{zscores.size} parameters"),
         CheckResult("elbo-estimate-mc-mean-z", e_z <= 5.0, e_z, 5.0,
@@ -317,15 +314,13 @@ def suite_unbiasedness(seed: int, n_draws: int = 200_000) -> list[CheckResult]:
     ]
 
 
-def suite_bound(seed: int, n_models: int = 100) -> list[CheckResult]:
-    """Over random tiny models: the exact ELBO never exceeds the exact
-    marginal log-likelihood, and log p(x) decomposes exactly into
+def suite_bound(seed: int) -> list[CheckResult]:
+    """Over BOUND_MODELS random tiny models: the exact ELBO never exceeds the
+    exact marginal log-likelihood, and log p(x) decomposes exactly into
     ELBO + KL(q || posterior)."""
-    if n_models < 1:
-        raise ValueError(f"n_models must be at least 1, got {n_models}")
-    models, x = tiny_models_and_inputs([seed + 17 + 1000 * i for i in range(n_models)])
+    models, x = tiny_models_and_inputs([seed + 17 + 1000 * i for i in range(BOUND_MODELS)])
     table = enumerate_table(models, x)
-    elbo = exact_elbo(table, table.probs)
+    elbo = exact_elbo(table)
     log_px = exact_marginal_log_px(table)
     q = table.q_probs
     ratio = np.divide(q, exact_posterior(table), out=np.ones_like(q), where=q > 0.0)
@@ -334,9 +329,9 @@ def suite_bound(seed: int, n_models: int = 100) -> list[CheckResult]:
     max_residual = float(np.abs(log_px - elbo - kl_q_post).max())
     return [
         CheckResult("elbo-lower-bound-min-slack", min_slack >= -1e-10,
-                    min_slack, -1e-10, f"{n_models} models, pass if >= tolerance"),
+                    min_slack, -1e-10, f"{BOUND_MODELS} models, pass if >= tolerance"),
         CheckResult("log-likelihood-identity-residual", max_residual <= 1e-8,
-                    max_residual, 1e-8, f"{n_models} models"),
+                    max_residual, 1e-8, f"{BOUND_MODELS} models"),
     ]
 
 

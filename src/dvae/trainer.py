@@ -395,7 +395,6 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
         best_phi = model.encoder.params.copy()
         best_theta = model.decoder.params.copy()
         best_rng_state = shuffle_rng.state
-        stale = 0
 
         for epoch in range(1, config.max_epochs + 1):
             train_sums = _pass(model, train_set.images, u_train,
@@ -408,11 +407,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
                 best_phi[:] = model.encoder.params
                 best_theta[:] = model.decoder.params
                 best_rng_state = shuffle_rng.state
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+            elif epoch - best_epoch >= config.patience:
+                break
 
     model.encoder.params[:] = best_phi
     model.decoder.params[:] = best_theta

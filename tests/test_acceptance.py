@@ -39,14 +39,14 @@ def report(criterion, ok, detail):
 def unbiased_results():
     """Criteria 2 and 5 share one 200k-draw sampling run."""
     start = time.perf_counter()
-    results = {c.name: c for c in suite_unbiasedness(42, n_draws=200_000)}
+    results = {c.name: c for c in suite_unbiasedness(42)}
     results["elapsed"] = time.perf_counter() - start
     return results
 
 
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
-    results = suite_gradient_checks(42, n_nets=10)
+    results = suite_gradient_checks(42)
     elapsed = time.perf_counter() - start
     ok = all(c.passed for c in results) and elapsed < 10.0
     detail = ", ".join(f"{c.name} err={c.measured:.2e} tol={c.tolerance:.0e}"
@@ -65,7 +65,7 @@ def test_criterion_2_reinforce_unbiasedness(unbiased_results):
 
 
 def test_criterion_3_elbo_lower_bound_and_identity():
-    results = {c.name: c for c in suite_bound(42, n_models=100)}
+    results = {c.name: c for c in suite_bound(42)}
     slack = results["elbo-lower-bound-min-slack"]
     ident = results["log-likelihood-identity-residual"]
     ok = slack.passed and ident.passed

@@ -1,10 +1,13 @@
+import os
 import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dvae import oracle, trainer
 from dvae.cli import build_parser, main
 from dvae.data import load_binarized, synthetic_bars, write_idx
 from dvae.distributions import Rng
@@ -46,6 +49,15 @@ def train_args(train, val, out, **over):
     for key, value in flags.items():
         argv += [f"--{key}", str(value)]
     return argv
+
+
+def main_or_fail_on_interrupt(argv):
+    """main(argv); a KeyboardInterrupt that escapes it fails the test instead
+    of ending the whole session."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
 
 
 def drop_seconds(csv_text):
@@ -122,6 +134,22 @@ VERIFY_ALL_GOLDEN = {
         "all checks passed\n"
     )),
 }
+
+# `verify --suite all` verdicts per seed: exit code and each check's PASS or
+# FAIL, not the measured digits, which can move with the CPU's BLAS kernels.
+VERDICTS = Path(__file__).parent / "data" / "verify_verdicts.txt"
+
+
+def recorded_verdicts():
+    """{seed: (exit code, {check name: "PASS" or "FAIL"})} from VERDICTS."""
+    header, *rows = [line.split() for line in VERDICTS.read_text().splitlines()
+                     if not line.startswith("#")]
+    return {int(seed): (int(code), dict(zip(header[2:], marks))) for seed, code, *marks in rows}
+
+
+# Tier-1 runs seeds 0-19 and 2^64 - 1; DVAE_VERDICT_SEEDS=all runs every seed of the table.
+VERDICT_SEEDS = (sorted(recorded_verdicts()) if os.environ.get("DVAE_VERDICT_SEEDS") == "all"
+                 else [*range(20), 2**64 - 1])
 
 
 class TestUsageErrors:
@@ -246,6 +274,18 @@ class TestTrainCommand:
         assert main(train_args(train, val, tmp_path / "run")) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: out of memory: encoder backward"]
+
+    def test_interrupt_is_one_error_line_and_exit_1(self, bars_files, tmp_path, capsys,
+                                                    monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(trainer, "train", interrupted)
+        train, val = bars_files
+        out = tmp_path / "run"
+        assert main_or_fail_on_interrupt(train_args(train, val, out)) == 1
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert not out.exists()  # created by this run and still empty
 
     @pytest.mark.parametrize("gate", ["closed", "open"])
     def test_diverging_run_exits_1_with_one_line_under_warnings_as_errors(
@@ -656,6 +696,21 @@ class TestVerifyCommand:
         code, text = VERIFY_ALL_GOLDEN[seed]
         assert main(["verify", "--suite", "all", "--seed", str(seed)]) == code
         assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("seed", VERDICT_SEEDS)
+    def test_all_suites_give_the_recorded_verdicts(self, capsys, seed):
+        code = main(["verify", "--suite", "all", "--seed", str(seed)])
+        marks = {line.split()[1]: line.split()[0] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("PASS ", "FAIL "))}
+        assert (code, marks) == recorded_verdicts()[seed]
+
+    def test_interrupt_is_one_error_line_and_exit_1(self, capsys, monkeypatch):
+        def interrupted(seed):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(oracle.SUITES, "bound", interrupted)
+        assert main_or_fail_on_interrupt(["verify", "--suite", "bound", "--seed", "6"]) == 1
+        assert capsys.readouterr() == ("", "error: interrupted\n")
 
     def test_grads_suite_passes(self, capsys):
         assert main(["verify", "--suite", "grads", "--seed", "5"]) == 0

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from dvae import oracle
 from dvae.distributions import EPS, Rng
 from dvae.model import (
     DiscreteVae,
@@ -206,7 +207,7 @@ class TestComputeGradients:
 
     @pytest.mark.parametrize("z", [np.array([0, 2]), np.array([[0, 2], [1, 0], [2, 2]])],
                              ids=["one-example", "batch-of-3"])
-    def test_score_gradient_matches_finite_differences_of_log_q(self, z):
+    def test_score_gradient_matches_finite_differences_of_log_q(self, monkeypatch, z):
         # each entry of the probability matrix is perturbed on its own; one
         # selected entry sits below EPS, where the clipped log is flat, and
         # the step is small enough that both perturbed values stay clipped
@@ -214,14 +215,14 @@ class TestComputeGradients:
         probs = Rng(12).uniforms(z.size * 3).reshape(*z.shape, 3) + 0.1
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[..., 1, 2] = 1e-8
-        h = 1e-9
+        monkeypatch.setattr(oracle, "FD_STEP", 1e-9)
 
         def objective(vecs):  # examples share no entries, so the sum separates
             m = len(vecs)
             log_q = model.log_q(vecs.reshape(m, *probs.shape), np.broadcast_to(z, (m, *z.shape)))
             return log_q.reshape(m, -1).sum(axis=1)
 
-        numeric = finite_difference(objective, probs.ravel(), h).reshape(probs.shape)
+        numeric = finite_difference(objective, probs.ravel()).reshape(probs.shape)
         analytic = d_logq_d_probs(probs, z)
         assert probs[..., 1, 2].max() < EPS and np.any(z[..., 1] == 2)
         assert np.all(analytic[..., 1, 2] == 0.0) and np.all(numeric[..., 1, 2] == 0.0)
@@ -253,7 +254,7 @@ class TestComputeGradients:
         def objective(thetas):
             return -aggregate_bce(model.with_params(theta=thetas).decode(z), x)
 
-        fd = finite_difference(objective, model.decoder.params, 1e-5)
+        fd = finite_difference(objective, model.decoder.params)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
     def test_decoder_params_reach_encoder_grads_only_through_coefficient(self):
@@ -320,18 +321,21 @@ class TestComputeGradients:
 
     def test_mc_mean_approaches_exact_gradient(self):
         # small-draw smoke test of unbiasedness; the acceptance suite runs
-        # the full-scale version
+        # the full-scale version. A draw's pass depends on its uniforms only
+        # through the latents they select (test_oracle pins this), so each
+        # configuration drawn gets one pass, weighted by its draw count.
         model, x = tiny_model_and_input(328, p=4)
         exact = exact_encoder_gradient(model, x, enumerate_table(model, x))
-        stream = Rng(500)
         n = 10_000
-        total = np.zeros_like(exact)
-        sq = np.zeros_like(exact)
-        for u in stream.uniforms(n * model.d).reshape(n, model.d):
-            model.compute_gradients(x, u)
-            g = model.encoder.grads.copy()
-            total += g
-            sq += g * g
+        u = Rng(500).uniforms(n * model.d).reshape(n, model.d)
+        latents = model.sample_latent(model.encode(x), u)
+        _, first, counts = np.unique(latents, axis=0, return_index=True, return_counts=True)
+        grads = np.empty((len(first), exact.size))
+        for row, i in enumerate(first):
+            model.compute_gradients(x, u[i])
+            grads[row] = model.encoder.grads
+        total = counts @ grads
+        sq = counts @ (grads * grads)
         mean = total / n
         se = np.sqrt(np.maximum(sq - n * mean * mean, 0.0) / (n - 1) / n)
         z = np.abs(mean - exact) / np.where(se > 0, se, 1.0)

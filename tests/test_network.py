@@ -206,7 +206,7 @@ class TestFiniteDifferenceAgreement:
             return -aggregate_bce(Mlp(net.sizes, params=thetas).forward(x),
                                   targets)
 
-        fd = finite_difference(objective, net.params, 1e-5)
+        fd = finite_difference(objective, net.params)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -227,7 +227,7 @@ class TestFiniteDifferenceAgreement:
             p = Mlp(net.sizes, (d, k), thetas).forward(x)
             return aggregate_entropy(p) + np.log(p[:, np.arange(d), picks]).sum(axis=-1)
 
-        fd = finite_difference(objective, net.params, 1e-5)
+        fd = finite_difference(objective, net.params)
         assert scaled_gradient_error(analytic, fd) <= 1e-4
 
 
