@@ -19,8 +19,8 @@ and the ascent directions are
     c = recon_term held constant (no gradient flows through c, and none
     flows from the decoder into the encoder through the discrete sample).
 
-d_recon_d_xhat is the decoder's upstream gradient and d_elbo_d_probs the
-encoder's; once c is known, the two backward passes share no output.
+DiscreteVae.estimate alone applies d_recon_d_xhat, the decoder's upstream
+gradient, and d_elbo_d_probs, the encoder's, whose passes share no output.
 """
 
 from __future__ import annotations
@@ -175,20 +175,23 @@ class DiscreteVae:
         sel = np.take_along_axis(probs, z[..., None], axis=-1)[..., 0]
         return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
-    def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
-        """One full pass: encode, sample one latent per example from its
-        uniforms u (..., D), decode, and write both ascent gradients, summed
-        over the batch, into the networks' buffers.
+    def estimate(self, x: np.ndarray, probs: np.ndarray, z: np.ndarray) -> tuple:
+        """Decode the latents z drawn from probs, the encoder's output for the
+        float64 inputs x: (breakdown, decoder_pass, encoder_pass), the
+        per-example ELBO terms (recon_term is the detached score coefficient c)
+        and two callables that each overwrite one net's buffers with its ascent
+        gradient summed over the batch. They share no output: either order."""
+        xhat = self.decode(z)
+        bd = elbo_estimate(x, probs, xhat)
+        return (bd, lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)),
+                lambda: self.encoder.backward(d_elbo_d_probs(probs, z, bd.recon_term)))
 
-        Each call overwrites the buffers, so they hold this pass's gradients
-        only. Returns the per-example terms; recon_term is the detached score
-        coefficient c of each example.
-        """
+    def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
+        """Encode x, sample one latent per example from its uniforms u (..., D),
+        then estimate and run both passes in turn; returns the breakdown."""
         x = np.asarray(x, dtype=np.float64)
         probs = self.encode(x)
-        z = self.sample_latent(probs, u)
-        xhat = self.decode(z)
-        breakdown = elbo_estimate(x, probs, xhat)
-        self.decoder.backward(d_recon_d_xhat(x, xhat))
-        self.encoder.backward(d_elbo_d_probs(probs, z, breakdown.recon_term))
-        return breakdown
+        bd, decoder_pass, encoder_pass = self.estimate(x, probs, self.sample_latent(probs, u))
+        decoder_pass()
+        encoder_pass()
+        return bd

@@ -18,8 +18,9 @@ ELBO values independent of batch order, and make a zero-learning-rate run
 produce the same metrics row every epoch.
 
 Every pass turns its examples into sample rows, their encoder probabilities
-and their latents in one step, _encoded. This is the only module that
-starts threads, and it uses at most two cores:
+and their latents in one step, _encoded, and takes the estimator from
+DiscreteVae.estimate; only streams, batches, threads and steps are left
+here. This is the only module that starts threads; it uses two cores at most:
 
 * overlapped runs one callable on the caller while the caller's helper
   thread runs another. Each calling thread has one helper, started on its
@@ -33,9 +34,9 @@ starts threads, and it uses at most two cores:
   train-mnist784 pinned to one CPU of a 2-vCPU x86-64 host: peak RSS 85.6
   -> 89.6 MB, 7% more time with it).
 * An epoch's training steps are one pass over its batches (_pass). The
-  caller decodes each batch and takes its ELBO estimate. Then the helper
-  runs the encoder's backward pass and step and encodes and samples the
-  next batch, while the caller runs the decoder's backward pass and step.
+  caller takes each batch's estimate. Then the helper runs its encoder pass
+  and the encoder's step and encodes and samples the next batch, while the
+  caller runs its decoder pass and the decoder's step.
   Each thread that allocates gets its own malloc arena, so the helper takes
   the encoder's side: its temporaries are D*K wide, the decoder's P wide
   (784 at MNIST shape).
@@ -70,8 +71,7 @@ import numpy as np
 
 from dvae.data import Dataset, batches
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
-from dvae.model import (CHUNK_ROWS, DiscreteVae, ElboBreakdown, d_elbo_d_probs, d_recon_d_xhat,
-                        elbo_estimate)
+from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown
 from dvae.network import Mlp
 
 ENCODER_INIT_OFFSET = 1
@@ -290,21 +290,19 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
     ahead = _encoded(model, images, u, indices[0])
     for i, following in enumerate(indices[1:] + [None]):
         x, probs, z = ahead
-        xhat = model.decode(z)
-        bd = elbo_estimate(x, probs, xhat)
+        bd, decoder_pass, encoder_pass = model.estimate(x, probs, z)
         if not np.isfinite(bd.total).all():
             raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
-        def side(net: Mlp, rows: np.ndarray | None, upstream, *args) -> tuple | None:
-            net.backward(upstream(*args))
+        def side(net: Mlp, backward, rows: np.ndarray | None) -> tuple | None:
+            backward()
             if lr > 0.0:  # the step takes the batch mean
                 net.sga_step(lr, 1.0 / len(x))
             return None if rows is None else _encoded(model, images, u, rows)
 
-        _, ahead = overlapped(
-            lambda: side(model.decoder, None, d_recon_d_xhat, x, xhat),
-            lambda: side(model.encoder, following, d_elbo_d_probs, probs, z, bd.recon_term),
-            model.encoder.params.size)
+        _, ahead = overlapped(lambda: side(model.decoder, decoder_pass, None),
+                              lambda: side(model.encoder, encoder_pass, following),
+                              model.encoder.params.size)
         sums[0] += bd.entropy_term.sum()
         sums[1] += bd.recon_term.sum()
     return sums
@@ -328,8 +326,7 @@ def _estimates(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> list[fl
     def estimate(net: DiscreteVae, start: int, stop: int) -> None:
         for first in range(start, stop, step):
             last = min(first + step, stop)
-            x, probs, z = _encoded(net, images, u, slice(first, last))
-            bd = elbo_estimate(x, probs, net.decode(z))
+            bd = net.estimate(*_encoded(net, images, u, slice(first, last)))[0]
             samples = slice(first * mc, last * mc)
             terms[0, samples], terms[1, samples] = bd.entropy_term, bd.recon_term
 
