@@ -1,11 +1,11 @@
 """Dataset ingestion: IDX file parsing, pixel binarization, per-epoch
 batching, and a synthetic bars corpus for fast end-to-end tests.
 
-IDX files are the classic MNIST container: a big-endian uint32 magic
-(0x00000803 for images, with [N, rows, cols] dimension sizes following;
-0x00000801 for labels, with [N]), then the dimension sizes as big-endian
-uint32, then the raw unsigned bytes in row-major order. Gzip-compressed
-files are not handled; decompress first.
+IDX image files are the classic MNIST container: the big-endian uint32
+magic 0x00000803, then the sizes N, rows and cols as big-endian uint32, then
+the raw unsigned bytes in row-major order. Training is unsupervised, so no
+other IDX type (labels among them) is read. Gzip-compressed files are not
+handled; decompress first.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 from dvae.distributions import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Magic number is not an accepted IDX type."""
+    """Magic number is not that of an IDX image file."""
 
 
 class IdxLengthError(ValueError):
@@ -47,11 +46,11 @@ class Dataset:
         return self.images.shape[1]
 
 
-def load_idx(path, expected_magic: int | None = None) -> np.ndarray:
-    """Parse an IDX file into a uint8 array, (N, rows, cols) or (N,).
+def load_idx(path) -> np.ndarray:
+    """Parse an IDX image file into a uint8 array (N, rows, cols).
 
-    Raises IdxFormatError for an unexpected magic number (the observed value
-    is included) and IdxLengthError when the payload does not match the
+    Raises IdxFormatError for any other magic number (the observed value is
+    included) and IdxLengthError when the payload does not match the
     declared dimensions exactly.
     """
     with open(path, "rb") as f:
@@ -59,19 +58,13 @@ def load_idx(path, expected_magic: int | None = None) -> np.ndarray:
     if len(blob) < 4:
         raise IdxLengthError(f"{path}: too short for an IDX header ({len(blob)} bytes)")
     (magic,) = struct.unpack(">I", blob[:4])
-    if magic not in (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC):
-        raise IdxFormatError(f"{path}: unrecognized magic 0x{magic:08x}")
-    if expected_magic is not None and magic != expected_magic:
-        raise IdxFormatError(
-            f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-        )
-    ndims = magic & 0xFF
-    header_end = 4 + 4 * ndims
-    if len(blob) < header_end:
+    if magic != IDX_IMAGES_MAGIC:
+        raise IdxFormatError(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+    if len(blob) < 16:
         raise IdxLengthError(f"{path}: truncated dimension header")
-    dims = struct.unpack(f">{ndims}I", blob[4:header_end])
-    expected = math.prod(dims) if dims else 0  # Python ints: no int64 wraparound
-    payload = blob[header_end:]
+    dims = struct.unpack(">3I", blob[4:16])
+    expected = math.prod(dims)  # Python ints: no int64 wraparound
+    payload = blob[16:]
     if len(payload) != expected:
         raise IdxLengthError(
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
@@ -79,24 +72,14 @@ def load_idx(path, expected_magic: int | None = None) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def load_images(path) -> np.ndarray:
-    """IDX image file -> uint8 array (N, rows, cols)."""
-    return load_idx(path, expected_magic=IDX_IMAGES_MAGIC)
-
-
 def write_idx(path, array: np.ndarray) -> None:
-    """Write a uint8 array as IDX; 3-D arrays become image files, 1-D label
-    files. Round-trips bit-exactly through load_idx."""
+    """Write 3-D uint8 images (N, rows, cols) as an IDX image file.
+    Round-trips bit-exactly through load_idx."""
     array = np.ascontiguousarray(array, dtype=np.uint8)
-    if array.ndim == 3:
-        magic = IDX_IMAGES_MAGIC
-    elif array.ndim == 1:
-        magic = IDX_LABELS_MAGIC
-    else:
-        raise ValueError(f"can only write 1-D labels or 3-D images, got ndim={array.ndim}")
+    if array.ndim != 3:
+        raise ValueError(f"can only write 3-D images, got ndim={array.ndim}")
     with open(path, "wb") as f:
-        f.write(struct.pack(">I", magic))
-        f.write(struct.pack(f">{array.ndim}I", *array.shape))
+        f.write(struct.pack(">4I", IDX_IMAGES_MAGIC, *array.shape))
         f.write(array.tobytes())
 
 
@@ -116,7 +99,7 @@ def binarize(raw: np.ndarray, threshold: int = 128) -> np.ndarray:
 def load_binarized(images_path, threshold: int = 128) -> Dataset:
     """Load and binarize an IDX image file. A file that holds no images or
     images of no pixels is rejected."""
-    raw = load_images(images_path)
+    raw = load_idx(images_path)
     if raw.shape[0] == 0:
         raise ValueError(f"{images_path}: the file holds no images")
     if raw.shape[1] == 0 or raw.shape[2] == 0:

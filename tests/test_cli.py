@@ -306,7 +306,7 @@ class TestTrainCommand:
         # training is unsupervised: no label file is read
         train, val = bars_files
         labels = tmp_path / "labels.idx1-ubyte"
-        write_idx(labels, np.zeros(60, dtype=np.uint8))
+        labels.write_bytes(bytes(60))
         out = tmp_path / "run"
         argv = train_args(train, val, out)
         assert main(argv[:1] + ["--train-labels", str(labels)] + argv[1:]) == 2

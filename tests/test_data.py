@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dvae.data import (
-    IDX_LABELS_MAGIC,
     Dataset,
     IdxFormatError,
     IdxLengthError,
@@ -12,7 +11,6 @@ from dvae.data import (
     binarize,
     load_binarized,
     load_idx,
-    load_images,
     synthetic_bars,
     write_idx,
 )
@@ -51,18 +49,15 @@ def label_file(tmp_path):
 
 class TestLoadIdx:
     def test_fixture_loads_to_exact_bytes(self, image_file):
-        raw = load_images(image_file)
+        raw = load_idx(image_file)
         assert raw.shape == (2, 2, 2)
         assert raw.dtype == np.uint8
         assert raw.tolist() == [[[0, 128], [255, 7]], [[200, 127], [128, 1]]]
 
-    def test_labels_load(self, label_file):
-        assert load_idx(label_file, IDX_LABELS_MAGIC).tolist() == [5, 9]
-
     def test_label_magic_rejected_by_image_loader(self, label_file):
         with pytest.raises(IdxFormatError) as err:
-            load_images(label_file)
-        assert "0x00000801" in str(err.value)
+            load_idx(label_file)
+        assert str(err.value) == f"{label_file}: magic 0x00000801, expected 0x00000803"
 
     def test_unknown_magic(self, tmp_path):
         path = tmp_path / "bad"
@@ -99,11 +94,18 @@ class TestLoadIdx:
         assert str(err.value).startswith(f"{path}: ")
 
     def test_round_trip(self, tmp_path, image_file):
-        raw = load_images(image_file)
+        raw = load_idx(image_file)
         out = tmp_path / "copy.idx3-ubyte"
         write_idx(out, raw)
         assert out.read_bytes() == FIXTURE_IMAGE_BYTES
-        assert np.array_equal(load_images(out), raw)
+        assert np.array_equal(load_idx(out), raw)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 4), (1, 2, 2, 2)])
+    def test_write_takes_3d_images_only(self, tmp_path, shape):
+        out = tmp_path / "x.idx"
+        with pytest.raises(ValueError, match=f"3-D images, got ndim={len(shape)}"):
+            write_idx(out, np.zeros(shape, dtype=np.uint8))
+        assert not out.exists()
 
 
 class TestBinarize:
@@ -116,7 +118,7 @@ class TestBinarize:
         assert binarize(raw, threshold=128).tolist() == [[1.0, 0.0]]
 
     def test_fixture_histogram(self, image_file):
-        images = binarize(load_images(image_file), threshold=128)
+        images = binarize(load_idx(image_file), threshold=128)
         # hand count at threshold 128: [0,128,255,7] -> 2 ones, [200,127,128,1] -> 2
         assert images.sum(axis=1).tolist() == [2.0, 2.0]
 

@@ -306,6 +306,27 @@ class TestComputeGradients:
         assert np.all(np.isfinite(model.decoder.grads))
         assert np.any(model.encoder.grads != 0.0)
 
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["decoder-first", "encoder-first"])
+    def test_estimate_passes_share_no_output(self, order):
+        # the trainer overlaps the two passes: each must overwrite its own
+        # net's buffers only, and together give compute_gradients' bytes
+        model, x = tiny_model_and_input(332)
+        xs = np.stack([x, 1.0 - x, x, x[::-1]])
+        u = Rng(333).uniforms(4 * model.d).reshape(4, model.d)
+        bd_reference = model.compute_gradients(xs, u)
+        reference = model.encoder.grads.tobytes(), model.decoder.grads.tobytes()
+        model.encoder.grads[:] = np.nan
+        model.decoder.grads[:] = np.nan
+        probs = model.encode(xs)
+        estimate = model.estimate(xs, probs, model.sample_latent(probs, u))
+        assert np.array_equal(estimate[0].total, bd_reference.total)
+        nets = {1: model.decoder, 2: model.encoder}
+        for i in order:
+            other = nets[3 - i].grads.tobytes()
+            estimate[i]()
+            assert nets[3 - i].grads.tobytes() == other
+        assert (model.encoder.grads.tobytes(), model.decoder.grads.tobytes()) == reference
+
     def test_mean_single_sample_elbo_stays_below_log_px(self):
         from dvae.oracle import exact_marginal_log_px
 

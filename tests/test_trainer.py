@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvae import trainer
+from dvae import model as model_module
+from dvae import oracle, trainer
 from dvae.data import Dataset, batches, synthetic_bars
 from dvae.distributions import Rng
 from dvae.model import ElboBreakdown, elbo_estimate
@@ -233,9 +234,11 @@ class TestTrainLoop:
 
 
 class TestTrainingStep:
-    """The step train takes is the step dvae verify checks: after each batch
-    of _pass, both nets' params hold the bytes that compute_gradients on the
-    same rows and each net's sga_step at the batch mean give."""
+    """The step train takes is the step dvae verify checks: both take the
+    estimator from DiscreteVae.estimate, so after each batch of _pass both
+    nets' params hold the bytes that compute_gradients on the same rows and
+    each net's sga_step at the batch mean give, and a fault in the estimator
+    reaches the trainer and the referee alike."""
 
     @pytest.mark.parametrize("overlap", [False, True], ids=["in-turn", "helper"])
     @pytest.mark.parametrize("mc", [1, 3])
@@ -263,6 +266,24 @@ class TestTrainingStep:
         assert model.decoder.params.tobytes() == reference.decoder.params.tobytes()
         fresh = build_model(config, train_set.p)
         assert not np.array_equal(model.encoder.params, fresh.encoder.params)
+
+
+    def test_one_estimator_reaches_the_trainer_and_the_referee(self, monkeypatch):
+        train_set, _ = bars_sets(n_train=20, n_val=1)
+        u = Rng(61).uniforms(20 * 2).reshape(20, 2)
+
+        def stepped_encoder():
+            model = build_model(bars_config(), train_set.p)
+            trainer._pass(model, train_set.images, u, [np.arange(20)], 0.05, 1)
+            return model.encoder.params
+
+        assert all(check.passed for check in oracle.suite_unbiasedness(42))
+        sound = stepped_encoder()
+        real = model_module.d_elbo_d_probs
+        monkeypatch.setattr(model_module, "d_elbo_d_probs",  # the score term's sign flipped
+                            lambda probs, z, recon_term: real(probs, z, -np.asarray(recon_term)))
+        assert not np.array_equal(stepped_encoder(), sound)
+        assert not all(check.passed for check in oracle.suite_unbiasedness(42))
 
 
 class TestRecordedTrajectory:
