@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvae import model as model_module
 from dvae import oracle, trainer
 from dvae.data import Dataset, batches, synthetic_bars
 from dvae.distributions import Rng
-from dvae.model import ElboBreakdown, elbo_estimate
+from dvae.model import ElboBreakdown, d_elbo_d_probs, elbo_estimate
 from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
@@ -270,18 +269,18 @@ class TestTrainingStep:
 
     def test_one_estimator_reaches_the_trainer_and_the_referee(self, monkeypatch):
         train_set, _ = bars_sets(n_train=20, n_val=1)
-        u = Rng(61).uniforms(20 * 2).reshape(20, 2)
+        config = bars_config()
+        u = Rng(61).uniforms(20 * config.d_latents).reshape(20, config.d_latents)
 
         def stepped_encoder():
-            model = build_model(bars_config(), train_set.p)
+            model = build_model(config, train_set.p)
             trainer._pass(model, train_set.images, u, [np.arange(20)], 0.05, 1)
             return model.encoder.params
 
         assert all(check.passed for check in oracle.suite_unbiasedness(42))
         sound = stepped_encoder()
-        real = model_module.d_elbo_d_probs
-        monkeypatch.setattr(model_module, "d_elbo_d_probs",  # the score term's sign flipped
-                            lambda probs, z, recon_term: real(probs, z, -np.asarray(recon_term)))
+        monkeypatch.setattr("dvae.model.d_elbo_d_probs",  # the score term's sign flipped
+                            lambda probs, z, c: d_elbo_d_probs(probs, z, -np.asarray(c)))
         assert not np.array_equal(stepped_encoder(), sound)
         assert not all(check.passed for check in oracle.suite_unbiasedness(42))
 
