@@ -221,19 +221,19 @@ def suite_gradient_checks(seed: int) -> list[CheckResult]:
     """Analytic gradients vs central finite differences (FD_STEP) on GRAD_NETS
     random tiny models: the decoder's reconstruction gradient at a frozen
     latent, and the exact encoder gradient against the enumerated ELBO. The
-    nets are built and enumerated as one stack, then checked one at a time."""
-    models, xs = tiny_models_and_inputs([seed + 1000 * i for i in range(GRAD_NETS)])
+    nets are built, enumerated and given their frozen latents as one stack
+    (net i draws Rng(seed + 1000 i + 3).uniforms(D) from its table's encoder
+    rows), then checked one at a time, one finite-difference stack per net."""
+    seeds = (seed & MAX_SEED) + 1000 * np.arange(GRAD_NETS, dtype=np.uint64)  # wraps mod 2^64
+    models, xs = tiny_models_and_inputs(seeds)
     tables = enumerate_table(models, xs)  # log p(x|z) does not depend on phi
+    latents = models.sample_latent(tables.probs, stream_uniforms(seeds + 3, models.d))
     worst_dec = 0.0
     worst_enc = 0.0
     for i in range(GRAD_NETS):
         model = models.with_params(models.encoder.params[i], models.decoder.params[i])
-        x = xs[i]
-        draw = seed + 1000 * i + 3
-
-        probs = model.encode(x)
-        z = model.sample_latent(probs, Rng(draw).uniforms(model.d))
-        model.estimate(x, probs, z)[1]()  # the decoder pass only
+        x, z = xs[i], latents[i]
+        model.estimate(x, tables.probs[i], z)[1]()  # the decoder pass only
 
         # Each objective runs one forward pass over its whole stack.
         def recon_of(thetas):
@@ -262,6 +262,20 @@ def suite_gradient_checks(seed: int) -> list[CheckResult]:
     ]
 
 
+def draw_positions(model: DiscreteVae, probs: np.ndarray, stream: Rng, n: int) -> np.ndarray:
+    """Table positions of n latents that model.sample_latent draws from the
+    (D, K) rows probs with the next n*D uniforms of stream, taken draw-major
+    as (n, D). Latent d is drawn on a contiguous copy of its own column (a
+    strided one compares ~10x slower) and becomes the next digit of the
+    position, latent 0 the slowest as in lexicographic_indices."""
+    u = stream.uniforms(n * model.d).reshape(n, model.d)
+    positions = np.zeros(n, dtype=np.intp)
+    for d in range(model.d):
+        positions *= model.k
+        positions += model.sample_latent(probs[d], np.ascontiguousarray(u[:, d]))
+    return positions
+
+
 def suite_unbiasedness(seed: int) -> list[CheckResult]:
     """MC_DRAWS-draw Monte Carlo means vs enumerated ground truth on one tiny
     model: per-parameter encoder gradients within 5 standard errors (at most
@@ -269,9 +283,10 @@ def suite_unbiasedness(seed: int) -> list[CheckResult]:
 
     The model is never stepped, so each draw's encoder gradient and ELBO
     estimate is one of the K^D values of configuration_gradients. The suite
-    counts the draws per configuration and forms the sums and sums of
-    squares as count-weighted sums of that table. This equals the per-draw
-    loop up to float summation order.
+    counts the draws per configuration, in blocks of DRAW_BLOCK drawn one
+    latent column at a time through model.sample_latent (draw_positions), and
+    forms the sums and sums of squares as count-weighted sums of that table.
+    This equals the per-draw loop up to float summation order.
     """
     model, x = tiny_model_and_input(seed + 77, p=4)
     table = enumerate_table(model, x)
@@ -280,12 +295,11 @@ def suite_unbiasedness(seed: int) -> list[CheckResult]:
     exact_value = exact_elbo(table)
     grads, totals = configuration_gradients(model, x, table)
 
-    place = model.k ** np.arange(model.d - 1, -1, -1)  # inverts lexicographic_indices
     counts = np.zeros(len(table.latents))
     stream = Rng(seed + 78)
     for start in range(0, MC_DRAWS, DRAW_BLOCK):
-        u = stream.uniforms(min(DRAW_BLOCK, MC_DRAWS - start) * model.d).reshape(-1, model.d)
-        counts += np.bincount(model.sample_latent(probs, u) @ place, minlength=len(counts))
+        n_block = min(DRAW_BLOCK, MC_DRAWS - start)  # each block's arrays die in the call
+        counts += np.bincount(draw_positions(model, probs, stream, n_block), minlength=len(counts))
 
     g_sum = counts @ grads
     g_sumsq = counts @ (grads * grads)

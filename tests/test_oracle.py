@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dvae import oracle
-from dvae.distributions import Rng
+from dvae.distributions import Rng, aggregate_bce, categorical_sample
 from dvae.model import DiscreteVae
 from dvae.oracle import (
     TINY_D,
@@ -14,6 +15,7 @@ from dvae.oracle import (
     CapacityError,
     EnumerationTable,
     configuration_gradients,
+    draw_positions,
     enumerate_table,
     exact_elbo,
     exact_encoder_gradient,
@@ -274,6 +276,29 @@ class TestSuites:
         assert checks["encoder-grad-vs-finite-diff"].measured == worst
         assert len(calls) == 1  # one stacked table, its rows shared with the exact gradients
 
+    @pytest.mark.parametrize("seed", [3, 2**64 - 1])  # the last wraps past 2^64
+    def test_decoder_check_matches_the_per_net_loop(self, monkeypatch, seed):
+        # the suite draws every net's frozen latent in one stack from its
+        # table's encoder rows; one encode and one Rng per net gives the same bits
+        n_nets = 3
+        worst = 0.0
+        for i in range(n_nets):
+            model, x = tiny_model_and_input(seed + 1000 * i)
+            probs = model.encode(x)
+            z = model.sample_latent(probs, Rng(seed + 1000 * i + 3).uniforms(model.d))
+            model.estimate(x, probs, z)[1]()
+
+            def objective(thetas):
+                return [-aggregate_bce(m.decode(z), x)
+                        for m in (model.with_params(theta=theta) for theta in thetas)]
+
+            numeric = finite_difference(objective, model.decoder.params)
+            worst = max(worst, scaled_gradient_error(model.decoder.grads, numeric))
+
+        monkeypatch.setattr(oracle, "GRAD_NETS", n_nets)
+        checks = {c.name: c for c in suite_gradient_checks(seed)}
+        assert checks["decoder-grad-vs-finite-diff"].measured == worst
+
 
 def per_model_bound(seed, n_models):
     """Slack log p(x) - ELBO and identity residual |slack - KL(q || posterior)|
@@ -399,6 +424,37 @@ class TestUnbiasednessSuite:
         suite_unbiasedness(seed)
         assert len(calls) == n_positive
 
+    @pytest.mark.parametrize("fault", ["last-category-never-drawn", "reversed-cdf"])
+    def test_a_sampler_fault_fails_every_check(self, monkeypatch, fault):
+        # the counting draws through model.sample_latent, the trainer's sampler
+        for seed in (42, 3):
+            assert all(c.passed for c in suite_unbiasedness(seed))
+
+        def faulty(probs, u):
+            if fault == "reversed-cdf":
+                return categorical_sample(probs[..., ::-1], u)
+            return np.minimum(categorical_sample(probs, u), probs.shape[-1] - 2)
+
+        monkeypatch.setattr("dvae.model.categorical_sample", faulty)
+        for seed in (42, 3):
+            assert not any(c.passed for c in suite_unbiasedness(seed)), seed
+
+    def test_block_positions_are_the_draw_major_samples_in_table_order(self):
+        # D = 3 tells the digit order apart, which the suite's D = 2 model
+        # cannot; latent 2's running sums end at 0.7, so draws above clamp to K - 1
+        model = small_model(3, 3, 4)
+        probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.1]])
+        n = 37  # a partial block
+        stream = Rng(9)
+        positions = draw_positions(model, probs, stream, n)
+        draws = Rng(9)
+        u = draws.uniforms(n * model.d).reshape(n, model.d)
+        assert stream.state == draws.state  # the stream moves on by n * D draws
+        latents = model.sample_latent(probs, u)
+        clamped = u[:, 2] >= 0.7
+        assert clamped.any() and (latents[clamped, 2] == 3).all()
+        assert positions.tolist() == np.ravel_multi_index(latents.T, (4, 4, 4)).tolist()
+
     def test_seed_7_fails_frac_above_3z_at_9_of_94(self):
         checks = {c.name: c for c in suite_unbiasedness(7)}
         frac = checks["encoder-grad-mc-mean-frac-above-3z"]
@@ -420,3 +476,18 @@ class TestUnbiasednessSuite:
         (t0, enc0, dec0), (t1, enc1, dec1) = results
         assert t0 == t1
         assert np.array_equal(enc0, enc1) and np.array_equal(dec0, dec1)
+
+
+@pytest.mark.parametrize("name", sorted(oracle.SUITES))
+def test_suite_memory_peak_stays_under_600_kb(name):
+    # a suite that stacks more per call shows here before it moves the
+    # benchmark's peak RSS; the warm-up call fills the caches a first call makes
+    suite = oracle.SUITES[name]
+    suite(42)
+    tracemalloc.start()
+    try:
+        suite(42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600 * 1024, peak
