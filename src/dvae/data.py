@@ -5,7 +5,8 @@ IDX image files are the classic MNIST container: the big-endian uint32
 magic 0x00000803, then the sizes N, rows and cols as big-endian uint32, then
 the raw unsigned bytes in row-major order. Training is unsupervised, so no
 other IDX type (labels among them) is read. Gzip-compressed files are not
-handled; decompress first.
+handled; decompress first. Loaded images are held binarized as one byte per
+pixel; the trainer converts each batch to float64 as it reads it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ class IdxLengthError(ValueError):
 
 @dataclass
 class Dataset:
-    """Binarized images (N x P, entries in {0, 1}) with their raster shape."""
+    """Binarized images (N x P, entries in {0, 1}; uint8 from load_binarized,
+    float64 from synthetic_bars) with their raster shape."""
 
     images: np.ndarray
     rows: int
@@ -64,20 +66,26 @@ def load_idx(path) -> np.ndarray:
         raise IdxLengthError(f"{path}: truncated dimension header")
     dims = struct.unpack(">3I", blob[4:16])
     expected = math.prod(dims)  # Python ints: no int64 wraparound
-    payload = blob[16:]
-    if len(payload) != expected:
+    if len(blob) - 16 != expected:
         raise IdxLengthError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}"
+            f"{path}: payload is {len(blob) - 16} bytes, header promises {expected}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    return np.frombuffer(blob, dtype=np.uint8, count=expected, offset=16).reshape(dims)
 
 
 def write_idx(path, array: np.ndarray) -> None:
-    """Write 3-D uint8 images (N, rows, cols) as an IDX image file.
-    Round-trips bit-exactly through load_idx."""
-    array = np.ascontiguousarray(array, dtype=np.uint8)
+    """Write 3-D images (N, rows, cols) as an IDX image file. Round-trips
+    bit-exactly through load_idx. Any value other than an integer in
+    [0, 255] raises ValueError, naming the first, rather than wrapping."""
+    array = np.asarray(array)
     if array.ndim != 3:
         raise ValueError(f"can only write 3-D images, got ndim={array.ndim}")
+    if array.dtype != np.uint8:
+        with np.errstate(invalid="ignore"):  # NaN and infinities fail the test
+            bad = array[~((array >= 0) & (array <= 255) & (array % 1 == 0))]
+        if bad.size:
+            raise ValueError(f"IDX pixel {bad[0].item()!r} is not an integer in [0, 255]")
+    array = np.ascontiguousarray(array, dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(struct.pack(">4I", IDX_IMAGES_MAGIC, *array.shape))
         f.write(array.tobytes())
@@ -86,14 +94,14 @@ def write_idx(path, array: np.ndarray) -> None:
 def binarize(raw: np.ndarray, threshold: int = 128) -> np.ndarray:
     """Threshold raw bytes to {0, 1} pixels: 1 where byte >= threshold.
 
-    Returns float64 images flattened to (N, rows*cols). The >= rule means a
-    byte equal to the threshold maps to 1.
+    Returns uint8 images flattened to (N, rows*cols), one byte per pixel.
+    The >= rule means a byte equal to the threshold maps to 1.
     """
     if not 0 < threshold < 255:
         raise ValueError(f"threshold must lie strictly inside (0, 255), got {threshold}")
     raw = np.asarray(raw)
     flat = raw.reshape(raw.shape[0], -1)
-    return (flat >= threshold).astype(np.float64)
+    return (flat >= threshold).view(np.uint8)
 
 
 def load_binarized(images_path, threshold: int = 128) -> Dataset:

@@ -269,10 +269,11 @@ def overlapped(here, there, size: int) -> tuple:
 
 
 def _encoded(net: DiscreteVae, images: np.ndarray, u: np.ndarray, rows) -> tuple:
-    """(x, probs, z) of the examples images[rows]: each example's row once per
-    Monte Carlo sample (uncopied at one sample), their encoder probabilities
-    and the latents drawn from the uniforms u[rows], D per sample."""
-    x, ux = images[rows], u[rows]
+    """(x, probs, z) of the examples images[rows]: each example's row as
+    float64 (converted here, batch by batch; uncopied at one sample of float64
+    images) once per Monte Carlo sample, their encoder probabilities and the
+    latents drawn from the uniforms u[rows], D per sample."""
+    x, ux = images[rows].astype(np.float64, copy=False), u[rows]
     if ux.shape[1] > net.d:
         x = np.repeat(x, ux.shape[1] // net.d, axis=0)
     probs = net.encode(x)

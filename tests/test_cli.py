@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvae import oracle, trainer
+from dvae import cli, oracle, trainer
 from dvae.cli import build_parser, main
 from dvae.data import load_binarized, synthetic_bars, write_idx
 from dvae.distributions import Rng
@@ -470,6 +470,29 @@ class TestReconstructCommand:
                      "--n", n, "--seed", "1", "--out", str(out)]) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_byte_images_render_as_float64_images(self, bars_files, tmp_path, monkeypatch):
+        train, val = bars_files
+        main(train_args(train, val, tmp_path / "run"))
+        argv = ["reconstruct", "--model", str(tmp_path / "run" / "model.ckpt"),
+                "--images", str(val), "--n", "20", "--seed", "3", "--out"]
+        assert main(argv + [str(tmp_path / "bytes")]) == 0
+        load = cli.data.load_binarized
+
+        def float64_images(*args, **kwargs):
+            dataset = load(*args, **kwargs)
+            assert dataset.images.dtype == np.uint8
+            dataset.images = dataset.images.astype(np.float64)
+            return dataset
+
+        monkeypatch.setattr(cli.data, "load_binarized", float64_images)
+        assert main(argv + [str(tmp_path / "floats")]) == 0
+        names = sorted(path.name for path in (tmp_path / "bytes").iterdir())
+        assert len(names) == 40
+        assert names == sorted(path.name for path in (tmp_path / "floats").iterdir())
+        for name in names:
+            assert (tmp_path / "bytes" / name).read_bytes() == \
+                   (tmp_path / "floats" / name).read_bytes()
 
 
 class TestMalformedCheckpoint:

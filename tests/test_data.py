@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,24 @@ FIXTURE_LABEL_BYTES = bytes([
     0x00, 0x00, 0x00, 0x02,              # N = 2
     5, 9,
 ])
+
+
+def traced_peak(call):
+    """call()'s tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def mnist_size_file(tmp_path):
+    """2000 random 28x28 images in an IDX file."""
+    path = tmp_path / "mnist-size.idx3-ubyte"
+    write_idx(path, np.random.default_rng(8).integers(0, 256, (2000, 28, 28), dtype=np.uint8))
+    return path
 
 
 @pytest.fixture
@@ -93,6 +112,11 @@ class TestLoadIdx:
             load_idx(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    def test_holds_the_file_once(self, mnist_size_file):
+        # the array is a view of the bytes read, not of a sliced copy of them
+        size = mnist_size_file.stat().st_size
+        assert traced_peak(lambda: load_idx(mnist_size_file)) <= 1.1 * size
+
     def test_round_trip(self, tmp_path, image_file):
         raw = load_idx(image_file)
         out = tmp_path / "copy.idx3-ubyte"
@@ -106,6 +130,26 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match=f"3-D images, got ndim={len(shape)}"):
             write_idx(out, np.zeros(shape, dtype=np.uint8))
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, named", [
+        (np.array([3, 256, -1]), "256"),
+        (np.array([3, -1, 256]), "-1"),
+        (np.array([0.0, 1.0, 0.7, 200.9]), "0.7"),
+        (np.array([1.0, np.nan]), "nan"),
+    ])
+    def test_write_rejects_values_that_are_not_bytes(self, tmp_path, values, named):
+        out = tmp_path / "x.idx"
+        with pytest.raises(ValueError) as err:
+            write_idx(out, values.reshape(1, 1, -1))
+        assert str(err.value) == f"IDX pixel {named} is not an integer in [0, 255]"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_write_round_trips_integers_in_byte_range(self, tmp_path, dtype):
+        raw = np.array([[[0, 1], [128, 255]]])
+        out = tmp_path / "x.idx"
+        write_idx(out, raw.astype(dtype))
+        assert load_idx(out).tolist() == raw.tolist()
 
 
 class TestBinarize:
@@ -133,6 +177,18 @@ class TestBinarize:
         ds = load_binarized(image_file)
         assert ds.n == 2 and ds.p == 4 and ds.rows == 2 and ds.cols == 2
         assert set(np.unique(ds.images)) <= {0.0, 1.0}
+
+    def test_load_binarized_holds_one_byte_per_pixel(self, image_file):
+        ds = load_binarized(image_file)
+        assert ds.images.dtype == np.uint8
+        assert ds.images.tolist() == [[0, 1, 1, 0], [1, 0, 1, 0]]
+        assert ds.images.nbytes == ds.n * ds.p
+
+    def test_load_binarized_peaks_at_the_file_and_its_bytes(self, mnist_size_file):
+        # the file's bytes and the thresholded ones: float64 pixels peaked at 10x
+        pixels = 2000 * 28 * 28
+        peak = traced_peak(lambda: load_binarized(mnist_size_file))
+        assert peak <= 2.1 * pixels + 64 * 1024, peak / pixels
 
     def test_load_binarized_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.idx3-ubyte"

@@ -9,13 +9,14 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dvae import oracle, trainer
-from dvae.data import Dataset, batches, synthetic_bars
+from dvae.data import Dataset, batches, load_binarized, synthetic_bars, write_idx
 from dvae.distributions import Rng
 from dvae.model import ElboBreakdown, d_elbo_d_probs, elbo_estimate
 from dvae.network import HEAD_SOFTMAX, Mlp
@@ -713,6 +714,58 @@ class TestOverlappedHelper:
         model = build_model(bars_config(), 16)
         self.raises_from_the_helper(monkeypatch, "forward", view=True,
                                     run=lambda dataset: evaluate(model, dataset, Rng(58)))
+
+
+def loaded_bars(path, n, side, seed):
+    """n side x side bars written to an IDX file at path and loaded back
+    binarized, one uint8 byte per pixel."""
+    images = synthetic_bars(n, side, Rng(seed)).images
+    write_idx(path, (images * 255).astype(np.uint8).reshape(n, side, side))
+    return load_binarized(path)
+
+
+def as_float64(dataset):
+    return Dataset(dataset.images.astype(np.float64), dataset.rows, dataset.cols)
+
+
+class TestByteImages:
+    """Images held as one uint8 byte per pixel, as load_binarized holds them,
+    train and evaluate to the bytes the same images give in float64."""
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("mc", [1, 3])
+    def test_train_and_evaluate_match_float64_images(self, tmp_path, monkeypatch, mc, overlap):
+        # 3 chunks in the epoch-0 row, 11 batches of 20 and a short one of 10
+        train_set = loaded_bars(tmp_path / "train.idx", 230, 4, 61)
+        val_set = loaded_bars(tmp_path / "val.idx", 40, 4, 62)
+        assert train_set.images.dtype == np.uint8
+        if overlap:
+            open_overlap(monkeypatch)
+        jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
+        config = bars_config(max_epochs=2, mc_samples=mc)
+        runs = []
+        for sets in ((train_set, val_set), (as_float64(train_set), as_float64(val_set))):
+            model, history = train(config, *sets)
+            runs.append([np.array(dataclasses.astuple(row)[:-1]).tobytes() for row in history]
+                        + [model.encoder.params.tobytes(), model.decoder.params.tobytes(),
+                           np.array(dataclasses.astuple(evaluate(model, sets[1], Rng(8))))
+                           .tobytes()])
+        assert runs[0] == runs[1]
+        assert len(jobs) == (2 * (2 + 2 * (12 + 1)) + 2 if overlap else 0)
+
+    def test_evaluate_converts_a_chunk_at_a_time(self):
+        # one float64 copy of the dataset would be n * p * 8 bytes
+        images = np.random.default_rng(9).integers(0, 2, (2000, 784), dtype=np.uint8)
+        dataset = Dataset(images, 28, 28)
+        model = build_model(bars_config(d_latents=20, k_categories=10, hidden_width=8), 784)
+        evaluate(model, dataset, Rng(10))  # fills the caches a first call makes
+        tracemalloc.start()
+        try:
+            evaluate(model, dataset, Rng(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < images.size * 8, peak
 
 
 class TestMetricsCsv:
