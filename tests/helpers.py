@@ -3,11 +3,32 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 
 from dvae import trainer
+from dvae.data import synthetic_bars, write_idx
+from dvae.distributions import Rng
 from dvae.model import DiscreteVae, elbo_estimate
+
+
+def write_bars_idx(path, n, side, seed):
+    """n side x side bars from synthetic_bars(n, side, Rng(seed)), written to
+    an IDX file at path as bytes 0 and 255; returns their Dataset."""
+    ds = synthetic_bars(n, side, Rng(seed))
+    write_idx(path, (ds.images.reshape(n, side, side) * 255).astype(np.uint8))
+    return ds
+
+
+def traced_peak(call):
+    """call()'s tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def zero_init_model(p=4, d=2, k=3, hidden=4):

@@ -9,7 +9,7 @@ import pytest
 
 from dvae import cli, oracle, trainer
 from dvae.cli import build_parser, main
-from dvae.data import load_binarized, synthetic_bars, write_idx
+from dvae.data import load_binarized, write_idx
 from dvae.distributions import Rng
 from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.trainer import (
@@ -20,15 +20,8 @@ from dvae.trainer import (
     load_checkpoint,
     save_checkpoint,
 )
-from helpers import (open_overlap, read_tensors, write_tensors, write_third_layer_checkpoint,
-                     zero_init_model)
-
-
-def write_bars_idx(path, n, side, seed):
-    ds = synthetic_bars(n, side, Rng(seed))
-    raw = (ds.images.reshape(n, side, side) * 255).astype(np.uint8)
-    write_idx(path, raw)
-    return ds
+from helpers import (open_overlap, read_tensors, write_bars_idx, write_tensors,
+                     write_third_layer_checkpoint, zero_init_model)
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from dvae.data import (
     write_idx,
 )
 from dvae.distributions import Rng
+from helpers import traced_peak
 
 # two 2x2 images: [[0,128],[255,7]] and [[200,127],[128,1]]
 FIXTURE_IMAGE_BYTES = bytes([
@@ -32,16 +32,6 @@ FIXTURE_LABEL_BYTES = bytes([
     0x00, 0x00, 0x00, 0x02,              # N = 2
     5, 9,
 ])
-
-
-def traced_peak(call):
-    """call()'s tracemalloc peak in bytes."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -9,14 +9,13 @@ import struct
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dvae import oracle, trainer
-from dvae.data import Dataset, batches, load_binarized, synthetic_bars, write_idx
+from dvae.data import Dataset, batches, load_binarized, synthetic_bars
 from dvae.distributions import Rng
 from dvae.model import ElboBreakdown, d_elbo_d_probs, elbo_estimate
 from dvae.network import HEAD_SOFTMAX, Mlp
@@ -37,8 +36,8 @@ from dvae.trainer import (
     train,
     write_metrics_csv,
 )
-from helpers import (open_overlap, read_tensors, write_tensors, write_third_layer_checkpoint,
-                     zero_init_model)
+from helpers import (open_overlap, read_tensors, traced_peak, write_bars_idx, write_tensors,
+                     write_third_layer_checkpoint, zero_init_model)
 
 # A 6x6 bars run (D=2, K=3, hidden 8, 3 epochs) at mc_samples 1 and 3: every
 # metrics row but seconds, and the final params of both nets, as recorded
@@ -716,14 +715,6 @@ class TestOverlappedHelper:
                                     run=lambda dataset: evaluate(model, dataset, Rng(58)))
 
 
-def loaded_bars(path, n, side, seed):
-    """n side x side bars written to an IDX file at path and loaded back
-    binarized, one uint8 byte per pixel."""
-    images = synthetic_bars(n, side, Rng(seed)).images
-    write_idx(path, (images * 255).astype(np.uint8).reshape(n, side, side))
-    return load_binarized(path)
-
-
 def as_float64(dataset):
     return Dataset(dataset.images.astype(np.float64), dataset.rows, dataset.cols)
 
@@ -736,8 +727,9 @@ class TestByteImages:
     @pytest.mark.parametrize("mc", [1, 3])
     def test_train_and_evaluate_match_float64_images(self, tmp_path, monkeypatch, mc, overlap):
         # 3 chunks in the epoch-0 row, 11 batches of 20 and a short one of 10
-        train_set = loaded_bars(tmp_path / "train.idx", 230, 4, 61)
-        val_set = loaded_bars(tmp_path / "val.idx", 40, 4, 62)
+        write_bars_idx(tmp_path / "train.idx", 230, 4, 61)
+        write_bars_idx(tmp_path / "val.idx", 40, 4, 62)
+        train_set, val_set = (load_binarized(tmp_path / name) for name in ("train.idx", "val.idx"))
         assert train_set.images.dtype == np.uint8
         if overlap:
             open_overlap(monkeypatch)
@@ -751,6 +743,7 @@ class TestByteImages:
                            np.array(dataclasses.astuple(evaluate(model, sets[1], Rng(8))))
                            .tobytes()])
         assert runs[0] == runs[1]
+        # each train hands over 2 + 2 * (12 + 1) jobs, each evaluate one
         assert len(jobs) == (2 * (2 + 2 * (12 + 1)) + 2 if overlap else 0)
 
     def test_evaluate_converts_a_chunk_at_a_time(self):
@@ -759,12 +752,7 @@ class TestByteImages:
         dataset = Dataset(images, 28, 28)
         model = build_model(bars_config(d_latents=20, k_categories=10, hidden_width=8), 784)
         evaluate(model, dataset, Rng(10))  # fills the caches a first call makes
-        tracemalloc.start()
-        try:
-            evaluate(model, dataset, Rng(10))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: evaluate(model, dataset, Rng(10)))
         assert peak < images.size * 8, peak
 
 
