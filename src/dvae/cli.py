@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +34,10 @@ def _to_gray(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
-    config = trainer.TrainConfig(
-        d_latents=args.d, k_categories=args.k, hidden_width=args.hidden,
-        learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
-        patience=args.patience, seed=args.seed, binarize_threshold=args.threshold,
-        mc_samples=args.mc_samples,
-    )
-    train_set = data.load_binarized(args.train_images, threshold=args.threshold)
-    val_set = data.load_binarized(args.val_images, threshold=args.threshold)
+    config = trainer.TrainConfig(**{f.name: getattr(args, f.name)
+                                    for f in fields(trainer.TrainConfig)})
+    train_set = data.load_binarized(args.train_images, threshold=config.binarize_threshold)
+    val_set = data.load_binarized(args.val_images, threshold=config.binarize_threshold)
     out = Path(args.out)
     created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
@@ -166,16 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train on IDX images")
     p_train.add_argument("--train-images", required=True)
     p_train.add_argument("--val-images", required=True)
-    p_train.add_argument("--d", type=int, default=20)
-    p_train.add_argument("--k", type=int, default=10)
-    p_train.add_argument("--hidden", type=int, default=512)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--batch", type=int, default=100)
-    p_train.add_argument("--epochs", type=int, default=50)
-    p_train.add_argument("--patience", type=int, default=5)
-    p_train.add_argument("--seed", type=seed, default=42)
-    p_train.add_argument("--threshold", type=int, default=128)
-    p_train.add_argument("--mc-samples", type=int, default=1)
+    # Each flag fills a TrainConfig field, defaulting to it and parsed as its
+    # default's type; TrainConfig requires D and K, so 20 and 10 are the CLI's.
+    defaults = {f.name: f.default for f in fields(trainer.TrainConfig)}
+    defaults.update(d_latents=20, k_categories=10)
+    for flag, name in (("--d", "d_latents"), ("--k", "k_categories"),
+                       ("--hidden", "hidden_width"), ("--lr", "learning_rate"),
+                       ("--batch", "batch_size"), ("--epochs", "max_epochs"),
+                       ("--patience", "patience"), ("--seed", "seed"),
+                       ("--threshold", "binarize_threshold"), ("--mc-samples", "mc_samples")):
+        p_train.add_argument(flag, dest=name, default=defaults[name],
+                             type=seed if name == "seed" else type(defaults[name]))
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(func=cmd_train)
 

@@ -156,7 +156,7 @@ class DiscreteVae:
     def encode(self, x: np.ndarray) -> np.ndarray:
         """(..., D, K) category probabilities for input x (entries expected
         in [0, 1]); each row sums to 1."""
-        return self.encoder.forward(np.asarray(x, dtype=np.float64))
+        return self.encoder.forward(x)
 
     def sample_latent(self, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One independent categorical draw per latent row, by inverse CDF of

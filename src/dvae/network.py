@@ -124,23 +124,21 @@ class Mlp:
         """Affine / rectifier chain then head; the net caches each layer's
         input and its own output. A stacked net of m takes one input vector
         or one (rows, in) batch, shared by all m, or an (m, rows, in) stack
-        of batches, one per net, and returns (m, ...)."""
+        of batches, one per net, and returns (m, ...): matmul broadcasts
+        each over the m nets' weights."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1:] != self.sizes[:1]:
             raise ShapeError(
                 f"input {h.shape} does not match weights {self.layers[0].weights.shape}"
             )
-        stack_shape = None
-        if self.params.ndim == 2:
-            m = len(self.params)
-            if h.ndim == 3 and len(h) == m:
-                stack_shape = h.shape[:-1]  # one batch per net
-            elif h.ndim <= 2:
-                stack_shape = (m, *h.shape[:-1])
-                h = h.reshape(-1, h.shape[-1])  # a vector becomes one input row
-            else:
-                raise ShapeError(f"a stack of {m} nets takes a vector, a matrix or "
-                                 f"({m}, rows, in), not {h.shape}")
+        stacked = self.params.ndim == 2
+        if stacked and (h.ndim > 3 or h.ndim == 3 and len(h) != len(self.params)):
+            m = len(self.params)  # matmul would broadcast some of these silently
+            raise ShapeError(f"a stack of {m} nets takes a vector, a matrix or "
+                             f"({m}, rows, in), not {h.shape}")
+        shared_vector = stacked and h.ndim == 1
+        if shared_vector:
+            h = h[None]  # one input row, over which each net's (1, out) bias broadcasts
         inputs = []
         for i, (w, b, _, _) in enumerate(self.layers):
             inputs.append(h)
@@ -148,8 +146,8 @@ class Mlp:
             h += b
             if i < len(self.layers) - 1:
                 np.maximum(h, 0.0, out=h)
-        if stack_shape is not None:
-            h = h.reshape(*stack_shape, h.shape[-1])
+        if shared_vector:
+            h = h[:, 0]
         if self.head == HEAD_SIGMOID:
             out = sigmoid(h, out=h)  # nothing else holds the final pre-activation
         else:

@@ -65,7 +65,7 @@ import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -127,15 +127,13 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("d_latents", "k_categories", "hidden_width", "batch_size",
-                     "max_epochs", "mc_samples"):
+                     "max_epochs", "patience", "mc_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
         # 0 is allowed as an explicit "no updates" control run.
         if self.learning_rate < 0:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
@@ -421,9 +419,7 @@ def write_metrics_csv(history: list[MetricsRow], path) -> None:
     with open(path, "w", encoding="ascii") as f:
         f.write(METRICS_HEADER + "\n")
         for r in history:
-            f.write("%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % (
-                r.epoch, r.train_elbo, r.train_entropy, r.train_prior,
-                r.train_recon, r.val_elbo, r.seconds))
+            f.write("%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n" % astuple(r))
 
 
 def _manifest(model: DiscreteVae) -> list[tuple[str, np.ndarray]]:

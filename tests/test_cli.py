@@ -1,7 +1,9 @@
 import os
 import re
+import shlex
 import struct
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +356,34 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             assert len(err.strip().splitlines()) == 1 and "learning_rate" in err
             assert not (out / "metrics.csv").exists()
+
+    def test_every_flag_fills_its_config_field(self, tmp_path, monkeypatch):
+        gray = tmp_path / "gray.idx"
+        write_idx(gray, (np.arange(20 * 16) * 37 % 256).astype(np.uint8).reshape(20, 4, 4))
+        got = []
+
+        def fake_train(config, train_set, val_set, checkpoint_path=None):
+            got.append((config, train_set.images, val_set.images))
+            return None, [trainer.MetricsRow(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+
+        monkeypatch.setattr(trainer, "train", fake_train)
+        required = ["train", "--train-images", str(gray), "--val-images", str(gray),
+                    "--out", str(tmp_path / "run")]
+        flags = ["--d", "3", "--k", "4", "--hidden", "7", "--lr", "0.25", "--batch", "9",
+                 "--epochs", "6", "--patience", "2", "--seed", "11", "--threshold", "100",
+                 "--mc-samples", "3"]
+        assert main(required + flags) == 0
+        assert main(required) == 0
+        want = TrainConfig(d_latents=3, k_categories=4, hidden_width=7, learning_rate=0.25,
+                           batch_size=9, max_epochs=6, patience=2, seed=11,
+                           binarize_threshold=100, mc_samples=3)
+        default = TrainConfig(d_latents=20, k_categories=10)
+        assert all(getattr(want, f.name) != getattr(default, f.name) for f in fields(want))
+        assert [config for config, _, _ in got] == [want, default]
+        for (_, *images), threshold in zip(got, (100, 128)):
+            loaded = load_binarized(gray, threshold=threshold).images
+            assert all(np.array_equal(each, loaded) for each in images)
+        assert not np.array_equal(got[0][1], got[1][1])  # the two thresholds differ here
 
 
 class TestEvalCommand:
@@ -746,3 +776,16 @@ class TestVerifyCommand:
         assert build_parser() is parser
         assert [code for code, _ in runs] == [0, 2, 0, 2]
         assert runs[:2] == runs[2:]
+
+
+class TestReadme:
+    def test_usage_lines_parse(self):
+        """Every `dvae ...` line in the README's sh blocks, continuation
+        lines joined, is a command line the parser accepts."""
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                 for line in block.replace("\\\n", " ").splitlines()]
+        parsed = [build_parser().parse_args(shlex.split(line, comments=True)[1:])
+                  for line in lines if line.startswith("dvae ")]
+        assert sorted(args.command for args in parsed) == [
+            "eval", "reconstruct", "sample", "train", "verify"]

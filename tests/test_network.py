@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +301,13 @@ class TestStackedParams:
         stacked = Mlp([3, 2], params=np.zeros((4, 8)))
         with pytest.raises(ShapeError):
             stacked.forward(np.ones((2, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 4, 1, 3), (4, 2, 1, 3)])
+    def test_rejects_inputs_that_matmul_would_broadcast(self, shape):
+        stacked = Mlp([3, 2], params=np.zeros((4, 8)))
+        message = f"a stack of 4 nets takes a vector, a matrix or (4, rows, in), not {shape}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            stacked.forward(np.ones(shape))
 
     @pytest.mark.parametrize("shape", [(7,), (4, 7), (2, 4, 8)])
     def test_rejects_params_of_the_wrong_shape(self, shape):
