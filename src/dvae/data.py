@@ -11,7 +11,10 @@ pixel; the trainer converts each batch to float64 as it reads it.
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -49,28 +52,38 @@ class Dataset:
 
 
 def load_idx(path) -> np.ndarray:
-    """Parse an IDX image file into a uint8 array (N, rows, cols).
+    """Parse an IDX image file into a writable uint8 array (N, rows, cols),
+    the payload read straight into it (a pipe is read whole first).
 
     Raises IdxFormatError for any other magic number (the observed value is
     included) and IdxLengthError when the payload does not match the
     declared dimensions exactly.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 4:
-        raise IdxLengthError(f"{path}: too short for an IDX header ({len(blob)} bytes)")
-    (magic,) = struct.unpack(">I", blob[:4])
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxFormatError(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    if len(blob) < 16:
-        raise IdxLengthError(f"{path}: truncated dimension header")
-    dims = struct.unpack(">3I", blob[4:16])
-    expected = math.prod(dims)  # Python ints: no int64 wraparound
-    if len(blob) - 16 != expected:
-        raise IdxLengthError(
-            f"{path}: payload is {len(blob) - 16} bytes, header promises {expected}"
-        )
-    return np.frombuffer(blob, dtype=np.uint8, count=expected, offset=16).reshape(dims)
+        info = os.fstat(f.fileno())
+        source, length = f, info.st_size
+        if not stat.S_ISREG(info.st_mode):  # a pipe's length is known once it is read
+            blob = f.read()
+            source, length = io.BytesIO(blob), len(blob)
+        head = source.read(16)
+        if length < 4:
+            raise IdxLengthError(f"{path}: too short for an IDX header ({length} bytes)")
+        (magic,) = struct.unpack(">I", head[:4])
+        if magic != IDX_IMAGES_MAGIC:
+            raise IdxFormatError(
+                f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+        if length < 16:
+            raise IdxLengthError(f"{path}: truncated dimension header")
+        dims = struct.unpack(">3I", head[4:16])
+        expected = math.prod(dims)  # Python ints: no int64 wraparound
+        if length - 16 != expected:
+            raise IdxLengthError(
+                f"{path}: payload is {length - 16} bytes, header promises {expected}")
+        images = np.empty(dims, dtype=np.uint8)
+        got = source.readinto(images)
+    if got != expected:  # the file changed size while it was read
+        raise IdxLengthError(f"{path}: payload is {got} bytes, header promises {expected}")
+    return images
 
 
 def write_idx(path, array: np.ndarray) -> None:
@@ -91,29 +104,33 @@ def write_idx(path, array: np.ndarray) -> None:
         f.write(array.tobytes())
 
 
-def binarize(raw: np.ndarray, threshold: int = 128) -> np.ndarray:
+def binarize(raw: np.ndarray, threshold: int = 128, out: np.ndarray | None = None) -> np.ndarray:
     """Threshold raw bytes to {0, 1} pixels: 1 where byte >= threshold.
 
-    Returns uint8 images flattened to (N, rows*cols), one byte per pixel.
+    Returns uint8 images flattened to (N, rows*cols), one byte per pixel,
+    written into the uint8 array out if given (out may be raw itself).
     The >= rule means a byte equal to the threshold maps to 1.
     """
     if not 0 < threshold < 255:
         raise ValueError(f"threshold must lie strictly inside (0, 255), got {threshold}")
     raw = np.asarray(raw)
     flat = raw.reshape(raw.shape[0], -1)
-    return (flat >= threshold).view(np.uint8)
+    if out is None:
+        return (flat >= threshold).view(np.uint8)
+    return np.greater_equal(flat, threshold, out=out.reshape(flat.shape))
 
 
 def load_binarized(images_path, threshold: int = 128) -> Dataset:
-    """Load and binarize an IDX image file. A file that holds no images or
-    images of no pixels is rejected."""
+    """Load and binarize an IDX image file, thresholding the bytes where
+    they were read, so the file's pixels are held once. A file that holds
+    no images or images of no pixels is rejected."""
     raw = load_idx(images_path)
     if raw.shape[0] == 0:
         raise ValueError(f"{images_path}: the file holds no images")
     if raw.shape[1] == 0 or raw.shape[2] == 0:
         raise ValueError(f"{images_path}: images of {raw.shape[1]} x {raw.shape[2]} "
                          "pixels hold no pixels")
-    return Dataset(binarize(raw, threshold), raw.shape[1], raw.shape[2])
+    return Dataset(binarize(raw, threshold, out=raw), raw.shape[1], raw.shape[2])
 
 
 def batches(dataset: Dataset, batch_size: int, rng: Rng) -> list[np.ndarray]:

@@ -116,6 +116,19 @@ def _layer_sizes(p: int, d: int, k: int, hidden: int) -> tuple[list[int], list[i
     return [p, hidden, d * k], [d * k, hidden, p]
 
 
+def in_turn(first, second) -> tuple:
+    """(first(), second()), run in that order: DiscreteVae.create's default
+    for its both argument, which the trainer replaces with its two-thread
+    overlapped."""
+    return first(), second()
+
+
+def halves(n: int, both, half) -> None:
+    """Run half(rows) over the row ranges [0, n // 2) and [n // 2, n), the
+    two calls through both(first, second)."""
+    both(lambda: half(slice(0, n // 2)), lambda: half(slice(n // 2, n)))
+
+
 class DiscreteVae:
     """Encoder/decoder pair over D categorical latents with K categories.
 
@@ -137,13 +150,24 @@ class DiscreteVae:
 
     @classmethod
     def create(cls, p: int, d: int, k: int, hidden: int,
-               encoder_rng: Rng | np.ndarray, decoder_rng: Rng | np.ndarray) -> "DiscreteVae":
-        """Fresh model, each net initialised by Mlp.create from its Rng.
-        Given two arrays of m seeds in place of the Rngs, a stack of m models."""
+               encoder_rng: Rng | np.ndarray, decoder_rng: Rng | np.ndarray,
+               both=in_turn) -> "DiscreteVae":
+        """Fresh model, each net's parameters drawn by Mlp.create from its
+        Rng (which is not advanced), the two draws run by both(first,
+        second). Given two arrays of m seeds in place of the Rngs, a stack
+        of m models."""
+        one = isinstance(encoder_rng, Rng)
+
+        def draw(sizes: list[int], rng, softmax_shape=None) -> np.ndarray:
+            # Drawn as a stack, a row per seed, Rng(s) bit for bit: a stacked
+            # net has no gradient buffer to allocate and drop.
+            seeds = np.array([rng.state], dtype=np.uint64) if one else rng
+            params = Mlp.create(sizes, seeds, softmax_shape).params
+            return params[0] if one else params
+
         encoder_sizes, decoder_sizes = _layer_sizes(p, d, k, hidden)
-        return cls(p, d, k, hidden,
-                   Mlp.create(encoder_sizes, encoder_rng, (d, k)).params,
-                   Mlp.create(decoder_sizes, decoder_rng).params)
+        return cls(p, d, k, hidden, *both(lambda: draw(encoder_sizes, encoder_rng, (d, k)),
+                                          lambda: draw(decoder_sizes, decoder_rng)))
 
     def with_params(self, phi: np.ndarray | None = None,
                     theta: np.ndarray | None = None) -> "DiscreteVae":
@@ -167,24 +191,49 @@ class DiscreteVae:
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Pixel-wise Bernoulli means for the (..., D) latent indices z, fed
         to the decoder as flattened one-hot rows."""
+        return self.decoder.forward(self._one_hot(z))
+
+    def _one_hot(self, z: np.ndarray) -> np.ndarray:
         hot = self._one_hot_rows[z]
-        return self.decoder.forward(hot.reshape(*hot.shape[:-2], self.d * self.k))
+        return hot.reshape(*hot.shape[:-2], self.d * self.k)
 
     def log_q(self, probs: np.ndarray, z: np.ndarray) -> np.ndarray:
         """log q(z|x) = sum_d ln(probs[d, z[d]]), clipped away from ln(0)."""
         sel = np.take_along_axis(probs, z[..., None], axis=-1)[..., 0]
         return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
-    def estimate(self, x: np.ndarray, probs: np.ndarray, z: np.ndarray) -> tuple:
+    def estimate(self, x: np.ndarray, probs: np.ndarray, z: np.ndarray, both=None) -> tuple:
         """Decode the latents z drawn from probs, the encoder's output for the
         float64 inputs x: (breakdown, decoder_pass, encoder_pass), the
         per-example ELBO terms (recon_term is the detached score coefficient c)
         and two callables that each overwrite one net's buffers with its ascent
-        gradient summed over the batch. They share no output: either order."""
-        xhat = self.decode(z)
-        bd = elbo_estimate(x, probs, xhat)
-        return (bd, lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)),
-                lambda: self.encoder.backward(d_elbo_d_probs(probs, z, bd.recon_term)))
+        gradient summed over the batch. They share no output: either order.
+
+        Given both, a batch (n, ...) is decoded, estimated and its decoder
+        upstream gradient taken in two row halves (see halves), which both
+        runs, each writing its rows of batch-sized arrays; a row's bytes are
+        then those of the whole batch wherever BLAS gives its rows the same
+        bits at both row counts."""
+        hot = self._one_hot(z)
+        if both is None:
+            xhat = self.decoder.forward(hot)
+            bd = elbo_estimate(x, probs, xhat)
+            return (bd, lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)),
+                    lambda: self.encoder.backward(d_elbo_d_probs(probs, z, bd.recon_term)))
+        n = len(x)
+        out, upstream = self.decoder.buffers(n), np.empty((n, self.p))
+        entropy, recon = np.empty(n), np.empty(n)
+
+        def half(rows: slice) -> None:
+            xhat = self.decoder.forward(hot, out, rows)
+            part = elbo_estimate(x[rows], probs[rows], xhat)
+            entropy[rows], recon[rows] = part.entropy_term, part.recon_term
+            upstream[rows] = d_recon_d_xhat(x[rows], xhat)
+
+        halves(n, both, half)
+        bd = ElboBreakdown.from_terms(entropy, -self.d * math.log(self.k), recon)
+        return (bd, lambda: self.decoder.backward(upstream),
+                lambda: self.encoder.backward(d_elbo_d_probs(probs, z, recon)))
 
     def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
         """Encode x, sample one latent per example from its uniforms u (..., D),

@@ -120,12 +120,19 @@ class Mlp:
                 drawn += count
         return net
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: list[np.ndarray] | None = None,
+                rows: slice = slice(None)) -> np.ndarray:
         """Affine / rectifier chain then head; the net caches each layer's
         input and its own output. A stacked net of m takes one input vector
         or one (rows, in) batch, shared by all m, or an (m, rows, in) stack
         of batches, one per net, and returns (m, ...): matmul broadcasts
-        each over the m nets' weights."""
+        each over the m nets' weights.
+
+        Given out (an unstacked net's buffers(len(x))), only x[rows] runs:
+        each layer writes its rows of its out array, the head in place, and
+        the net caches x and out whole, so calls over row ranges that cover
+        x, in turn or on two threads at once, leave the caches of one pass
+        over x. Returns the output of those rows."""
         h = np.asarray(x, dtype=np.float64)
         if h.shape[-1:] != self.sizes[:1]:
             raise ShapeError(
@@ -139,22 +146,31 @@ class Mlp:
         shared_vector = stacked and h.ndim == 1
         if shared_vector:
             h = h[None]  # one input row, over which each net's (1, out) bias broadcasts
-        inputs = []
+        inputs = [h]
+        if out is not None:
+            h = h[rows]
         for i, (w, b, _, _) in enumerate(self.layers):
-            inputs.append(h)
-            h = h @ w.swapaxes(-1, -2)
+            h = np.matmul(h, w.swapaxes(-1, -2), out=None if out is None else out[i][rows])
             h += b
             if i < len(self.layers) - 1:
                 np.maximum(h, 0.0, out=h)
+                inputs.append(h if out is None else out[i])
         if shared_vector:
             h = h[:, 0]
+        # Nothing else holds the final pre-activation: the head overwrites it.
         if self.head == HEAD_SIGMOID:
-            out = sigmoid(h, out=h)  # nothing else holds the final pre-activation
+            y = sigmoid(h, out=h)
         else:
-            out = rowwise_softmax(h.reshape(*h.shape[:-1], *self.softmax_shape))
+            logits = h.reshape(*h.shape[:-1], *self.softmax_shape)
+            y = rowwise_softmax(logits, out=logits)
         self._inputs = inputs
-        self._output = out
-        return out
+        self._output = y if out is None else out[-1].reshape(len(inputs[0]), *y.shape[1:])
+        return y
+
+    def buffers(self, n: int) -> list[np.ndarray]:
+        """Uninitialised arrays for each layer's output over n rows, for
+        forward's out."""
+        return [np.empty((n, width)) for width in self.sizes[1:]]
 
     def backward(self, upstream_grad: np.ndarray) -> None:
         """Write the parameter gradients of the last forward pass into grads.

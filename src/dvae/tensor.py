@@ -14,16 +14,18 @@ class ShapeError(ValueError):
     """Operand shapes do not chain."""
 
 
-def rowwise_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, each row normalized independently.
+def rowwise_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, each row normalized independently, into
+    out if given (out may be logits itself; the result is the same bits
+    either way).
 
     The per-row maximum is subtracted before exponentiation so arbitrarily
     large logits stay finite.
     """
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(shifted, out=shifted)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out)
 
 
 def sigmoid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -33,13 +33,23 @@ here. This is the only module that starts threads; it uses two cores at most:
   only adds its own malloc arena and thread switches (perfbench
   train-mnist784 pinned to one CPU of a 2-vCPU x86-64 host: peak RSS 85.6
   -> 89.6 MB, 7% more time with it).
-* An epoch's training steps are one pass over its batches (_pass). The
-  caller takes each batch's estimate. Then the helper runs its encoder pass
-  and the encoder's step and encodes and samples the next batch, while the
-  caller runs its decoder pass and the decoder's step.
-  Each thread that allocates gets its own malloc arena, so the helper takes
-  the encoder's side: its temporaries are D*K wide, the decoder's P wide
-  (784 at MNIST shape).
+* build_model draws the encoder's init on the caller and the decoder's on
+  the helper. The best-parameter snapshot copies one net on each thread,
+  and the copy back after training is skipped when the last epoch is the
+  best.
+* An epoch's training steps are one pass over its batches (_pass). Its
+  first batch is encoded and sampled in two row halves, the first on the
+  caller and the second on the helper. Then for each batch:
+  1. the decode, the ELBO terms and the decoder's upstream gradient run in
+     two row halves the same way (DiscreteVae.estimate);
+  2. the helper runs the encoder pass and the encoder's step and encodes
+     and samples the next batch whole, while the caller runs the decoder
+     pass and the decoder's step.
+  Each half writes its rows of batch-sized arrays, the nets' forward caches
+  among them, so the backward passes read the whole batch with no join
+  copy. The helper takes the encoder's side of step 2: each thread that
+  allocates gets its own malloc arena, and the encoder's temporaries are
+  D*K wide, the decoder's P wide (784 at MNIST shape).
 * Forward-only estimates (_estimates: evaluate, each epoch's validation and
   the epoch-0 row) split their examples at n // 2. The caller estimates the
   first half on the model, and the helper the second on a one-row stack
@@ -49,11 +59,16 @@ here. This is the only module that starts threads; it uses two cores at most:
   CHUNK_ROWS samples, and the per-sample terms are summed in the same
   chunks as in turn.
 
-Each net runs the same array operations in the same order as in turn, and
-sums are added in the same order, so at a given BLAS thread count metrics
-and parameters are byte-identical whichever way a pass runs. The pinned
-bytes are those of one BLAS thread (OPENBLAS_NUM_THREADS=1, as CI and
-perfbench set it); another count may train to other parameter bytes.
+Run in turn, the halves are the same halves, split at the same row, so
+each net runs the same array operations in the same order either way, and
+sums are added in the same order: at a given BLAS thread count metrics and
+parameters are byte-identical whichever way a pass runs. The pinned bytes
+are those of one BLAS thread (OPENBLAS_NUM_THREADS=1, as CI and perfbench
+set it); another count may train to other parameter bytes. A half's rows
+hold the bytes of the whole batch's where BLAS gives a product's rows the
+same bits at both row counts; on OpenBLAS 0.3.31 (Haswell kernels) a
+product of a few rows may not (a 4-row batch's 2-row halves changed the
+last bits of some parameters).
 """
 
 from __future__ import annotations
@@ -71,7 +86,7 @@ import numpy as np
 
 from dvae.data import Dataset, batches
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
-from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown
+from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, halves
 from dvae.network import Mlp
 
 ENCODER_INIT_OFFSET = 1
@@ -98,6 +113,11 @@ METRICS_HEADER = "epoch,train_elbo,train_entropy,train_prior,train_recon,val_elb
 # - 28x28 images, D=20, K=10, hidden 96 (94.8k): 274 against 214 ms, the
 #   helper faster in 12 of 12.
 OVERLAP_MIN_SIZE = 1 << 15
+
+# An epoch's validation ELBO improves on the best only by more than this
+# fraction of |best|: a rise within the summation's rounding (a collapsed
+# run's ELBO can creep up ~1e-12 an epoch) does not reset patience.
+IMPROVEMENT_TOLERANCE = 1e-9
 
 
 class TrainingDiverged(RuntimeError):
@@ -168,11 +188,15 @@ class Checkpoint:
 
 
 def build_model(config: TrainConfig, p: int) -> DiscreteVae:
-    """Fresh model for pixel count p, seeded from the config."""
+    """Fresh model for pixel count p, seeded from the config; the encoder's
+    and the decoder's init are drawn through overlapped."""
+    d, k, hidden = config.d_latents, config.k_categories, config.hidden_width
+    size = (p + 1) * hidden + (hidden + 1) * d * k  # the encoder's parameter count
     return DiscreteVae.create(
-        p, config.d_latents, config.k_categories, config.hidden_width,
+        p, d, k, hidden,
         Rng(config.seed + ENCODER_INIT_OFFSET),
         Rng(config.seed + DECODER_INIT_OFFSET),
+        both=lambda first, second: overlapped(first, second, size),
     )
 
 
@@ -241,7 +265,7 @@ def overlapped(here, there, size: int) -> tuple:
     interrupts the wait (KeyboardInterrupt) is raised once there() has
     ended; the helper then serves the next call. The helper starts on this
     thread's first call that overlaps and ends when this thread ends. size
-    is the element count the work scales with (both callers pass the
+    is the element count the work scales with (every caller passes the
     encoder's parameter count). Below OVERLAP_MIN_SIZE, or when this process
     may run on one CPU only, the two run in turn on this thread instead."""
     if size < OVERLAP_MIN_SIZE or _usable_cpus() < 2:
@@ -266,16 +290,27 @@ def overlapped(here, there, size: int) -> tuple:
     return first, box["value"]
 
 
-def _encoded(net: DiscreteVae, images: np.ndarray, u: np.ndarray, rows) -> tuple:
+def _encoded(net: DiscreteVae, images: np.ndarray, u: np.ndarray, rows, both=None) -> tuple:
     """(x, probs, z) of the examples images[rows]: each example's row as
     float64 (converted here, batch by batch; uncopied at one sample of float64
     images) once per Monte Carlo sample, their encoder probabilities and the
-    latents drawn from the uniforms u[rows], D per sample."""
+    latents drawn from the uniforms u[rows], D per sample. Given both, the
+    samples are encoded and drawn in two row halves (see model.halves),
+    which both runs, each writing its rows of batch-sized arrays."""
     x, ux = images[rows].astype(np.float64, copy=False), u[rows]
     if ux.shape[1] > net.d:
         x = np.repeat(x, ux.shape[1] // net.d, axis=0)
-    probs = net.encode(x)
-    return x, probs, net.sample_latent(probs, ux.reshape(-1, net.d))
+    ux = ux.reshape(-1, net.d)
+    if both is None:
+        probs = net.encode(x)
+        return x, probs, net.sample_latent(probs, ux)
+    out, z = net.encoder.buffers(len(x)), np.empty(ux.shape, dtype=np.intp)
+
+    def half(rows: slice) -> None:
+        z[rows] = net.sample_latent(net.encoder.forward(x, out, rows), ux[rows])
+
+    halves(len(x), both, half)
+    return x, out[-1].reshape(len(x), net.d, net.k), z
 
 
 def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[np.ndarray],
@@ -285,11 +320,16 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
     is the rows images[indices[i]], one per Monte Carlo sample, under
     u[indices[i]]; its estimate must be finite, and its mean gradient steps
     each net (not at lr 0)."""
+    size = model.encoder.params.size
+
+    def both(first, second) -> tuple:
+        return overlapped(first, second, size)
+
     sums = [0.0, 0.0]
-    ahead = _encoded(model, images, u, indices[0])
+    ahead = _encoded(model, images, u, indices[0], both)
     for i, following in enumerate(indices[1:] + [None]):
         x, probs, z = ahead
-        bd, decoder_pass, encoder_pass = model.estimate(x, probs, z)
+        bd, decoder_pass, encoder_pass = model.estimate(x, probs, z, both)
         if not np.isfinite(bd.total).all():
             raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
@@ -299,9 +339,8 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
                 net.sga_step(lr, 1.0 / len(x))
             return None if rows is None else _encoded(model, images, u, rows)
 
-        _, ahead = overlapped(lambda: side(model.decoder, decoder_pass, None),
-                              lambda: side(model.encoder, encoder_pass, following),
-                              model.encoder.params.size)
+        _, ahead = both(lambda: side(model.decoder, decoder_pass, None),
+                        lambda: side(model.encoder, encoder_pass, following))
         sums[0] += bd.entropy_term.sum()
         sums[1] += bd.recon_term.sum()
     return sums
@@ -384,12 +423,19 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
         ))
         return val_total
 
+    params = [model.encoder.params, model.decoder.params]
+
+    def copy_params(sources, targets) -> None:  # one net per thread
+        overlapped(lambda: np.copyto(targets[0], sources[0]),
+                   lambda: np.copyto(targets[1], sources[1]), model.encoder.params.size)
+
     # A diverging step overflows; the finite checks report it, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         best_val = record(0, _estimates(model, train_set.images, u_train))
         best_epoch = 0
-        best_phi = model.encoder.params.copy()
-        best_theta = model.decoder.params.copy()
+        # The first copy allocates, on the caller alone: at MNIST shape
+        # faulting its fresh pages in on both threads took 2.2 ms, not 0.9.
+        best = [net_params.copy() for net_params in params]
         best_rng_state = shuffle_rng.state
 
         for epoch in range(1, config.max_epochs + 1):
@@ -397,17 +443,16 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
                                batches(train_set, config.batch_size, shuffle_rng),
                                config.learning_rate, epoch)
             val_total = record(epoch, train_sums)
-            if val_total > best_val:
+            if val_total - best_val > IMPROVEMENT_TOLERANCE * abs(best_val):
                 best_val = val_total
                 best_epoch = epoch
-                best_phi[:] = model.encoder.params
-                best_theta[:] = model.decoder.params
+                copy_params(params, best)
                 best_rng_state = shuffle_rng.state
             elif epoch - best_epoch >= config.patience:
                 break
 
-    model.encoder.params[:] = best_phi
-    model.decoder.params[:] = best_theta
+    if best_epoch != history[-1].epoch:  # else the model holds the best already
+        copy_params(best, params)
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, config=config, epoch=best_epoch,
                         rng_state=best_rng_state)

@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -102,8 +104,31 @@ class TestLoadIdx:
             load_idx(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("cut", [0, 3], ids=["whole", "short"])
+    def test_a_pipe_loads_as_the_same_bytes_in_a_file(self, tmp_path, cut):
+        # a pipe, say <(gunzip -c images.gz), has no length until it is read
+        blob = FIXTURE_IMAGE_BYTES[:len(FIXTURE_IMAGE_BYTES) - cut]
+
+        def outcome(path):
+            try:
+                return load_idx(path).tobytes()
+            except IdxLengthError as err:
+                return str(err).replace(str(path), "<path>")
+
+        regular, pipe = tmp_path / "file", tmp_path / "pipe"
+        regular.write_bytes(blob)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        got = outcome(pipe)
+        writer.join(10)
+        assert not writer.is_alive()
+        assert got == outcome(regular)
+        assert (got == FIXTURE_IMAGE_BYTES[16:]) == (cut == 0)
+
     def test_holds_the_file_once(self, mnist_size_file):
-        # the array is a view of the bytes read, not of a sliced copy of them
+        # the payload is read straight into the array, not into bytes first
         size = mnist_size_file.stat().st_size
         assert traced_peak(lambda: load_idx(mnist_size_file)) <= 1.1 * size
 
@@ -179,6 +204,18 @@ class TestBinarize:
         pixels = 2000 * 28 * 28
         peak = traced_peak(lambda: load_binarized(mnist_size_file))
         assert peak <= 2.1 * pixels + 64 * 1024, peak / pixels
+
+    def test_load_binarized_holds_the_pixels_once(self, mnist_size_file):
+        # the payload is read into one array and thresholded where it lies
+        pixels = 2000 * 28 * 28
+        peak = traced_peak(lambda: load_binarized(mnist_size_file))
+        assert peak <= 1.1 * pixels + 64 * 1024, peak / pixels
+
+    def test_binarize_into_its_input_gives_the_same_bytes(self, mnist_size_file):
+        raw = load_idx(mnist_size_file)
+        want = binarize(raw, threshold=100)
+        assert binarize(raw, threshold=100, out=raw).tobytes() == want.tobytes()
+        assert raw.reshape(want.shape).tobytes() == want.tobytes()
 
     def test_load_binarized_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.idx3-ubyte"

@@ -151,6 +151,37 @@ class TestTrainLoop:
         replay = evaluate(model, val_set, Rng(config.seed + VALIDATION_OFFSET))
         assert replay.total == best
 
+    def test_a_rise_within_rounding_is_no_improvement(self, monkeypatch):
+        # a frozen model whose validation ELBO creeps up by 1e-12 an epoch,
+        # as a collapsed run's did, stops on patience at the first epoch
+        train_set, val_set = bars_sets(n_train=40, n_val=10)
+        real_evaluate = trainer.evaluate
+        creep = iter(range(100))
+
+        def creeping(model, dataset, rng):
+            bd = real_evaluate(model, dataset, rng)
+            return dataclasses.replace(bd, total=bd.total + 1e-12 * next(creep))
+
+        monkeypatch.setattr(trainer, "evaluate", creeping)
+        config = bars_config(learning_rate=0.0, max_epochs=5, patience=1)
+        _, history = train(config, train_set, val_set)
+        assert [row.epoch for row in history] == [0, 1]
+        assert history[1].val_elbo > history[0].val_elbo
+
+    def test_a_rise_above_rounding_is_an_improvement(self, monkeypatch):
+        train_set, val_set = bars_sets(n_train=40, n_val=10)
+        real_evaluate = trainer.evaluate
+        creep = iter(range(100))
+
+        def rising(model, dataset, rng):
+            bd = real_evaluate(model, dataset, rng)
+            return dataclasses.replace(bd, total=bd.total + 1e-8 * abs(bd.total) * next(creep))
+
+        monkeypatch.setattr(trainer, "evaluate", rising)
+        config = bars_config(learning_rate=0.0, max_epochs=3, patience=1)
+        _, history = train(config, train_set, val_set)
+        assert [row.epoch for row in history] == [0, 1, 2, 3]
+
     def test_pixel_count_mismatch(self):
         train_set, _ = bars_sets()
         other = synthetic_bars(10, 3, Rng(2))
@@ -259,7 +290,9 @@ class TestTrainingStep:
             monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
         jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
         trainer._pass(model, train_set.images, u, indices, 0.05, 1)
-        assert len(jobs) == (3 if overlap else 0)  # one per batch, all to one helper
+        # the first batch's encode halves, then per batch the estimate's
+        # halves and the two nets' steps: all to one helper
+        assert len(jobs) == (1 + 2 * 3 if overlap else 0)
         assert len(set(map(id, jobs))) == (1 if overlap else 0)
         assert model.encoder.params.tobytes() == reference.encoder.params.tobytes()
         assert model.decoder.params.tobytes() == reference.decoder.params.tobytes()
@@ -283,6 +316,71 @@ class TestTrainingStep:
                             lambda probs, z, c: d_elbo_d_probs(probs, z, -np.asarray(c)))
         assert not np.array_equal(stepped_encoder(), sound)
         assert not all(check.passed for check in oracle.suite_unbiasedness(42))
+
+
+class TestSplitStep:
+    """_pass decodes, estimates and takes the decoder's upstream gradient in
+    two row halves (and encodes each epoch's first batch so): each half
+    writes its rows of batch-sized arrays, read whole by the backward
+    passes."""
+
+    @staticmethod
+    def whole_batch_steps(model, images, u, indices, lr):
+        """compute_gradients (DiscreteVae.estimate on the whole batch, both
+        passes) and both nets' steps at the batch mean, batch by batch."""
+        sums = [0.0, 0.0]
+        for rows in indices:
+            x = np.repeat(images[rows].astype(np.float64), u.shape[1] // model.d, axis=0)
+            bd = model.compute_gradients(x, u[rows].reshape(-1, model.d))
+            model.encoder.sga_step(lr, 1.0 / len(x))
+            model.decoder.sga_step(lr, 1.0 / len(x))
+            sums[0] += bd.entropy_term.sum()
+            sums[1] += bd.recon_term.sum()
+        return sums
+
+    @pytest.mark.parametrize("cpus", [(0, 1), (0,)], ids=["helper", "in-turn"])
+    def test_a_split_batch_is_byte_equal_at_the_benchmark_widths(self, monkeypatch, cpus):
+        images = np.random.default_rng(11).integers(0, 2, (100, 784), dtype=np.uint8)
+        config = TrainConfig(d_latents=20, k_categories=10, hidden_width=512)
+        model, reference = build_model(config, 784), build_model(config, 784)
+        u = Rng(12).uniforms(100 * 20).reshape(100, 20)
+        want = self.whole_batch_steps(reference, images, u, [np.arange(100)], 1e-3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
+        got = trainer._pass(model, images, u, [np.arange(100)], 1e-3, 1)
+        assert len(jobs) == (3 if len(cpus) == 2 else 0)  # encode, estimate, steps
+        assert got == want
+        assert model.encoder.params.tobytes() == reference.encoder.params.tobytes()
+        assert model.decoder.params.tobytes() == reference.decoder.params.tobytes()
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["in-turn", "helper"])
+    def test_uneven_halves_match_whole_batches_at_three_samples(self, monkeypatch, overlap):
+        # batches of 37, 37 and 26 examples: 111, 111 and 78 sample rows
+        train_set, _ = bars_sets(n_train=100, n_val=1)
+        config = bars_config()
+        model, reference = build_model(config, train_set.p), build_model(config, train_set.p)
+        u = Rng(13).uniforms(100 * 3 * model.d).reshape(100, 3 * model.d)
+        indices = batches(train_set, 37, Rng(14))
+        want = self.whole_batch_steps(reference, train_set.images, u, indices, 0.05)
+        if overlap:
+            open_overlap(monkeypatch)
+        jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
+        got = trainer._pass(model, train_set.images, u, indices, 0.05, 1)
+        assert len(jobs) == (1 + 2 * 3 if overlap else 0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for net, ref in ((model.encoder, reference.encoder), (model.decoder, reference.decoder)):
+            np.testing.assert_allclose(net.params, ref.params, rtol=0, atol=1e-12)
+        fresh = build_model(config, train_set.p)
+        assert not np.array_equal(model.encoder.params, fresh.encoder.params)
+
+    def test_build_model_over_the_helper_is_byte_equal_to_in_turn(self, monkeypatch):
+        config = bars_config()
+        serial, both, jobs = TestOverlappedHelper.in_turn_and_overlapped(
+            monkeypatch, lambda: build_model(config, 16))
+        assert jobs == 1  # the decoder's init
+        for net in ("encoder", "decoder"):
+            assert getattr(both, net).params.tobytes() == getattr(serial, net).params.tobytes()
+        assert both.encoder.grads is not None and both.decoder.grads is not None
 
 
 class TestRecordedTrajectory:
@@ -599,7 +697,9 @@ class TestOverlappedHelper:
         serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set)[1][0])
         assert dataclasses.replace(both, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
-        assert jobs == 2 + 12 + 1  # the epoch-0 row's two estimates, epoch 1's steps and estimate
+        # the init, the epoch-0 row's two estimates, epoch 1's
+        # first encode, two jobs a batch, its estimate and its snapshot
+        assert jobs == 3 + 1 + 2 * 12 + 1 + 1
         assert (both.train_entropy, both.train_recon) == (entropy / 690, recon / 690)
 
     @pytest.mark.parametrize("mc", [1, 3])
@@ -609,7 +709,7 @@ class TestOverlappedHelper:
         config = bars_config(max_epochs=2, mc_samples=mc)
         (serial_model, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        assert jobs == 2 + 2 * (12 + 1)
+        assert jobs == 3 + 2 * (1 + 2 * 12 + 1 + 1)  # both epochs improve: no copy back
         assert [dataclasses.replace(r, seconds=0.0) for r in history] == \
                [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         assert np.array_equal(model.encoder.params, serial_model.encoder.params)
@@ -620,7 +720,7 @@ class TestOverlappedHelper:
         config = bars_config(learning_rate=0.0, max_epochs=3)
         (_, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        assert jobs == 2 + 3 * (12 + 1)
+        assert jobs == 3 + 3 * (1 + 2 * 12 + 1) + 1  # no snapshot, one copy back
         rows = [dataclasses.replace(r, seconds=0.0) for r in history]
         assert rows == [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         for row in rows[1:]:  # train rows differ from epoch 0's only in summation order
@@ -644,7 +744,8 @@ class TestOverlappedHelper:
         (serial_history, serial, serial_bytes), (history, both, both_bytes), jobs = \
             self.in_turn_and_overlapped(monkeypatch, run)
         assert len(history) == len(serial_history) < config.max_epochs + 1  # stopped early
-        assert jobs == 2 + (len(history) - 1) * (6 + 1)  # 6 batches and a validation an epoch
+        # 6 batches an epoch; snapshots at epochs 1 and 2, and one copy back
+        assert jobs == 3 + (len(history) - 1) * (1 + 2 * 6 + 1) + 2 + 1
         assert 0 < both.epoch == serial.epoch
         assert both.rng_state == serial.rng_state != Rng(config.seed + 3).state
         assert both_bytes == serial_bytes
@@ -674,7 +775,7 @@ class TestOverlappedHelper:
         batch_i = int(message.rpartition("batch ")[2])
         assert message.startswith("non-finite ELBO estimate at epoch 1,")
         assert n_steps == 2 * batch_i  # no step after the non-finite estimate
-        assert jobs == 2 + batch_i
+        assert jobs == 3 + 1 + 2 * batch_i + 1  # up to batch i's estimate
 
     @staticmethod
     def raises_from_the_helper(monkeypatch, method, run=None, view=False):
@@ -687,11 +788,11 @@ class TestOverlappedHelper:
         real = getattr(Mlp, method)
         caller = threading.get_ident()
 
-        def failing(net, arg):
+        def failing(net, *args):
             ours = net.grads is None if view else net.head == HEAD_SOFTMAX and net.grads is not None
             if ours and threading.get_ident() != caller:
                 raise MemoryError(f"helper {method}")
-            return real(net, arg)
+            return real(net, *args)
 
         monkeypatch.setattr(Mlp, method, failing)
         first = helper_ident()
@@ -743,8 +844,8 @@ class TestByteImages:
                            np.array(dataclasses.astuple(evaluate(model, sets[1], Rng(8))))
                            .tobytes()])
         assert runs[0] == runs[1]
-        # each train hands over 2 + 2 * (12 + 1) jobs, each evaluate one
-        assert len(jobs) == (2 * (2 + 2 * (12 + 1)) + 2 if overlap else 0)
+        # each train hands over 3 + 2 * (1 + 2 * 12 + 1 + 1) jobs, each evaluate one
+        assert len(jobs) == (2 * (3 + 2 * (1 + 2 * 12 + 1 + 1)) + 2 if overlap else 0)
 
     def test_evaluate_converts_a_chunk_at_a_time(self):
         # one float64 copy of the dataset would be n * p * 8 bytes
