@@ -111,7 +111,7 @@ def d_elbo_d_probs(probs: np.ndarray, z: np.ndarray, recon_term) -> np.ndarray:
     return d_entropy_d_probs(probs) + coeff * d_logq_d_probs(probs, z)
 
 
-def _layer_sizes(p: int, d: int, k: int, hidden: int) -> tuple[list[int], list[int]]:
+def layer_sizes(p: int, d: int, k: int, hidden: int) -> tuple[list[int], list[int]]:
     """The encoder's and the decoder's layer sizes."""
     return [p, hidden, d * k], [d * k, hidden, p]
 
@@ -143,7 +143,7 @@ class DiscreteVae:
         or an (m, n) stack of them; None gives all-zero parameters. Over a
         stack, encode and decode return one result per row (see Mlp)."""
         self.p, self.d, self.k = p, d, k
-        encoder_sizes, decoder_sizes = _layer_sizes(p, d, k, hidden)
+        encoder_sizes, decoder_sizes = layer_sizes(p, d, k, hidden)
         self.encoder = Mlp(encoder_sizes, (d, k), phi)
         self.decoder = Mlp(decoder_sizes, params=theta)
         self._one_hot_rows = np.eye(k)  # decode gathers its one-hot rows from here
@@ -165,7 +165,7 @@ class DiscreteVae:
             params = Mlp.create(sizes, seeds, softmax_shape).params
             return params[0] if one else params
 
-        encoder_sizes, decoder_sizes = _layer_sizes(p, d, k, hidden)
+        encoder_sizes, decoder_sizes = layer_sizes(p, d, k, hidden)
         return cls(p, d, k, hidden, *both(lambda: draw(encoder_sizes, encoder_rng, (d, k)),
                                           lambda: draw(decoder_sizes, decoder_rng)))
 
@@ -209,31 +209,30 @@ class DiscreteVae:
         and two callables that each overwrite one net's buffers with its ascent
         gradient summed over the batch. They share no output: either order.
 
-        Given both, a batch (n, ...) is decoded, estimated and its decoder
-        upstream gradient taken in two row halves (see halves), which both
-        runs, each writing its rows of batch-sized arrays; a row's bytes are
-        then those of the whole batch wherever BLAS gives its rows the same
-        bits at both row counts."""
+        Given both, a batch (n, ...) is decoded and estimated in two row
+        halves (see halves), which both runs, each writing its rows of
+        batch-sized arrays; a row's bytes are then those of the whole batch
+        wherever BLAS gives its rows the same bits at both row counts.
+        Either way decoder_pass takes the decoder's upstream gradient, so a
+        caller that runs neither pass computes no gradient."""
         hot = self._one_hot(z)
         if both is None:
             xhat = self.decoder.forward(hot)
             bd = elbo_estimate(x, probs, xhat)
-            return (bd, lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)),
-                    lambda: self.encoder.backward(d_elbo_d_probs(probs, z, bd.recon_term)))
-        n = len(x)
-        out, upstream = self.decoder.buffers(n), np.empty((n, self.p))
-        entropy, recon = np.empty(n), np.empty(n)
+        else:
+            n = len(x)
+            out = self.decoder.buffers(n)
+            entropy, recon = np.empty(n), np.empty(n)
 
-        def half(rows: slice) -> None:
-            xhat = self.decoder.forward(hot, out, rows)
-            part = elbo_estimate(x[rows], probs[rows], xhat)
-            entropy[rows], recon[rows] = part.entropy_term, part.recon_term
-            upstream[rows] = d_recon_d_xhat(x[rows], xhat)
+            def half(rows: slice) -> None:
+                part = elbo_estimate(x[rows], probs[rows], self.decoder.forward(hot, out, rows))
+                entropy[rows], recon[rows] = part.entropy_term, part.recon_term
 
-        halves(n, both, half)
-        bd = ElboBreakdown.from_terms(entropy, -self.d * math.log(self.k), recon)
-        return (bd, lambda: self.decoder.backward(upstream),
-                lambda: self.encoder.backward(d_elbo_d_probs(probs, z, recon)))
+            halves(n, both, half)
+            xhat = out[-1]  # the head's output, written in place
+            bd = ElboBreakdown.from_terms(entropy, -self.d * math.log(self.k), recon)
+        return (bd, lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)),
+                lambda: self.encoder.backward(d_elbo_d_probs(probs, z, bd.recon_term)))
 
     def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
         """Encode x, sample one latent per example from its uniforms u (..., D),

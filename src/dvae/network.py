@@ -36,6 +36,11 @@ HEAD_SOFTMAX = "softmax"
 BLOCK = 1 << 15
 
 
+def param_count(sizes) -> int:
+    """The length of an Mlp's params: each layer's weights and bias."""
+    return sum(o * i + o for i, o in zip(sizes, sizes[1:]))
+
+
 class Layer(NamedTuple):
     """One affine layer's views: weights (out, in) and bias (out,) into an
     Mlp's params, and their gradients into its grads (None when stacked)."""
@@ -68,7 +73,7 @@ class Mlp:
                     f"output width {sizes[-1]} does not fill softmax shape {softmax_shape}"
                 )
         self.sizes = tuple(sizes)
-        n = sum(o * i + o for i, o in zip(sizes, sizes[1:]))
+        n = param_count(sizes)
         # np.zeros can leave the pages untouched until they are first written.
         self.params = np.zeros(n) if params is None else np.asarray(params, dtype=np.float64)
         if self.params.ndim not in (1, 2) or self.params.shape[-1] != n:
@@ -103,8 +108,8 @@ class Mlp:
         m seeds in place of an Rng, it builds a stack of m nets whose row i
         is bit-identical to the net built from Rng(seeds[i])."""
         stacked = not isinstance(rng, Rng)
-        n = sum(o * i + o for i, o in zip(sizes, sizes[1:]))
-        net = cls(sizes, softmax_shape, np.zeros((len(rng), n)) if stacked else None)
+        net = cls(sizes, softmax_shape,
+                  np.zeros((len(rng), param_count(sizes))) if stacked else None)
         drawn = 0
         for w, *_ in net.layers:
             fan_out, fan_in = w.shape[-2:]

@@ -37,27 +37,26 @@ here. This is the only module that starts threads; it uses two cores at most:
   the helper. The best-parameter snapshot copies one net on each thread,
   and the copy back after training is skipped when the last epoch is the
   best.
-* An epoch's training steps are one pass over its batches (_pass). Its
-  first batch is encoded and sampled in two row halves, the first on the
-  caller and the second on the helper. Then for each batch:
-  1. the decode, the ELBO terms and the decoder's upstream gradient run in
-     two row halves the same way (DiscreteVae.estimate);
+* Every pass is _pass; a forward-only pass skips the step. An epoch's
+  training steps are one pass over its batches. Its first batch is encoded
+  and sampled in two row halves, the first on the caller and the second on
+  the helper. Then for each batch:
+  1. the decode and the ELBO terms run in two row halves the same way
+     (DiscreteVae.estimate);
   2. the helper runs the encoder pass and the encoder's step and encodes
      and samples the next batch whole, while the caller runs the decoder
-     pass and the decoder's step.
+     pass, which takes the decoder's upstream gradient, and the decoder's
+     step.
   Each half writes its rows of batch-sized arrays, the nets' forward caches
   among them, so the backward passes read the whole batch with no join
   copy. The helper takes the encoder's side of step 2: each thread that
   allocates gets its own malloc arena, and the encoder's temporaries are
   D*K wide, the decoder's P wide (784 at MNIST shape).
-* Forward-only estimates (_estimates: evaluate, each epoch's validation and
-  the epoch-0 row) split their examples at n // 2. The caller estimates the
-  first half on the model, and the helper the second on a one-row stack
-  over the same parameters, with its own forward caches and no gradient
-  buffer; its arena then also holds decoder temporaries (perfbench
-  eval-mnist784: peak RSS 87.9 -> 90.8 MB). Both work in chunks of at most
-  CHUNK_ROWS samples, and the per-sample terms are summed in the same
-  chunks as in turn.
+* A forward-only pass (_estimates: evaluate, each epoch's validation and
+  the epoch-0 row) goes over chunks of at most CHUNK_ROWS samples from the
+  first, each encoded and then estimated in the halves of step 1, and adds
+  the chunks' sums in order. It runs neither net's pass, so it computes no
+  gradient.
 
 Run in turn, the halves are the same halves, split at the same row, so
 each net runs the same array operations in the same order either way, and
@@ -86,8 +85,8 @@ import numpy as np
 
 from dvae.data import Dataset, batches
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
-from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, halves
-from dvae.network import Mlp
+from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, halves, layer_sizes
+from dvae.network import Mlp, param_count
 
 ENCODER_INIT_OFFSET = 1
 DECODER_INIT_OFFSET = 2
@@ -191,12 +190,12 @@ def build_model(config: TrainConfig, p: int) -> DiscreteVae:
     """Fresh model for pixel count p, seeded from the config; the encoder's
     and the decoder's init are drawn through overlapped."""
     d, k, hidden = config.d_latents, config.k_categories, config.hidden_width
-    size = (p + 1) * hidden + (hidden + 1) * d * k  # the encoder's parameter count
+    encoder_size = param_count(layer_sizes(p, d, k, hidden)[0])
     return DiscreteVae.create(
         p, d, k, hidden,
         Rng(config.seed + ENCODER_INIT_OFFSET),
         Rng(config.seed + DECODER_INIT_OFFSET),
-        both=lambda first, second: overlapped(first, second, size),
+        both=lambda first, second: overlapped(first, second, encoder_size),
     )
 
 
@@ -313,13 +312,14 @@ def _encoded(net: DiscreteVae, images: np.ndarray, u: np.ndarray, rows, both=Non
     return x, out[-1].reshape(len(x), net.d, net.k), z
 
 
-def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[np.ndarray],
-          lr: float, epoch: int) -> list[float]:
+def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[np.ndarray | slice],
+          lr: float | None = None, epoch: int = 0) -> list[float]:
     """Summed entropy and recon terms, [entropy, recon], of the ELBO
-    estimates of one epoch's training batches, added in batch order. Batch i
-    is the rows images[indices[i]], one per Monte Carlo sample, under
-    u[indices[i]]; its estimate must be finite, and its mean gradient steps
-    each net (not at lr 0)."""
+    estimates of the batches, added in batch order. Batch i is the rows
+    images[indices[i]], one per Monte Carlo sample, under u[indices[i]].
+    Given lr, each estimate must be finite and its mean gradient steps each
+    net (not at lr 0); without, the pass is forward-only and encodes every
+    batch in halves, as a training pass encodes its first."""
     size = model.encoder.params.size
 
     def both(first, second) -> tuple:
@@ -330,6 +330,12 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
     for i, following in enumerate(indices[1:] + [None]):
         x, probs, z = ahead
         bd, decoder_pass, encoder_pass = model.estimate(x, probs, z, both)
+        sums[0] += bd.entropy_term.sum()
+        sums[1] += bd.recon_term.sum()
+        if lr is None:
+            if following is not None:
+                ahead = _encoded(model, images, u, following, both)
+            continue
         if not np.isfinite(bd.total).all():
             raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
@@ -341,36 +347,17 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[n
 
         _, ahead = both(lambda: side(model.decoder, decoder_pass, None),
                         lambda: side(model.encoder, encoder_pass, following))
-        sums[0] += bd.entropy_term.sum()
-        sums[1] += bd.recon_term.sum()
     return sums
 
 
 def _estimates(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> list[float]:
     """Summed entropy and recon terms, [entropy, recon], of the ELBO
     estimates of every row of images, one per Monte Carlo sample, under its
-    uniforms u (u[i] holds example i's draws, D per sample). The per-sample
-    terms are summed in chunks of at most CHUNK_ROWS samples from the first,
-    so a sum changes only where a term does."""
-    n, mc = len(images), u.shape[1] // model.d
-    step = max(1, CHUNK_ROWS // mc)  # examples per chunk
-    terms = np.empty((2, n * mc))
-    # The helper's half runs on a view, not on a twin that shallow-copies the
-    # two nets: the twin read train-mnist784 call_ms.p50 276.7 against
-    # 265.1 ms (slower in 8 of 10 alternating pairs), and a view with its own
-    # gradient buffers read peak RSS 93.5-95.3 against 90.3-90.6 MB.
-    view = model.with_params(model.encoder.params[None], model.decoder.params[None])
-
-    def estimate(net: DiscreteVae, start: int, stop: int) -> None:
-        for first in range(start, stop, step):
-            last = min(first + step, stop)
-            bd = net.estimate(*_encoded(net, images, u, slice(first, last)))[0]
-            samples = slice(first * mc, last * mc)
-            terms[0, samples], terms[1, samples] = bd.entropy_term, bd.recon_term
-
-    overlapped(lambda: estimate(model, 0, n // 2), lambda: estimate(view, n // 2, n),
-               model.encoder.params.size)
-    return [sum(row[i:i + step * mc].sum() for i in range(0, n * mc, step * mc)) for row in terms]
+    uniforms u (u[i] holds example i's draws, D per sample): a forward-only
+    _pass over chunks of at most CHUNK_ROWS samples from the first, so a
+    sum changes only where a term does."""
+    step = max(1, CHUNK_ROWS // (u.shape[1] // model.d))  # examples per chunk
+    return _pass(model, images, u, [slice(i, i + step) for i in range(0, len(images), step)])
 
 
 def _mean_breakdown(model: DiscreteVae, entropy_sum: float, recon_sum: float,
@@ -382,6 +369,8 @@ def _mean_breakdown(model: DiscreteVae, entropy_sum: float, recon_sum: float,
 def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:
     """Mean of single-sample ELBO estimates over the dataset, iterated in
     index order and drawing latents sequentially from rng."""
+    if dataset.n == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     u = rng.uniforms(dataset.n * model.d).reshape(dataset.n, model.d)
     return _mean_breakdown(model, *_estimates(model, dataset.images, u), dataset.n)
 
@@ -396,6 +385,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
 
     If checkpoint_path is given, the best model is also serialized there.
     """
+    if val_set.n == 0:  # an empty training set fails the batch size check
+        raise ValueError("the validation set is empty")
     if train_set.p != val_set.p:
         raise ValueError(f"pixel counts differ: train {train_set.p}, val {val_set.p}")
     if config.batch_size > train_set.n:

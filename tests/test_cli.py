@@ -2,6 +2,7 @@ import os
 import re
 import shlex
 import struct
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -405,16 +406,17 @@ class TestEvalCommand:
         save_checkpoint(zero_init_model(p=16, d=2, k=4), ckpt_path)
         open_overlap(monkeypatch)
         forward = Mlp.forward
+        caller = threading.get_ident()
 
-        def failing(net, x):
-            if net.grads is None:  # the forward-only view of the helper's half
-                raise MemoryError("view forward")
-            return forward(net, x)
+        def failing(net, *args):
+            if threading.get_ident() != caller:  # the helper's half of a chunk
+                raise MemoryError("helper forward")
+            return forward(net, *args)
 
         monkeypatch.setattr(Mlp, "forward", failing)
         assert main(["eval", "--model", str(ckpt_path), "--images", str(bars_files[1])]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: out of memory: view forward"]
+        assert err == ["error: out of memory: helper forward"]
 
     def test_pixel_count_mismatch_exits_1(self, tmp_path, capsys):
         images = tmp_path / "img.idx3-ubyte"

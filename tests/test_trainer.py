@@ -17,7 +17,7 @@ import pytest
 from dvae import oracle, trainer
 from dvae.data import Dataset, batches, load_binarized, synthetic_bars
 from dvae.distributions import Rng
-from dvae.model import ElboBreakdown, d_elbo_d_probs, elbo_estimate
+from dvae.model import ElboBreakdown, d_elbo_d_probs, d_recon_d_xhat, elbo_estimate
 from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
@@ -110,6 +110,11 @@ class TestEvaluate:
         se = totals.std(ddof=1) / math.sqrt(n)
         assert abs(mean_bd.total - exact) <= 5 * se
 
+    def test_empty_dataset_is_rejected(self):
+        model = build_model(bars_config(), 16)
+        with pytest.raises(ValueError, match="cannot evaluate on an empty dataset"):
+            evaluate(model, Dataset(np.zeros((0, 16)), 4, 4), Rng(3))
+
 
 class TestTrainLoop:
     def test_zero_lr_freezes_parameters_and_metrics(self):
@@ -194,6 +199,14 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer, "build_model", lambda *a: built.append(a))
         with pytest.raises(ValueError, match="batch size 41 exceeds dataset size 40"):
             train(bars_config(batch_size=41), train_set, val_set)
+        assert built == []
+
+    def test_empty_validation_set_rejected_before_building_the_model(self, monkeypatch):
+        train_set, _ = bars_sets(n_train=40, n_val=10)
+        built = []
+        monkeypatch.setattr(trainer, "build_model", lambda *a: built.append(a))
+        with pytest.raises(ValueError, match="the validation set is empty"):
+            train(bars_config(), train_set, Dataset(np.zeros((0, 16)), 4, 4))
         assert built == []
 
     def test_divergence_aborts_with_location(self):
@@ -319,10 +332,9 @@ class TestTrainingStep:
 
 
 class TestSplitStep:
-    """_pass decodes, estimates and takes the decoder's upstream gradient in
-    two row halves (and encodes each epoch's first batch so): each half
-    writes its rows of batch-sized arrays, read whole by the backward
-    passes."""
+    """_pass decodes and estimates each batch in two row halves (and encodes
+    each epoch's first batch so): each half writes its rows of batch-sized
+    arrays, read whole by the backward passes."""
 
     @staticmethod
     def whole_batch_steps(model, images, u, indices, lr):
@@ -372,6 +384,29 @@ class TestSplitStep:
             np.testing.assert_allclose(net.params, ref.params, rtol=0, atol=1e-12)
         fresh = build_model(config, train_set.p)
         assert not np.array_equal(model.encoder.params, fresh.encoder.params)
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["in-turn", "helper"])
+    def test_only_a_training_pass_takes_the_decoders_upstream(self, monkeypatch, overlap):
+        # a forward-only pass runs neither net's pass, so it takes no upstream
+        train_set, _ = bars_sets(n_train=250, n_val=1)
+        model = build_model(bars_config(), train_set.p)
+        taken = []
+
+        def counted(x, xhat):
+            taken.append(len(x))
+            return d_recon_d_xhat(x, xhat)
+
+        monkeypatch.setattr("dvae.model.d_recon_d_xhat", counted)
+        if overlap:
+            open_overlap(monkeypatch)
+        jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
+        evaluate(model, train_set, Rng(15))
+        assert taken == []
+        u = Rng(16).uniforms(250 * model.d).reshape(250, model.d)
+        indices = batches(train_set, 20, Rng(17))  # 12 batches of 20 and one of 10
+        trainer._pass(model, train_set.images, u, indices, 0.05, 1)
+        assert taken == [len(rows) for rows in indices]
+        assert bool(jobs) == overlap
 
     def test_build_model_over_the_helper_is_byte_equal_to_in_turn(self, monkeypatch):
         config = bars_config()
@@ -629,18 +664,20 @@ class TestOverlappedHelper:
             open_overlap(one_cpu, cpus=(0,))
             one_cpu.setattr(threading, "Thread", None)  # any thread start fails
             assert evaluate(model, train_set, Rng(56)) == want
-        open_overlap(monkeypatch)  # one job, the second half, for the helper
+        open_overlap(monkeypatch)  # per chunk, the second half of its encode and its estimate
         jobs = self.handed_jobs(monkeypatch)
         assert evaluate(model, train_set, Rng(56)) == want
-        assert len(jobs) == 1
+        assert len(jobs) == 2 * math.ceil(n / 100)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 250])  # halves of 0|1, 1|1, 1|2 and 125|125
+    # halves of 0|1, 1|1 and 1|2, and three chunks halved 50|50, 50|50 and 25|25
+    @pytest.mark.parametrize("n", [1, 2, 3, 250])
     def test_evaluate_halves_are_bit_identical_to_halves_in_turn(self, monkeypatch, n):
         train_set, _ = bars_sets(n_train=n)
         model = build_model(bars_config(), train_set.p)
         serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: evaluate(model, train_set, Rng(57)))
-        assert both == serial and jobs == 1
+        assert both == serial
+        assert jobs == 2 * math.ceil(n / 100)  # each chunk's encode and estimate halves
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
     @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # fork with threads
@@ -657,8 +694,8 @@ class TestOverlappedHelper:
             try:
                 got = evaluate(model, train_set, Rng(57))
                 os.write(write, np.array(dataclasses.astuple(got)).tobytes())
-                helper = trainer._callers.helper
-                code = 0 if jobs == [helper] and helper.pid == os.getpid() else 2
+                helper = trainer._callers.helper  # 3 chunks, two jobs each
+                code = 0 if jobs == [helper] * 6 and helper.pid == os.getpid() else 2
             finally:
                 os._exit(code)
         os.close(write)
@@ -675,10 +712,10 @@ class TestOverlappedHelper:
         assert got == want
         got = evaluate(model, train_set, Rng(57))  # the parent's helper serves on
         assert np.array(dataclasses.astuple(got)).tobytes() == want
-        assert jobs == [trainer._callers.helper]
+        assert jobs == [trainer._callers.helper] * 6
 
     def test_epoch_0_row_at_three_samples_is_bit_identical_to_chunks_in_turn(self, monkeypatch):
-        # 230 examples split 115|115, each side in chunks of 33 examples (99 samples)
+        # 230 examples in 7 chunks of at most 33 examples (99 samples), each halved
         train_set, val_set = bars_sets(n_train=230)
         config = bars_config(max_epochs=1, mc_samples=3)
         model = build_model(config, train_set.p)
@@ -697,19 +734,26 @@ class TestOverlappedHelper:
         serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set)[1][0])
         assert dataclasses.replace(both, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
-        # the init, the epoch-0 row's two estimates, epoch 1's
-        # first encode, two jobs a batch, its estimate and its snapshot
-        assert jobs == 3 + 1 + 2 * 12 + 1 + 1
+        # the init; the epoch-0 row's 7 training and 1 validation chunks, two
+        # jobs each (encode and estimate); epoch 1's first encode, two jobs a
+        # batch, its validation chunk's two and its snapshot
+        assert jobs == 1 + 2 * (7 + 1) + 1 + 2 * 12 + 2 + 1
         assert (both.train_entropy, both.train_recon) == (entropy / 690, recon / 690)
 
     @pytest.mark.parametrize("mc", [1, 3])
     def test_train_is_bit_identical_to_steps_in_turn(self, monkeypatch, mc):
-        # 3 chunks in the epoch-0 row, 11 batches of 20 and a short one of 10
+        # 3 (7 at three samples) chunks in the epoch-0 row, 11 batches of 20
+        # and a short one of 10
         train_set, val_set = bars_sets(n_train=230)
         config = bars_config(max_epochs=2, mc_samples=mc)
         (serial_model, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        assert jobs == 3 + 2 * (1 + 2 * 12 + 1 + 1)  # both epochs improve: no copy back
+        chunks = math.ceil(230 / (100 // mc))
+        # the init, the epoch-0 row's training chunks and one validation chunk
+        # (two jobs a chunk), then per epoch the first encode, two jobs a
+        # batch, the validation chunk and the snapshot (both epochs improve:
+        # no copy back)
+        assert jobs == 1 + 2 * (chunks + 1) + 2 * (1 + 2 * 12 + 2 + 1)
         assert [dataclasses.replace(r, seconds=0.0) for r in history] == \
                [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         assert np.array_equal(model.encoder.params, serial_model.encoder.params)
@@ -720,7 +764,10 @@ class TestOverlappedHelper:
         config = bars_config(learning_rate=0.0, max_epochs=3)
         (_, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        assert jobs == 3 + 3 * (1 + 2 * 12 + 1) + 1  # no snapshot, one copy back
+        # the init, the epoch-0 row's 3 training and 1 validation chunks (two
+        # jobs a chunk), then per epoch the first encode, two jobs a batch and
+        # the validation chunk; no snapshot, one copy back
+        assert jobs == 1 + 2 * (3 + 1) + 3 * (1 + 2 * 12 + 2) + 1
         rows = [dataclasses.replace(r, seconds=0.0) for r in history]
         assert rows == [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         for row in rows[1:]:  # train rows differ from epoch 0's only in summation order
@@ -744,8 +791,11 @@ class TestOverlappedHelper:
         (serial_history, serial, serial_bytes), (history, both, both_bytes), jobs = \
             self.in_turn_and_overlapped(monkeypatch, run)
         assert len(history) == len(serial_history) < config.max_epochs + 1  # stopped early
-        # 6 batches an epoch; snapshots at epochs 1 and 2, and one copy back
-        assert jobs == 3 + (len(history) - 1) * (1 + 2 * 6 + 1) + 2 + 1
+        # the init, the epoch-0 row's 2 training and 1 validation chunks (two
+        # jobs a chunk), then per epoch the first encode, two jobs for each of
+        # 6 batches and the validation chunk; snapshots at epochs 1 and 2, and
+        # one copy back
+        assert jobs == 1 + 2 * (2 + 1) + (len(history) - 1) * (1 + 2 * 6 + 2) + 2 + 1
         assert 0 < both.epoch == serial.epoch
         assert both.rng_state == serial.rng_state != Rng(config.seed + 3).state
         assert both_bytes == serial_bytes
@@ -775,22 +825,23 @@ class TestOverlappedHelper:
         batch_i = int(message.rpartition("batch ")[2])
         assert message.startswith("non-finite ELBO estimate at epoch 1,")
         assert n_steps == 2 * batch_i  # no step after the non-finite estimate
-        assert jobs == 3 + 1 + 2 * batch_i + 1  # up to batch i's estimate
+        # the init, the epoch-0 row's training and validation chunks (two jobs
+        # each), then epoch 1's first encode, two jobs a batch and batch i's
+        # estimate
+        assert jobs == 1 + 2 * (1 + 1) + 1 + 2 * batch_i + 1
 
     @staticmethod
-    def raises_from_the_helper(monkeypatch, method, run=None, view=False):
-        """A MemoryError from Mlp.<method> on the helper thread reaches the
-        caller of run (a one-epoch train by default), no thread is started,
-        and the same helper serves the next call. The model's own encoder raises it or, with view, either net of the
-        forward-only view that estimates the helper's half."""
+    def raises_from_the_helper(monkeypatch, method, run=None):
+        """A MemoryError from the encoder's Mlp.<method> on the helper thread
+        reaches the caller of run (a one-epoch train by default), no thread
+        is started, and the same helper serves the next call."""
         train_set, val_set = bars_sets(n_train=40, n_val=10)
         open_overlap(monkeypatch)
         real = getattr(Mlp, method)
         caller = threading.get_ident()
 
         def failing(net, *args):
-            ours = net.grads is None if view else net.head == HEAD_SOFTMAX and net.grads is not None
-            if ours and threading.get_ident() != caller:
+            if net.head == HEAD_SOFTMAX and threading.get_ident() != caller:
                 raise MemoryError(f"helper {method}")
             return real(net, *args)
 
@@ -812,7 +863,7 @@ class TestOverlappedHelper:
 
     def test_memory_error_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
         model = build_model(bars_config(), 16)
-        self.raises_from_the_helper(monkeypatch, "forward", view=True,
+        self.raises_from_the_helper(monkeypatch, "forward",
                                     run=lambda dataset: evaluate(model, dataset, Rng(58)))
 
 
@@ -844,8 +895,13 @@ class TestByteImages:
                            np.array(dataclasses.astuple(evaluate(model, sets[1], Rng(8))))
                            .tobytes()])
         assert runs[0] == runs[1]
-        # each train hands over 3 + 2 * (1 + 2 * 12 + 1 + 1) jobs, each evaluate one
-        assert len(jobs) == (2 * (3 + 2 * (1 + 2 * 12 + 1 + 1)) + 2 if overlap else 0)
+        # Each train hands over the init, the epoch-0 row's training chunks
+        # and one validation chunk (two jobs a chunk: encode and estimate),
+        # then per epoch the first encode, two jobs a batch, the validation
+        # chunk and the snapshot; each evaluate the validation chunk's two.
+        chunks = math.ceil(230 / (100 // mc))
+        per_train = 1 + 2 * (chunks + 1) + 2 * (1 + 2 * 12 + 2 + 1)
+        assert len(jobs) == (2 * (per_train + 2) if overlap else 0)
 
     def test_evaluate_converts_a_chunk_at_a_time(self):
         # one float64 copy of the dataset would be n * p * 8 bytes
