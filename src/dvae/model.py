@@ -141,7 +141,8 @@ class DiscreteVae:
         """p -> hidden -> D*K softmax rows, D*K -> hidden -> p sigmoid. The
         encoder views phi and the decoder theta, each a flat parameter vector
         or an (m, n) stack of them; None gives all-zero parameters. Over a
-        stack, encode and decode return one result per row (see Mlp)."""
+        stack, encode and decode return one result per row, and each
+        backward pass writes one gradient row per model (see Mlp)."""
         self.p, self.d, self.k = p, d, k
         encoder_sizes, decoder_sizes = layer_sizes(p, d, k, hidden)
         self.encoder = Mlp(encoder_sizes, (d, k), phi)
@@ -159,8 +160,8 @@ class DiscreteVae:
         one = isinstance(encoder_rng, Rng)
 
         def draw(sizes: list[int], rng, softmax_shape=None) -> np.ndarray:
-            # Drawn as a stack, a row per seed, Rng(s) bit for bit: a stacked
-            # net has no gradient buffer to allocate and drop.
+            # Drawn as a stack, a row per seed, Rng(s) bit for bit: a stack
+            # that runs no backward allocates no gradient buffer to drop.
             seeds = np.array([rng.state], dtype=np.uint64) if one else rng
             params = Mlp.create(sizes, seeds, softmax_shape).params
             return params[0] if one else params

@@ -15,9 +15,11 @@ its weights are (m, out, in) views and its biases (m, 1, out), one forward
 pass runs all m, on one shared input or on an (m, rows, in) stack of
 batches (one per net), and every output gains a leading m axis. Each row of
 that output is bit-identical to the forward pass of a net over that row
-alone on its input. A stacked net is forward-only and has no grads.
-Mlp.create builds such a stack from m seeds, row i bit-identical to the net
-it builds from Rng(seeds[i]).
+alone on its input. One backward then writes each net's gradient into row i
+of an (m, n) grads, bit-identical to that net's own backward; the stack
+allocates grads on its first backward, so a stack that only runs forward
+has none. A stack takes no sga_step. Mlp.create builds such a stack from m
+seeds, row i bit-identical to the net it builds from Rng(seeds[i]).
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ def param_count(sizes) -> int:
 
 class Layer(NamedTuple):
     """One affine layer's views: weights (out, in) and bias (out,) into an
-    Mlp's params, and their gradients into its grads (None when stacked)."""
+    Mlp's params, and their gradients into its grads (None on a stack that
+    has not run backward)."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -59,7 +62,8 @@ class Mlp:
     independently; given none, head is "sigmoid", which keeps its shape.
     Leading input axes are batch axes, and an unbatched vector is a batch
     with no leading axis. A new net's parameters are all zero, unless params
-    is given: the net is then a view over that (n,) vector or (m, n) stack.
+    is given: the net is then a view over that (n,) vector or (m, n) stack,
+    whose forward and backward run all m nets at once (see the module).
     """
 
     def __init__(self, sizes: list[int], softmax_shape: tuple[int, int] | None = None,
@@ -78,25 +82,33 @@ class Mlp:
         self.params = np.zeros(n) if params is None else np.asarray(params, dtype=np.float64)
         if self.params.ndim not in (1, 2) or self.params.shape[-1] != n:
             raise ShapeError(f"params {self.params.shape} do not hold {n} parameters")
-        lead = self.params.shape[:-1]  # (m,) for a stack of m nets
-        self.grads = None if lead else np.zeros(n)
-        self.layers: list[Layer] = []
-        offset = 0
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            mid = offset + fan_out * fan_in
-            end = mid + fan_out
-            bias = self.params[..., mid:end]
-            self.layers.append(Layer(
-                self.params[..., offset:mid].reshape(*lead, fan_out, fan_in),
-                bias[:, None] if lead else bias,  # a stacked bias broadcasts over input rows
-                None if lead else self.grads[offset:mid].reshape(fan_out, fan_in),
-                None if lead else self.grads[mid:end],
-            ))
-            offset = end
+        stacked = self.params.ndim == 2
+        # A stacked bias, (m, 1, out), broadcasts over each net's input rows.
+        self.layers = [Layer(w, b[:, None] if stacked else b, None, None)
+                       for w, b in self._views(self.params)]
+        self.grads: np.ndarray | None = None
+        if not stacked:
+            self._allocate_grads()
         self.head = HEAD_SIGMOID if softmax_shape is None else HEAD_SOFTMAX
         self.softmax_shape = softmax_shape
         self._inputs: list[np.ndarray] = []
         self._output: np.ndarray | None = None
+
+    def _views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's weights (..., out, in) and bias (..., out) as views
+        into flat, an (n,) vector or (m, n) stack laid out like params."""
+        views, offset = [], 0
+        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
+            mid = offset + fan_out * fan_in
+            views.append((flat[..., offset:mid].reshape(*flat.shape[:-1], fan_out, fan_in),
+                          flat[..., mid:mid + fan_out]))
+            offset = mid + fan_out
+        return views
+
+    def _allocate_grads(self) -> None:
+        self.grads = np.zeros(self.params.shape)
+        self.layers = [layer._replace(grad_weights=gw, grad_bias=gb)
+                       for layer, (gw, gb) in zip(self.layers, self._views(self.grads))]
 
     @classmethod
     def create(cls, sizes: list[int], rng: Rng | np.ndarray,
@@ -182,12 +194,15 @@ class Mlp:
 
         upstream_grad is the gradient of the objective with respect to the
         head OUTPUT (same shape as forward's return); grads become its sum
-        over the batch, replacing whatever they held before.
+        over the batch, replacing whatever they held before. A stack of m
+        nets writes net i's gradient into row i of its (m, n) grads, which
+        its first backward allocates.
         """
-        if self.grads is None:
-            raise RuntimeError("a stacked net is forward-only")
         if self._output is None:
             raise RuntimeError("backward before forward")
+        if self.grads is None:
+            self._allocate_grads()
+        stacked = self.params.ndim == 2
         y = self._output
         if self.head == HEAD_SIGMOID:
             g = upstream_grad * y * (1.0 - y)
@@ -196,12 +211,15 @@ class Mlp:
             u = np.asarray(upstream_grad, dtype=np.float64)
             inner = (u * y).sum(axis=-1, keepdims=True)
             g = (y * (u - inner)).reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1])
+        if stacked:
+            g = g.reshape(len(self.params), -1, g.shape[-1])  # (m, rows, out)
         for i in range(len(self.layers) - 1, -1, -1):
             w, _, grad_w, grad_b = self.layers[i]
-            x = self._inputs[i]
-            g2 = g.reshape(-1, w.shape[0])
-            np.matmul(g2.T, x.reshape(-1, w.shape[1]), out=grad_w)
-            np.sum(g2, axis=0, out=grad_b)
+            x = self._inputs[i]  # a stack's: (rows, in) shared by all m, or (m, rows, in)
+            g2 = g if stacked else g.reshape(-1, w.shape[0])
+            np.matmul(g2.swapaxes(-1, -2), x if stacked else x.reshape(-1, w.shape[1]),
+                      out=grad_w)
+            np.sum(g2, axis=-2, out=grad_b)
             if i > 0:
                 # Rectifier subgradient, 0 at the kink: a rectified input is
                 # positive exactly where its pre-activation was.
@@ -211,8 +229,8 @@ class Mlp:
         """Gradient ascent: params += (grads * scale) * lr, leaving grads
         untouched. One pass over the flat vectors in blocks of BLOCK
         through one reused buffer, so no step temporary is parameter-sized."""
-        if self.grads is None:
-            raise RuntimeError("a stacked net is forward-only")
+        if self.params.ndim == 2:
+            raise RuntimeError("a stacked net takes no step")
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         buf = np.empty(min(BLOCK, self.params.size))

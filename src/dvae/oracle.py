@@ -111,7 +111,9 @@ def exact_posterior(table: EnumerationTable) -> np.ndarray:
 def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray,
                            table: EnumerationTable) -> np.ndarray:
     """Exact gradient of the ELBO w.r.t. the flattened encoder parameters,
-    given the model's enumeration table for x.
+    given the model's enumeration table for x: (n_phi,) for one model and
+    input (p,), or (m, n_phi) for a stack of m models, an (m, p) stack of
+    inputs and their stacked table, row i model i's gradient.
 
     The score term is summed over the whole table,
     sum_z q(z|x) log p(x|z) grad log q(z|x), and added to the analytic
@@ -120,10 +122,12 @@ def exact_encoder_gradient(model: DiscreteVae, x: np.ndarray,
     the encoder's cache holds x's activations for the backward pass.
     Overwrites the encoder's gradient buffers.
     """
-    probs = model.encode(x)
+    probs = model.encode(np.asarray(x, dtype=np.float64)[..., None, :])  # a row per model
     weight = np.zeros_like(probs)
-    np.add.at(weight, (np.arange(model.d), table.latents),
-              (table.q_probs * table.log_px_given_z)[:, None])
+    # Each model's table rows are added in table order, as for one model alone.
+    nets = weight.reshape(-1, model.d, model.k)
+    np.add.at(nets, (np.arange(len(nets))[:, None, None], np.arange(model.d), table.latents),
+              (table.q_probs * table.log_px_given_z).reshape(len(nets), -1, 1))
     score_up = np.where(probs >= EPS, weight / np.maximum(probs, EPS), 0.0)
     model.encoder.backward(d_entropy_d_probs(probs) + score_up)
     return model.encoder.grads.copy()
@@ -135,19 +139,25 @@ def configuration_gradients(model: DiscreteVae, x: np.ndarray, table: Enumeratio
     one per row of its enumeration table: grads (K^D, n_phi) holds the
     encoder gradient and totals (K^D,) the single-sample ELBO estimate.
 
-    Each row with q > 0 gets one real B=1 compute_gradients call whose
+    The rows with q > 0 take one real compute_gradients call over a stack of
+    copies of the model, a copy and a one-example batch per row, whose
     uniforms sit at the midpoint of each latent's CDF interval for the row's
-    categories, so the pass samples that row; rows with q = 0 stay zero.
-    Weighted by q, the rows give exact_encoder_gradient and exact_elbo.
-    Overwrites both networks' gradient buffers.
+    categories, so each copy samples its own row; each row is bit-identical
+    to that row's B=1 compute_gradients call on the model alone. Rows with
+    q = 0 stay zero. Weighted by q, the rows give exact_encoder_gradient and
+    exact_elbo. The model's own gradient buffers are not written.
     """
     probs = model.encode(x)
     u = (np.cumsum(probs, axis=-1) - probs / 2)[np.arange(model.d), table.latents]
     grads = np.zeros((len(u), model.encoder.params.size))
     totals = np.zeros(len(u))
-    for c in np.flatnonzero(table.q_probs > 0.0):
-        totals[c] = model.compute_gradients(x, u[c]).total
-        grads[c] = model.encoder.grads
+    rows = np.flatnonzero(table.q_probs > 0.0)
+    copies = model.with_params(*(np.broadcast_to(net.params, (len(rows), net.params.size))
+                                 for net in (model.encoder, model.decoder)))
+    # Each copy on its own one-row batch: a shared batch would give every copy every row.
+    totals[rows] = copies.compute_gradients(np.broadcast_to(x, (len(rows), 1, model.p)),
+                                            u[rows, None]).total[:, 0]
+    grads[rows] = copies.encoder.grads
     return grads, totals
 
 
@@ -221,38 +231,38 @@ def suite_gradient_checks(seed: int) -> list[CheckResult]:
     """Analytic gradients vs central finite differences (FD_STEP) on GRAD_NETS
     random tiny models: the decoder's reconstruction gradient at a frozen
     latent, and the exact encoder gradient against the enumerated ELBO. The
-    nets are built, enumerated and given their frozen latents as one stack
-    (net i draws Rng(seed + 1000 i + 3).uniforms(D) from its table's encoder
-    rows), then checked one at a time, one finite-difference stack per net."""
+    nets are built, enumerated, given their frozen latents (net i draws
+    Rng(seed + 1000 i + 3).uniforms(D) from its table's encoder rows) and
+    given their analytic gradients as one stack, one backward pass per net
+    kind, then checked one at a time, one finite-difference stack per net."""
     seeds = (seed & MAX_SEED) + 1000 * np.arange(GRAD_NETS, dtype=np.uint64)  # wraps mod 2^64
     models, xs = tiny_models_and_inputs(seeds)
     tables = enumerate_table(models, xs)  # log p(x|z) does not depend on phi
     latents = models.sample_latent(tables.probs, stream_uniforms(seeds + 3, models.d))
+    # One decoder pass, each net on its own one-row batch (a shared batch
+    # would give every net every row).
+    models.estimate(xs[:, None], tables.probs[:, None], latents[:, None])[1]()
+    analytic_enc = exact_encoder_gradient(models, xs, tables)
     worst_dec = 0.0
     worst_enc = 0.0
     for i in range(GRAD_NETS):
-        model = models.with_params(models.encoder.params[i], models.decoder.params[i])
         x, z = xs[i], latents[i]
-        model.estimate(x, tables.probs[i], z)[1]()  # the decoder pass only
 
         # Each objective runs one forward pass over its whole stack.
         def recon_of(thetas):
-            return -aggregate_bce(model.with_params(theta=thetas).decode(z), x)
+            return -aggregate_bce(models.with_params(theta=thetas).decode(z), x)
 
-        fd_dec = finite_difference(recon_of, model.decoder.params)
-        worst_dec = max(worst_dec, scaled_gradient_error(model.decoder.grads, fd_dec))
-
-        table = EnumerationTable(tables.latents, tables.q_probs[i], tables.log_px_given_z[i],
-                                 tables.probs[i])
-        analytic_enc = exact_encoder_gradient(model, x, table)
+        fd_dec = finite_difference(recon_of, models.decoder.params[i])
+        worst_dec = max(worst_dec, scaled_gradient_error(models.decoder.grads[i], fd_dec))
 
         def elbo_of(phis):
-            probs = model.with_params(phi=phis).encode(x)
+            probs = models.with_params(phi=phis).encode(x)
             return exact_elbo(EnumerationTable(
-                table.latents, table_q_probs(probs, table.latents), table.log_px_given_z, probs))
+                tables.latents, table_q_probs(probs, tables.latents), tables.log_px_given_z[i],
+                probs))
 
-        fd_enc = finite_difference(elbo_of, model.encoder.params)
-        worst_enc = max(worst_enc, scaled_gradient_error(analytic_enc, fd_enc))
+        fd_enc = finite_difference(elbo_of, models.encoder.params[i])
+        worst_enc = max(worst_enc, scaled_gradient_error(analytic_enc[i], fd_enc))
 
     return [
         CheckResult("decoder-grad-vs-finite-diff", worst_dec <= GRAD_REL_TOL, worst_dec,

@@ -100,7 +100,7 @@ CHECKPOINT_VERSION = 1
 METRICS_HEADER = "epoch,train_elbo,train_entropy,train_prior,train_recon,val_elbo,seconds"
 
 # Work smaller than this many elements runs in turn in overlapped; the
-# oracle's B=1 passes never reach overlapped. Only two sizes were measured
+# oracle's passes never reach overlapped. Only two sizes were measured
 # when it was set: the suite's nets (under 1k encoder parameters) and the
 # benchmark's 505k-parameter encoder. Between them the helper does not
 # always pay. Two shapes above the gate, in 12 alternating pairs of fresh

@@ -284,16 +284,31 @@ class TestStackedParams:
             assert np.array_equal(layer.weights[1], w)
             assert np.array_equal(layer.bias[1, 0], b) and layer.bias.shape == (2, 1, len(b))
 
-    def test_forward_only(self):
-        stacked = Mlp([3, 2], params=np.zeros((4, 8)))
-        stacked.forward(np.ones(3))
-        with pytest.raises(RuntimeError, match="forward-only"):
-            stacked.backward(np.ones((4, 2)))
+    @pytest.mark.parametrize("x_shape", [(5,), (4, 5), (7, 4, 5)],
+                             ids=["shared-vector", "shared-batch", "batch-per-net"])
+    @pytest.mark.parametrize("shape", [None, (2, 3)], ids=["sigmoid", "softmax"])
+    def test_each_grads_row_bit_identical_to_its_own_nets_backward(self, shape, x_shape):
+        stacked = Mlp.create([5, 8, 6], np.arange(610, 617), softmax_shape=shape)
+        x = Rng(503).uniforms(math.prod(x_shape)).reshape(x_shape)
+        out = stacked.forward(x)
+        assert stacked.grads is None  # a stack that only runs forward has no gradient buffer
+        up = Rng(504).uniforms(out.size).reshape(out.shape) - 0.5
+        stacked.backward(up)
+        assert stacked.grads.shape == stacked.params.shape
+        for i in range(7):
+            one = Mlp(stacked.sizes, shape, stacked.params[i].copy())
+            one.forward(x[i] if len(x_shape) == 3 else x)
+            one.backward(up[i])
+            assert stacked.grads[i].tobytes() == one.grads.tobytes()
+        for layer in stacked.layers:  # the gradient views now point into grads
+            assert layer.grad_weights.shape == layer.weights.shape
+            assert np.shares_memory(layer.grad_weights, stacked.grads)
+            assert np.shares_memory(layer.grad_bias, stacked.grads)
 
     def test_sga_step_rejected_before_anything_is_written(self):
         params = Rng(98).uniforms(4 * 8).reshape(4, 8)
         stacked = Mlp([3, 2], params=params.copy())
-        with pytest.raises(RuntimeError, match="forward-only"):
+        with pytest.raises(RuntimeError, match="stacked net takes no step"):
             stacked.sga_step(0.1)
         assert stacked.params.tobytes() == params.tobytes()
 

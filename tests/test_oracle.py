@@ -235,6 +235,33 @@ class TestConfigurationGradients:
         assert np.abs(table.q_probs @ grads - exact_grad).max() <= 1e-14
         assert abs(table.q_probs @ totals - exact_elbo(table)) <= 1e-14
 
+    @pytest.mark.parametrize("seed", [3, 7, 42])
+    def test_rows_bit_identical_to_one_pass_per_row(self, seed):
+        # the rows come from one stacked pass; a B=1 pass per row on the model
+        # alone, at the same midpoint uniforms, gives the same bits
+        model, x = tiny_model_and_input(seed + 77, p=4)
+        table = enumerate_table(model, x)
+        grads, totals = configuration_gradients(model, x, table)
+        probs = model.encode(x)
+        midpoints = np.cumsum(probs, axis=-1) - probs / 2
+        positive = np.flatnonzero(table.q_probs > 0.0)
+        assert len(positive) == len(table.latents)
+        for c in positive:
+            bd = model.compute_gradients(x, midpoints[np.arange(model.d), table.latents[c]])
+            assert np.float64(bd.total).tobytes() == totals[c].tobytes()
+            assert model.encoder.grads.tobytes() == grads[c].tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 7, 42])
+    def test_stacked_exact_gradient_rows_bit_identical_to_each_model(self, seed):
+        seeds = [seed + 1000 * i for i in range(4)]
+        models, xs = tiny_models_and_inputs(seeds)
+        stacked = exact_encoder_gradient(models, xs, enumerate_table(models, xs))
+        assert stacked.shape == models.encoder.params.shape
+        for s, row in zip(seeds, stacked):
+            model, x = tiny_model_and_input(s)
+            one = exact_encoder_gradient(model, x, enumerate_table(model, x))
+            assert row.tobytes() == one.tobytes()
+
 
 class TestSuites:
     def test_gradient_suite_passes(self, monkeypatch):
@@ -408,21 +435,27 @@ class TestUnbiasednessSuite:
 
     @pytest.mark.parametrize("n_draws", [10, 2500])
     def test_one_pass_per_configuration_with_positive_q(self, monkeypatch, n_draws):
-        # 10 draws select only some configurations; every q > 0 row still gets its pass
+        # 10 draws select only some configurations; every q > 0 row is still
+        # one row of the suite's one stacked pass, each on its own one-row batch
         seed = 6
         model, x = tiny_model_and_input(seed + 77, p=4)
-        n_positive = int((enumerate_table(model, x).q_probs > 0.0).sum())
+        table = enumerate_table(model, x)
+        positive = table.latents[table.q_probs > 0.0]
         calls = []
         real = DiscreteVae.compute_gradients
 
         def counted(self, x, u):
-            calls.append(u)
+            calls.append((x, u))
             return real(self, x, u)
 
         monkeypatch.setattr(DiscreteVae, "compute_gradients", counted)
         monkeypatch.setattr(oracle, "MC_DRAWS", n_draws)
         suite_unbiasedness(seed)
-        assert len(calls) == n_positive
+        assert len(calls) == 1
+        xs, u = calls[0]
+        assert xs.shape == (len(positive), 1, model.p) and (xs == x).all()
+        assert u.shape == (len(positive), 1, model.d)
+        assert model.sample_latent(model.encode(x), u[:, 0]).tolist() == positive.tolist()
 
     @pytest.mark.parametrize("fault", ["last-category-never-drawn", "reversed-cdf"])
     def test_a_sampler_fault_fails_every_check(self, monkeypatch, fault):
