@@ -51,6 +51,17 @@ class Dataset:
         return self.images.shape[1]
 
 
+def sized(f) -> tuple:
+    """(source, length): the open binary file f and its size in bytes, or,
+    for a file that is not regular (a pipe, whose length is known once it
+    is read), its bytes read whole into a BytesIO and their count."""
+    info = os.fstat(f.fileno())
+    if stat.S_ISREG(info.st_mode):
+        return f, info.st_size
+    blob = f.read()
+    return io.BytesIO(blob), len(blob)
+
+
 def load_idx(path) -> np.ndarray:
     """Parse an IDX image file into a writable uint8 array (N, rows, cols),
     the payload read straight into it (a pipe is read whole first).
@@ -60,11 +71,7 @@ def load_idx(path) -> np.ndarray:
     declared dimensions exactly.
     """
     with open(path, "rb") as f:
-        info = os.fstat(f.fileno())
-        source, length = f, info.st_size
-        if not stat.S_ISREG(info.st_mode):  # a pipe's length is known once it is read
-            blob = f.read()
-            source, length = io.BytesIO(blob), len(blob)
+        source, length = sized(f)
         head = source.read(16)
         if length < 4:
             raise IdxLengthError(f"{path}: too short for an IDX header ({length} bytes)")

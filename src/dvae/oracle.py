@@ -20,6 +20,7 @@ import numpy as np
 from dvae.distributions import (EPS, MAX_SEED, Rng, aggregate_bce, aggregate_entropy,
                                 stream_uniforms)
 from dvae.model import CHUNK_ROWS, DiscreteVae, d_entropy_d_probs
+from dvae.network import Mlp
 
 # Full enumeration beyond this many latent configurations is refused.
 CAPACITY_LIMIT = 10 ** 6
@@ -243,20 +244,22 @@ def suite_gradient_checks(seed: int) -> list[CheckResult]:
     # would give every net every row).
     models.estimate(xs[:, None], tables.probs[:, None], latents[:, None])[1]()
     analytic_enc = exact_encoder_gradient(models, xs, tables)
+    hots = np.eye(models.k)[latents].reshape(GRAD_NETS, -1)  # decode's one-hot input rows
     worst_dec = 0.0
     worst_enc = 0.0
     for i in range(GRAD_NETS):
-        x, z = xs[i], latents[i]
+        x, hot = xs[i], hots[i]
 
-        # Each objective runs one forward pass over its whole stack.
+        # Each objective runs one forward pass of the perturbed net alone
+        # over its whole stack, as decode and encode would run it.
         def recon_of(thetas):
-            return -aggregate_bce(models.with_params(theta=thetas).decode(z), x)
+            return -aggregate_bce(Mlp(models.decoder.sizes, params=thetas).forward(hot), x)
 
         fd_dec = finite_difference(recon_of, models.decoder.params[i])
         worst_dec = max(worst_dec, scaled_gradient_error(models.decoder.grads[i], fd_dec))
 
         def elbo_of(phis):
-            probs = models.with_params(phi=phis).encode(x)
+            probs = Mlp(models.encoder.sizes, models.encoder.softmax_shape, phis).forward(x)
             return exact_elbo(EnumerationTable(
                 tables.latents, table_q_probs(probs, tables.latents), tables.log_px_given_z[i],
                 probs))
@@ -275,14 +278,15 @@ def suite_gradient_checks(seed: int) -> list[CheckResult]:
 def draw_positions(model: DiscreteVae, probs: np.ndarray, stream: Rng, n: int) -> np.ndarray:
     """Table positions of n latents that model.sample_latent draws from the
     (D, K) rows probs with the next n*D uniforms of stream, taken draw-major
-    as (n, D). Latent d is drawn on a contiguous copy of its own column (a
-    strided one compares ~10x slower) and becomes the next digit of the
-    position, latent 0 the slowest as in lexicographic_indices."""
-    u = stream.uniforms(n * model.d).reshape(n, model.d)
-    positions = np.zeros(n, dtype=np.intp)
-    for d in range(model.d):
+    as (n, D). One sampler call draws every latent, latent d from row d, on a
+    latent-major (D, n) contiguous copy of the uniforms (strided columns
+    compare ~10x slower), and latent d becomes digit d of the position,
+    latent 0 the slowest as in lexicographic_indices."""
+    u = np.ascontiguousarray(stream.uniforms(n * model.d).reshape(n, model.d).T)
+    positions, *digits = model.sample_latent(probs[:, None, :], u)
+    for digit in digits:
         positions *= model.k
-        positions += model.sample_latent(probs[d], np.ascontiguousarray(u[:, d]))
+        positions += digit
     return positions
 
 
@@ -293,10 +297,10 @@ def suite_unbiasedness(seed: int) -> list[CheckResult]:
 
     The model is never stepped, so each draw's encoder gradient and ELBO
     estimate is one of the K^D values of configuration_gradients. The suite
-    counts the draws per configuration, in blocks of DRAW_BLOCK drawn one
-    latent column at a time through model.sample_latent (draw_positions), and
-    forms the sums and sums of squares as count-weighted sums of that table.
-    This equals the per-draw loop up to float summation order.
+    counts the draws per configuration, in blocks of DRAW_BLOCK drawn by one
+    model.sample_latent call each (draw_positions), and forms the sums and
+    sums of squares as count-weighted sums of that table. This equals the
+    per-draw loop up to float summation order.
     """
     model, x = tiny_model_and_input(seed + 77, p=4)
     table = enumerate_table(model, x)

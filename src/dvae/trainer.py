@@ -77,13 +77,14 @@ import contextvars
 import math
 import os
 import struct
+import sys
 import threading
 import time
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from dvae.data import Dataset, batches
+from dvae.data import Dataset, batches, sized
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
 from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, halves, layer_sizes
 from dvae.network import Mlp, param_count
@@ -512,88 +513,87 @@ def load_checkpoint(path) -> Checkpoint:
 
     The model is the one the header's d, k and p and the first dimension of
     enc.0.w (the hidden width) describe, and the manifest must list exactly
-    its tensors at their exact shapes, in any order. Raises
-    CheckpointFormatError on a wrong magic or version and
-    CheckpointCorruptError when the header is malformed (a line without
-    "=", a key other than tensor listed twice, a d, k or p other than
-    decimal digits >= 1, an epoch or rng_state other than decimal digits,
-    or an enc.0.w with no rows), the payload does not match the manifest,
-    a tensor holds a NaN or infinity, or the manifest lists a tensor the
-    model has no place for or one of the wrong shape.
+    its tensors at their exact shapes, in any order. Each tensor is read
+    straight from the file into its view of the model's params (a pipe is
+    read whole first). Raises CheckpointFormatError on a wrong magic or
+    version and CheckpointCorruptError when the header is malformed (a line
+    without "=", a key other than tensor listed twice, a d, k or p other
+    than decimal digits >= 1, an epoch or rng_state other than decimal
+    digits, or an enc.0.w with no rows), the payload does not match the
+    manifest, the manifest lists a tensor the model has no place for or one
+    of the wrong shape, or a tensor holds a NaN or infinity.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16 or blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", blob[8:12])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"{path}: version {version}, this build reads version {CHECKPOINT_VERSION}"
-        )
-    (header_len,) = struct.unpack("<I", blob[12:16])
-    start = 16 + header_len
-    if len(blob) < start:
-        raise CheckpointCorruptError(f"{path}: truncated header")
-    try:
-        header = blob[16:start].decode("utf-8")
-    except UnicodeDecodeError:
-        raise CheckpointCorruptError(f"{path}: header is not UTF-8") from None
+        source, length = sized(f)
+        head = source.read(16)
+        if length < 16 or head[:8] != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError(f"{path}: not a checkpoint (bad magic)")
+        version, header_len = struct.unpack("<II", head[8:])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(
+                f"{path}: version {version}, this build reads version {CHECKPOINT_VERSION}"
+            )
+        start = 16 + header_len
+        if length < start:
+            raise CheckpointCorruptError(f"{path}: truncated header")
+        try:
+            header = source.read(header_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointCorruptError(f"{path}: header is not UTF-8") from None
 
-    meta: dict[str, str] = {}
-    manifest: list[tuple[str, tuple[int, ...]]] = []
-    for line in header.splitlines():
-        key, equals, value = line.partition("=")
-        if not equals:
-            raise CheckpointCorruptError(f"{path}: header line {line!r} has no '='")
-        if key == "tensor":
-            name, _, shape_part = value.partition(" shape=")
-            if any(name == seen for seen, _ in manifest):
-                raise CheckpointCorruptError(f"{path}: tensor {name} is listed twice")
-            dims = shape_part.split(",")
-            if not all(dim.isdecimal() for dim in dims):
-                raise CheckpointCorruptError(
-                    f"{path}: tensor {name} has malformed shape {shape_part!r}")
-            manifest.append((name, tuple(int(dim) for dim in dims)))
-        elif key in meta:
-            raise CheckpointCorruptError(f"{path}: header key {key} is listed twice")
-        else:
-            meta[key] = value
+        meta: dict[str, str] = {}
+        manifest: dict[str, tuple[int, ...]] = {}  # in file order
+        for line in header.splitlines():
+            key, equals, value = line.partition("=")
+            if not equals:
+                raise CheckpointCorruptError(f"{path}: header line {line!r} has no '='")
+            if key == "tensor":
+                name, _, shape_part = value.partition(" shape=")
+                if name in manifest:
+                    raise CheckpointCorruptError(f"{path}: tensor {name} is listed twice")
+                dims = shape_part.split(",")
+                if not all(dim.isdecimal() for dim in dims):
+                    raise CheckpointCorruptError(
+                        f"{path}: tensor {name} has malformed shape {shape_part!r}")
+                manifest[name] = tuple(int(dim) for dim in dims)
+            elif key in meta:
+                raise CheckpointCorruptError(f"{path}: header key {key} is listed twice")
+            else:
+                meta[key] = value
 
-    expected = sum(math.prod(shape) * 8 for _, shape in manifest)
-    if len(blob) - start != expected:
-        raise CheckpointCorruptError(
-            f"{path}: payload is {len(blob) - start} bytes, manifest promises {expected}"
-        )
+        expected = sum(math.prod(shape) * 8 for shape in manifest.values())
+        if length - start != expected:
+            raise CheckpointCorruptError(
+                f"{path}: payload is {length - start} bytes, manifest promises {expected}"
+            )
 
-    tensors: dict[str, np.ndarray] = {}
-    offset = start
-    for name, shape in manifest:
-        count = math.prod(shape)
-        tensors[name] = np.frombuffer(  # read-only; copied into the net's params
-            blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += count * 8
-        if not np.isfinite(tensors[name]).all():
-            raise CheckpointCorruptError(f"{path}: tensor {name} holds a non-finite value")
+        try:
+            d, k, p, epoch, rng_state = (_header_count(meta, key, least) for key, least in (
+                ("d", 1), ("k", 1), ("p", 1), ("epoch", 0), ("rng_state", 0)))
+            hidden = manifest["enc.0.w"][0]
+            if hidden < 1:
+                raise ValueError("tensor enc.0.w has no rows; the hidden width must be >= 1")
+            model = DiscreteVae(p, d, k, hidden)
+            views = dict(_manifest(model))
+            for name in manifest:
+                if name not in views:
+                    raise ValueError(f"tensor {name} has no place in the model")
+            for name, view in views.items():  # exact shapes, no broadcasting
+                if manifest[name] != view.shape:
+                    raise ValueError(f"tensor {name} has shape {manifest[name]}, "
+                                     f"expected {view.shape}")
+        except KeyError as exc:
+            raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None
+        except (ValueError, MemoryError) as exc:  # a misfit, a bad size, sizes too large
+            raise CheckpointCorruptError(f"{path}: {exc}") from None
 
-    try:
-        d, k, p, epoch, rng_state = (_header_count(meta, key, least) for key, least in (
-            ("d", 1), ("k", 1), ("p", 1), ("epoch", 0), ("rng_state", 0)))
-        hidden = tensors["enc.0.w"].shape[0]
-        if hidden < 1:
-            raise ValueError("tensor enc.0.w has no rows; the hidden width must be >= 1")
-        model = DiscreteVae(p, d, k, hidden)
-        views = dict(_manifest(model))
-        for name, _ in manifest:
-            if name not in views:
-                raise ValueError(f"tensor {name} has no place in the model")
-        for name, view in views.items():  # exact shapes, no broadcasting
-            if tensors[name].shape != view.shape:
-                raise ValueError(f"tensor {name} has shape {tensors[name].shape}, "
-                                 f"expected {view.shape}")
-            view[...] = tensors[name]
-    except KeyError as exc:
-        raise CheckpointCorruptError(f"{path}: header lacks {exc}") from None
-    except (ValueError, MemoryError) as exc:  # a misfit, a bad size, sizes too large
-        raise CheckpointCorruptError(f"{path}: {exc}") from None
+        for name in manifest:  # the payload lists the tensors in manifest order
+            view = views[name]
+            if source.readinto(view) != view.nbytes:  # the file shrank while it was read
+                raise CheckpointCorruptError(f"{path}: payload ends inside tensor {name}")
+            if sys.byteorder == "big":
+                view.byteswap(inplace=True)
+            if not np.isfinite(view).all():
+                raise CheckpointCorruptError(f"{path}: tensor {name} holds a non-finite value")
     config = {key[4:]: value for key, value in meta.items() if key.startswith("cfg.")}
     return Checkpoint(config, model, epoch, rng_state)

@@ -134,6 +134,9 @@ VERIFY_ALL_GOLDEN = {
 # `verify --suite all` verdicts per seed: exit code and each check's PASS or
 # FAIL, not the measured digits, which can move with the CPU's BLAS kernels.
 VERDICTS = Path(__file__).parent / "data" / "verify_verdicts.txt"
+# The same seeds' measured values at full precision, which pin every bit of
+# the oracle's arithmetic on the CPU they were recorded on.
+MEASURED = Path(__file__).parent / "data" / "verify_measured.txt"
 
 
 def recorded_verdicts():
@@ -141,6 +144,13 @@ def recorded_verdicts():
     header, *rows = [line.split() for line in VERDICTS.read_text().splitlines()
                      if not line.startswith("#")]
     return {int(seed): (int(code), dict(zip(header[2:], marks))) for seed, code, *marks in rows}
+
+
+def recorded_measured():
+    """{seed: {check name: float.hex of its measured value}} from MEASURED."""
+    header, *rows = [line.split() for line in MEASURED.read_text().splitlines()
+                     if not line.startswith("#")]
+    return {int(seed): dict(zip(header[1:], values)) for seed, *values in rows}
 
 
 # Tier-1 runs seeds 0-19 and 2^64 - 1; DVAE_VERDICT_SEEDS=all runs every seed of the table.
@@ -751,6 +761,12 @@ class TestVerifyCommand:
         marks = {line.split()[1]: line.split()[0] for line in capsys.readouterr().out.splitlines()
                  if line.startswith(("PASS ", "FAIL "))}
         assert (code, marks) == recorded_verdicts()[seed]
+
+    @pytest.mark.parametrize("seed", VERDICT_SEEDS)
+    def test_all_suites_measure_the_recorded_values(self, seed):
+        measured = {check.name: float.hex(check.measured)
+                    for suite in oracle.SUITES.values() for check in suite(seed)}
+        assert measured == recorded_measured()[seed]
 
     def test_interrupt_is_one_error_line_and_exit_1(self, capsys, monkeypatch):
         def interrupted(seed):

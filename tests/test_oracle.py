@@ -488,6 +488,37 @@ class TestUnbiasednessSuite:
         assert clamped.any() and (latents[clamped, 2] == 3).all()
         assert positions.tolist() == np.ravel_multi_index(latents.T, (4, 4, 4)).tolist()
 
+    def test_one_sampler_call_per_block_equals_a_per_column_loop(self, monkeypatch):
+        # latent 2's running sums end at 0.7, so draws above clamp to K - 1
+        model = small_model(3, 3, 4)
+        probs = np.array([[0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.1]])
+        shapes = []
+        real = DiscreteVae.sample_latent
+
+        def spy(self, probs, u):
+            shapes.append(np.shape(u))
+            return real(self, probs, u)
+
+        monkeypatch.setattr(DiscreteVae, "sample_latent", spy)
+        stream, draws = Rng(12), Rng(12)
+        for n in (64, 37):  # a whole block, then a partial one
+            positions = draw_positions(model, probs, stream, n)
+            assert shapes == [(model.d, n)]
+            shapes.clear()
+            u = draws.uniforms(n * model.d).reshape(n, model.d)
+            assert (u[:, 2] >= 0.7).any()
+            expected = np.zeros(n, dtype=np.intp)
+            for d in range(model.d):
+                expected = expected * model.k + categorical_sample(probs[d], u[:, d].copy())
+            assert positions.tolist() == expected.tolist()
+        # the suite: one call per block of 37, 37 and 26 draws, and the one
+        # stacked compute_gradients call of configuration_gradients
+        monkeypatch.setattr(oracle, "DRAW_BLOCK", 37)
+        monkeypatch.setattr(oracle, "MC_DRAWS", 100)
+        suite_unbiasedness(3)
+        assert [s for s in shapes if len(s) == 2] == [(2, 37), (2, 37), (2, 26)]
+        assert len(shapes) == 4
+
     def test_seed_7_fails_frac_above_3z_at_9_of_94(self):
         checks = {c.name: c for c in suite_unbiasedness(7)}
         frac = checks["encoder-grad-mc-mean-frac-above-3z"]

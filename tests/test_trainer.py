@@ -17,7 +17,7 @@ import pytest
 from dvae import oracle, trainer
 from dvae.data import Dataset, batches, load_binarized, synthetic_bars
 from dvae.distributions import Rng
-from dvae.model import ElboBreakdown, d_elbo_d_probs, d_recon_d_xhat, elbo_estimate
+from dvae.model import DiscreteVae, ElboBreakdown, d_elbo_d_probs, d_recon_d_xhat, elbo_estimate
 from dvae.network import HEAD_SOFTMAX, Mlp
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
@@ -963,6 +963,45 @@ class TestCheckpoint:
             net.sga_step(0.5)
             assert np.array_equal(net.params, saved.params + 0.5)
             assert all(layer.weights.flags.writeable for layer in net.layers)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("cut", [0, 20], ids=["whole", "short"])
+    def test_a_pipe_loads_as_the_same_bytes_in_a_file(self, tmp_path, cut):
+        # a pipe, say <(gunzip -c model.ckpt.gz), has no length until it is read
+        model, _ = tiny_model_and_input(923)
+        regular, pipe = tmp_path / "file", tmp_path / "pipe"
+        save_checkpoint(model, regular, config=bars_config(), epoch=2, rng_state=5)
+        blob = regular.read_bytes()[:-cut or None]
+        regular.write_bytes(blob)
+
+        def outcome(path):
+            try:
+                ckpt = load_checkpoint(path)
+            except CheckpointCorruptError as err:
+                return str(err).replace(str(path), "<path>")
+            return (ckpt.config, ckpt.epoch, ckpt.rng_state,
+                    ckpt.model.encoder.params.tobytes(), ckpt.model.decoder.params.tobytes())
+
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        got = outcome(pipe)
+        writer.join(10)
+        assert not writer.is_alive()
+        assert got == outcome(regular)
+        if cut:
+            assert got.startswith("<path>: payload is ")
+        else:
+            assert got[3:] == (model.encoder.params.tobytes(), model.decoder.params.tobytes())
+
+    def test_reads_each_tensor_into_the_model(self, tmp_path):
+        # no copy of the file's bytes: the peak is the model's params and grads
+        model = DiscreteVae(784, 20, 10, 64)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        nbytes = 2 * (model.encoder.params.nbytes + model.decoder.params.nbytes)
+        load_checkpoint(path)  # fills the caches a first call makes
+        assert traced_peak(lambda: load_checkpoint(path)) <= 1.1 * nbytes
 
     def test_truncated_file_is_corrupt(self, tmp_path):
         model, _ = tiny_model_and_input(910)
