@@ -123,12 +123,6 @@ def in_turn(first, second) -> tuple:
     return first(), second()
 
 
-def halves(n: int, both, half) -> None:
-    """Run half(rows) over the row ranges [0, n // 2) and [n // 2, n), the
-    two calls through both(first, second)."""
-    both(lambda: half(slice(0, n // 2)), lambda: half(slice(n // 2, n)))
-
-
 class DiscreteVae:
     """Encoder/decoder pair over D categorical latents with K categories.
 
@@ -203,34 +197,42 @@ class DiscreteVae:
         sel = np.take_along_axis(probs, z[..., None], axis=-1)[..., 0]
         return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
-    def estimate(self, x: np.ndarray, probs: np.ndarray, z: np.ndarray, both=None) -> tuple:
+    def estimate(self, x: np.ndarray, probs: np.ndarray | None, z: np.ndarray | None,
+                 both=None, out: tuple | None = None, u: np.ndarray | None = None) -> tuple:
         """Decode the latents z drawn from probs, the encoder's output for the
         float64 inputs x: (breakdown, decoder_pass, encoder_pass), the
         per-example ELBO terms (recon_term is the detached score coefficient c)
         and two callables that each overwrite one net's buffers with its ascent
         gradient summed over the batch. They share no output: either order.
 
-        Given both, a batch (n, ...) is decoded and estimated in two row
-        halves (see halves), which both runs, each writing its rows of
-        batch-sized arrays; a row's bytes are then those of the whole batch
+        Given both and out (each net's Mlp.buffers over at least n rows,
+        the encoder's first), a batch (n, ...) is estimated in the row halves
+        [0, n // 2) and [n // 2, n), which both(first, second) runs, each
+        writing its rows of batch-sized arrays; without probs and z, each
+        half first encodes its rows and draws their latents from the
+        uniforms u (n, D). A row's bytes are those of the whole batch
         wherever BLAS gives its rows the same bits at both row counts.
         Either way decoder_pass takes the decoder's upstream gradient, so a
         caller that runs neither pass computes no gradient."""
-        hot = self._one_hot(z)
         if both is None:
-            xhat = self.decoder.forward(hot)
+            xhat = self.decoder.forward(self._one_hot(z))
             bd = elbo_estimate(x, probs, xhat)
         else:
             n = len(x)
-            out = self.decoder.buffers(n)
-            entropy, recon = np.empty(n), np.empty(n)
+            encoded, decoded = ([a[:n] for a in net_out] for net_out in out)
+            hot, entropy, recon = np.empty((n, self.d * self.k)), np.empty(n), np.empty(n)
+            if encode := probs is None:
+                probs, z = encoded[-1].reshape(n, self.d, self.k), np.empty((n, self.d), np.intp)
 
             def half(rows: slice) -> None:
-                part = elbo_estimate(x[rows], probs[rows], self.decoder.forward(hot, out, rows))
+                if encode:
+                    z[rows] = self.sample_latent(self.encoder.forward(x, encoded, rows), u[rows])
+                hot[rows] = self._one_hot(z[rows])
+                part = elbo_estimate(x[rows], probs[rows], self.decoder.forward(hot, decoded, rows))
                 entropy[rows], recon[rows] = part.entropy_term, part.recon_term
 
-            halves(n, both, half)
-            xhat = out[-1]  # the head's output, written in place
+            both(lambda: half(slice(0, n // 2)), lambda: half(slice(n // 2, n)))
+            xhat = decoded[-1]  # the head's output, written in place
             bd = ElboBreakdown.from_terms(entropy, -self.d * math.log(self.k), recon)
         return (bd, lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)),
                 lambda: self.encoder.backward(d_elbo_d_probs(probs, z, bd.recon_term)))

@@ -17,10 +17,9 @@ Per-example streams keyed by dataset index make the recorded per-example
 ELBO values independent of batch order, and make a zero-learning-rate run
 produce the same metrics row every epoch.
 
-Every pass turns its examples into sample rows, their encoder probabilities
-and their latents in one step, _encoded, and takes the estimator from
-DiscreteVae.estimate; only streams, batches, threads and steps are left
-here. This is the only module that starts threads; it uses two cores at most:
+Every pass is _pass, which takes the estimator from DiscreteVae.estimate:
+only streams, batches, threads and steps are left here. This is the only
+module that starts threads; it uses two cores at most:
 
 * overlapped runs one callable on the caller while the caller's helper
   thread runs another. Each calling thread has one helper, started on its
@@ -37,26 +36,22 @@ here. This is the only module that starts threads; it uses two cores at most:
   the helper. The best-parameter snapshot copies one net on each thread,
   and the copy back after training is skipped when the last epoch is the
   best.
-* Every pass is _pass; a forward-only pass skips the step. An epoch's
-  training steps are one pass over its batches. Its first batch is encoded
-  and sampled in two row halves, the first on the caller and the second on
-  the helper. Then for each batch:
-  1. the decode and the ELBO terms run in two row halves the same way
-     (DiscreteVae.estimate);
-  2. the helper runs the encoder pass and the encoder's step and encodes
-     and samples the next batch whole, while the caller runs the decoder
-     pass, which takes the decoder's upstream gradient, and the decoder's
-     step.
-  Each half writes its rows of batch-sized arrays, the nets' forward caches
-  among them, so the backward passes read the whole batch with no join
-  copy. The helper takes the encoder's side of step 2: each thread that
-  allocates gets its own malloc arena, and the encoder's temporaries are
-  D*K wide, the decoder's P wide (784 at MNIST shape).
+* A pass runs jobs, each encoded, sampled, decoded and estimated in two
+  row halves (DiscreteVae.estimate), the first on the caller and the
+  second on the helper, with no join between: one handoff. The halves
+  write their rows of batch-sized arrays (the nets' layer outputs kept by
+  the calling thread from pass to pass, to fault fewer pages in), so the
+  backward passes read the whole batch with no join copy.
 * A forward-only pass (_estimates: evaluate, each epoch's validation and
-  the epoch-0 row) goes over chunks of at most CHUNK_ROWS samples from the
-  first, each encoded and then estimated in the halves of step 1, and adds
-  the chunks' sums in order. It runs neither net's pass, so it computes no
-  gradient.
+  the epoch-0 row) runs schedule's jobs: a pair of whole blocks, one per
+  thread, or a block alone. It adds block sums in order and runs neither
+  net's pass, so it computes no gradient.
+* A training pass runs a job per batch. After each, the caller runs the
+  encoder's pass and step and encodes and samples the next batch whole
+  (whose job then only decodes and estimates), while the helper takes the
+  decoder's upstream gradient and runs its pass and step. The helper
+  starts its side a median 0.05 ms after the handoff at the benchmark's
+  shape, and peak RSS reads 1 MB lower than with the sides swapped.
 
 Run in turn, the halves are the same halves, split at the same row, so
 each net runs the same array operations in the same order either way, and
@@ -64,16 +59,17 @@ sums are added in the same order: at a given BLAS thread count metrics and
 parameters are byte-identical whichever way a pass runs. The pinned bytes
 are those of one BLAS thread (OPENBLAS_NUM_THREADS=1, as CI and perfbench
 set it); another count may train to other parameter bytes. A half's rows
-hold the bytes of the whole batch's where BLAS gives a product's rows the
-same bits at both row counts; on OpenBLAS 0.3.31 (Haswell kernels) a
-product of a few rows may not (a 4-row batch's 2-row halves changed the
-last bits of some parameters).
+(a pair's block's) hold the bytes of any other split's where BLAS gives a
+product's rows the same bits at both row counts; on OpenBLAS 0.3.31
+(Haswell kernels) a product of a few rows may not (a 4-row batch's 2-row
+halves changed the last bits of some parameters).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import os
 import struct
@@ -86,7 +82,7 @@ import numpy as np
 
 from dvae.data import Dataset, batches, sized
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
-from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, halves, layer_sizes
+from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, layer_sizes
 from dvae.network import Mlp, param_count
 
 ENCODER_INIT_OFFSET = 1
@@ -192,12 +188,9 @@ def build_model(config: TrainConfig, p: int) -> DiscreteVae:
     and the decoder's init are drawn through overlapped."""
     d, k, hidden = config.d_latents, config.k_categories, config.hidden_width
     encoder_size = param_count(layer_sizes(p, d, k, hidden)[0])
-    return DiscreteVae.create(
-        p, d, k, hidden,
-        Rng(config.seed + ENCODER_INIT_OFFSET),
-        Rng(config.seed + DECODER_INIT_OFFSET),
-        both=lambda first, second: overlapped(first, second, encoder_size),
-    )
+    return DiscreteVae.create(p, d, k, hidden, Rng(config.seed + ENCODER_INIT_OFFSET),
+                              Rng(config.seed + DECODER_INIT_OFFSET),
+                              both=functools.partial(overlapped, size=encoder_size))
 
 
 def _usable_cpus() -> int:
@@ -206,7 +199,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_callers = threading.local()  # .helper: the calling thread's _Helper
+_callers = threading.local()  # .helper, .buffers: the calling thread's _Helper and _buffers
 
 
 def _serve(handed: threading.Lock, jobs: list) -> None:
@@ -290,64 +283,72 @@ def overlapped(here, there, size: int) -> tuple:
     return first, box["value"]
 
 
-def _encoded(net: DiscreteVae, images: np.ndarray, u: np.ndarray, rows, both=None) -> tuple:
-    """(x, probs, z) of the examples images[rows]: each example's row as
-    float64 (converted here, batch by batch; uncopied at one sample of float64
-    images) once per Monte Carlo sample, their encoder probabilities and the
-    latents drawn from the uniforms u[rows], D per sample. Given both, the
-    samples are encoded and drawn in two row halves (see model.halves),
-    which both runs, each writing its rows of batch-sized arrays."""
+def _samples(net: DiscreteVae, images: np.ndarray, u: np.ndarray, rows) -> tuple:
+    """(x, u) of the examples images[rows]: each example's row as float64
+    (converted here, batch by batch; uncopied at one sample of float64
+    images) once per Monte Carlo sample, and its uniforms, D per sample."""
     x, ux = images[rows].astype(np.float64, copy=False), u[rows]
     if ux.shape[1] > net.d:
         x = np.repeat(x, ux.shape[1] // net.d, axis=0)
-    ux = ux.reshape(-1, net.d)
-    if both is None:
-        probs = net.encode(x)
-        return x, probs, net.sample_latent(probs, ux)
-    out, z = net.encoder.buffers(len(x)), np.empty(ux.shape, dtype=np.intp)
-
-    def half(rows: slice) -> None:
-        z[rows] = net.sample_latent(net.encoder.forward(x, out, rows), ux[rows])
-
-    halves(len(x), both, half)
-    return x, out[-1].reshape(len(x), net.d, net.k), z
+    return x, ux.reshape(-1, net.d)
 
 
-def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, indices: list[np.ndarray | slice],
+def _buffers(model: DiscreteVae, n: int) -> tuple:
+    """This thread's buffers for a pass of model over n rows (each net's
+    Mlp.buffers): its last pass's where they fit."""
+    key, kept = model.encoder.sizes + model.decoder.sizes, getattr(_callers, "buffers", (None,))
+    if kept[0] != key or len(kept[1][0][0]) < n:
+        kept = _callers.buffers = key, (model.encoder.buffers(n), model.decoder.buffers(n))
+    return kept[1]
+
+
+def schedule(n: int, samples: int) -> list[tuple[slice, int]]:
+    """A forward-only pass's jobs, (examples, blocks), over n examples of
+    samples Monte Carlo samples each in blocks of at most CHUNK_ROWS: each
+    pair of whole blocks, then an unpaired whole block and a short one."""
+    step = max(1, CHUNK_ROWS // samples)  # examples per block
+    paired = n - n % (2 * step)
+    return ([(slice(i, i + 2 * step), 2) for i in range(0, paired, 2 * step)]
+            + [(slice(i, i + step), 1) for i in range(paired, n, step)])
+
+
+def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, jobs: list[tuple],
           lr: float | None = None, epoch: int = 0) -> list[float]:
     """Summed entropy and recon terms, [entropy, recon], of the ELBO
-    estimates of the batches, added in batch order. Batch i is the rows
-    images[indices[i]], one per Monte Carlo sample, under u[indices[i]].
-    Given lr, each estimate must be finite and its mean gradient steps each
-    net (not at lr 0); without, the pass is forward-only and encodes every
-    batch in halves, as a training pass encodes its first."""
-    size = model.encoder.params.size
-
-    def both(first, second) -> tuple:
-        return overlapped(first, second, size)
-
-    sums = [0.0, 0.0]
-    ahead = _encoded(model, images, u, indices[0], both)
-    for i, following in enumerate(indices[1:] + [None]):
-        x, probs, z = ahead
-        bd, decoder_pass, encoder_pass = model.estimate(x, probs, z, both)
-        sums[0] += bd.entropy_term.sum()
-        sums[1] += bd.recon_term.sum()
+    estimates of the jobs' blocks, added block by block in order. Job
+    (rows, blocks) is the rows images[rows], one per Monte Carlo sample,
+    under u[rows], as that many equal blocks, estimated in two row halves
+    (a pair's are its blocks). Given lr, each job is a batch: its estimate
+    must be finite, and its mean gradient steps each net (not at lr 0)
+    while the caller encodes the next batch whole; without, the pass is
+    forward-only."""
+    both = functools.partial(overlapped, size=model.encoder.params.size)
+    sums, ahead = [0.0, 0.0], None
+    for i, (rows, blocks) in enumerate(jobs):
+        # every forward-only job and a training pass's first are encoded in the halves
+        x, ux, probs, z = ahead or (*_samples(model, images, u, rows), None, None)
+        bd, decoder_pass, encoder_pass = model.estimate(x, probs, z, both,
+                                                        _buffers(model, len(x)), ux)
+        for terms in np.split(np.array([bd.entropy_term, bd.recon_term]), blocks, axis=1):
+            sums = [total + part.sum() for total, part in zip(sums, terms)]
         if lr is None:
-            if following is not None:
-                ahead = _encoded(model, images, u, following, both)
             continue
         if not np.isfinite(bd.total).all():
             raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
-        def side(net: Mlp, backward, rows: np.ndarray | None) -> tuple | None:
+        def side(net: Mlp, backward, following) -> tuple | None:
             backward()
             if lr > 0.0:  # the step takes the batch mean
                 net.sga_step(lr, 1.0 / len(x))
-            return None if rows is None else _encoded(model, images, u, rows)
+            if following is None:
+                return None
+            x_next, u_next = _samples(model, images, u, following)  # encoded and drawn whole
+            probs_next = model.encode(x_next)
+            return x_next, u_next, probs_next, model.sample_latent(probs_next, u_next)
 
-        _, ahead = both(lambda: side(model.decoder, decoder_pass, None),
-                        lambda: side(model.encoder, encoder_pass, following))
+        following = jobs[i + 1][0] if i + 1 < len(jobs) else None
+        ahead, _ = both(lambda: side(model.encoder, encoder_pass, following),
+                        lambda: side(model.decoder, decoder_pass, None))
     return sums
 
 
@@ -355,10 +356,8 @@ def _estimates(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> list[fl
     """Summed entropy and recon terms, [entropy, recon], of the ELBO
     estimates of every row of images, one per Monte Carlo sample, under its
     uniforms u (u[i] holds example i's draws, D per sample): a forward-only
-    _pass over chunks of at most CHUNK_ROWS samples from the first, so a
-    sum changes only where a term does."""
-    step = max(1, CHUNK_ROWS // (u.shape[1] // model.d))  # examples per chunk
-    return _pass(model, images, u, [slice(i, i + step) for i in range(0, len(images), step)])
+    _pass over schedule's jobs, so a sum changes only where a term does."""
+    return _pass(model, images, u, schedule(len(images), u.shape[1] // model.d))
 
 
 def _mean_breakdown(model: DiscreteVae, entropy_sum: float, recon_sum: float,
@@ -431,9 +430,8 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
         best_rng_state = shuffle_rng.state
 
         for epoch in range(1, config.max_epochs + 1):
-            train_sums = _pass(model, train_set.images, u_train,
-                               batches(train_set, config.batch_size, shuffle_rng),
-                               config.learning_rate, epoch)
+            jobs = [(rows, 1) for rows in batches(train_set, config.batch_size, shuffle_rng)]
+            train_sums = _pass(model, train_set.images, u_train, jobs, config.learning_rate, epoch)
             val_total = record(epoch, train_sums)
             if val_total - best_val > IMPROVEMENT_TOLERANCE * abs(best_val):
                 best_val = val_total

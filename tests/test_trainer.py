@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -18,7 +19,7 @@ from dvae import oracle, trainer
 from dvae.data import Dataset, batches, load_binarized, synthetic_bars
 from dvae.distributions import Rng
 from dvae.model import DiscreteVae, ElboBreakdown, d_elbo_d_probs, d_recon_d_xhat, elbo_estimate
-from dvae.network import HEAD_SOFTMAX, Mlp
+from dvae.network import HEAD_SIGMOID, HEAD_SOFTMAX, Mlp
 from dvae.oracle import enumerate_table, exact_elbo, tiny_model_and_input
 from dvae.trainer import (
     CHECKPOINT_MAGIC,
@@ -44,6 +45,67 @@ from helpers import (open_overlap, read_tensors, traced_peak, write_bars_idx, wr
 # when each step zeroed, accumulated and scaled the gradient buffers before
 # stepping.
 TRAJECTORY = Path(__file__).parent / "data" / "train_trajectory.json"
+
+# A 28x28 bars run (D=20, K=10, hidden 96: 94,760 encoder parameters, over
+# overlapped's size gate; 301 training and 350 validation images, batch 70,
+# 2 epochs) at mc_samples 1 and 3: every metrics row but seconds as
+# float.hex, and a SHA-256 of both nets' final params, as recorded at one
+# BLAS thread before forward-only passes ran whole blocks one per thread.
+# Both forward-only passes then hold a pair of whole blocks, an unpaired
+# whole block and a short block (at three samples, four pairs of 33-example
+# blocks).
+FORWARD_PIN = Path(__file__).parent / "data" / "forward_pass_pin.json"
+FORWARD_PIN_RUN = """import hashlib, json, os, sys
+from dvae.data import synthetic_bars
+from dvae.distributions import Rng
+from dvae.trainer import TrainConfig, train
+runs = {}
+for cpus in ({0, 1}, {0}):  # the helper, then the halves in turn
+    os.sched_getaffinity = lambda pid: cpus
+    rng = Rng(707)
+    train_set, val_set = synthetic_bars(301, 28, rng), synthetic_bars(350, 28, rng)
+    config = TrainConfig(d_latents=20, k_categories=10, hidden_width=96, learning_rate=1e-2,
+                         batch_size=70, max_epochs=2, patience=10, seed=19,
+                         mc_samples=int(sys.argv[1]))
+    model, history = train(config, train_set, val_set)
+    runs[len(cpus)] = {
+        "rows": [[r.epoch] + [float(v).hex() for v in (r.train_elbo, r.train_entropy,
+                                                      r.train_prior, r.train_recon, r.val_elbo)]
+                 for r in history],
+        "params_sha256": hashlib.sha256(model.encoder.params.tobytes()
+                                        + model.decoder.params.tobytes()).hexdigest()}
+print(json.dumps(runs))
+"""
+
+
+def lone(indices):
+    """A training pass's jobs: each batch of indices, one block each."""
+    return [(rows, 1) for rows in indices]
+
+
+def forward_jobs(n, samples=1):
+    """The jobs a forward-only pass over n examples of samples Monte Carlo
+    samples each hands the helper: one per job of trainer.schedule."""
+    return len(trainer.schedule(n, samples))
+
+
+def training_jobs(batches):
+    """The jobs a training pass over this many batches hands the helper: its
+    first batch's encode and estimate halves, then each batch's two nets'
+    steps (the caller encoding the next batch) and each later batch's
+    estimate halves."""
+    return 2 * batches
+
+
+def train_jobs(n_train, n_val, mc, batches, epochs, snapshots, copy_back):
+    """The jobs a train call hands the helper: the model's init, the epoch-0
+    row's forward-only passes over the training and the validation set,
+    each epoch's training pass and validation pass, a best-parameter
+    snapshot per improving epoch and one copy back when the last epoch is
+    not the best."""
+    return (1 + forward_jobs(n_train, mc) + (epochs + 1) * forward_jobs(n_val)
+            + epochs * training_jobs(batches) + snapshots + copy_back)
+
 
 def bars_config(**overrides):
     base = dict(d_latents=2, k_categories=4, hidden_width=16, learning_rate=1e-2,
@@ -302,10 +364,8 @@ class TestTrainingStep:
         else:
             monkeypatch.setattr(threading, "Thread", None)  # any thread start fails
         jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
-        trainer._pass(model, train_set.images, u, indices, 0.05, 1)
-        # the first batch's encode halves, then per batch the estimate's
-        # halves and the two nets' steps: all to one helper
-        assert len(jobs) == (1 + 2 * 3 if overlap else 0)
+        trainer._pass(model, train_set.images, u, lone(indices), 0.05, 1)
+        assert len(jobs) == (training_jobs(3) if overlap else 0)  # all to one helper
         assert len(set(map(id, jobs))) == (1 if overlap else 0)
         assert model.encoder.params.tobytes() == reference.encoder.params.tobytes()
         assert model.decoder.params.tobytes() == reference.decoder.params.tobytes()
@@ -320,7 +380,7 @@ class TestTrainingStep:
 
         def stepped_encoder():
             model = build_model(config, train_set.p)
-            trainer._pass(model, train_set.images, u, [np.arange(20)], 0.05, 1)
+            trainer._pass(model, train_set.images, u, [(np.arange(20), 1)], 0.05, 1)
             return model.encoder.params
 
         assert all(check.passed for check in oracle.suite_unbiasedness(42))
@@ -359,8 +419,8 @@ class TestSplitStep:
         want = self.whole_batch_steps(reference, images, u, [np.arange(100)], 1e-3)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
         jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
-        got = trainer._pass(model, images, u, [np.arange(100)], 1e-3, 1)
-        assert len(jobs) == (3 if len(cpus) == 2 else 0)  # encode, estimate, steps
+        got = trainer._pass(model, images, u, [(np.arange(100), 1)], 1e-3, 1)
+        assert len(jobs) == (training_jobs(1) if len(cpus) == 2 else 0)
         assert got == want
         assert model.encoder.params.tobytes() == reference.encoder.params.tobytes()
         assert model.decoder.params.tobytes() == reference.decoder.params.tobytes()
@@ -377,8 +437,8 @@ class TestSplitStep:
         if overlap:
             open_overlap(monkeypatch)
         jobs = TestOverlappedHelper.handed_jobs(monkeypatch)
-        got = trainer._pass(model, train_set.images, u, indices, 0.05, 1)
-        assert len(jobs) == (1 + 2 * 3 if overlap else 0)
+        got = trainer._pass(model, train_set.images, u, lone(indices), 0.05, 1)
+        assert len(jobs) == (training_jobs(3) if overlap else 0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         for net, ref in ((model.encoder, reference.encoder), (model.decoder, reference.decoder)):
             np.testing.assert_allclose(net.params, ref.params, rtol=0, atol=1e-12)
@@ -404,7 +464,7 @@ class TestSplitStep:
         assert taken == []
         u = Rng(16).uniforms(250 * model.d).reshape(250, model.d)
         indices = batches(train_set, 20, Rng(17))  # 12 batches of 20 and one of 10
-        trainer._pass(model, train_set.images, u, indices, 0.05, 1)
+        trainer._pass(model, train_set.images, u, lone(indices), 0.05, 1)
         assert taken == [len(rows) for rows in indices]
         assert bool(jobs) == overlap
 
@@ -435,6 +495,22 @@ class TestRecordedTrajectory:
         for net, name in ((model.encoder, "encoder"), (model.decoder, "decoder")):
             assert net.params.size == len(recorded[name])
             np.testing.assert_allclose(net.params, recorded[name], rtol=1e-12, atol=0)
+
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    @pytest.mark.parametrize("mc", [1, 3])
+    def test_forward_only_sums_keep_the_recorded_bits(self, mc):
+        # in a child process, so that BLAS runs one thread whatever this one runs
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(trainer.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run([sys.executable, "-c", FORWARD_PIN_RUN, str(mc)], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        runs = json.loads(child.stdout)
+        recorded = json.loads(FORWARD_PIN.read_text())[str(mc)]
+        assert runs["2"] == recorded
+        assert runs["1"] == recorded
 
 
 def helper_ident():
@@ -645,6 +721,17 @@ class TestOverlappedHelper:
         assert jobs and all(helper is trainer._callers.helper for helper in jobs)
         return serial, both, len(jobs)
 
+    def test_schedule_pairs_whole_blocks_and_runs_the_rest_alone(self):
+        # blocks of 100 examples at one sample, of 33 (99 samples) at three
+        assert trainer.schedule(301, 1) == [(slice(0, 200), 2), (slice(200, 300), 1),
+                                            (slice(300, 400), 1)]
+        assert trainer.schedule(200, 1) == [(slice(0, 200), 2)]
+        assert trainer.schedule(150, 1) == [(slice(0, 100), 1), (slice(100, 200), 1)]
+        assert trainer.schedule(230, 3) == [(slice(0, 66), 2), (slice(66, 132), 2),
+                                            (slice(132, 198), 2), (slice(198, 231), 1)]
+        assert trainer.schedule(3, 200) == [(slice(0, 2), 2), (slice(2, 3), 1)]
+        assert trainer.schedule(0, 1) == []
+
     @pytest.mark.parametrize("n", [100, 200, 250])  # 1, 2 and 3 chunks, the last one short
     def test_evaluate_is_bit_identical_to_chunks_in_turn(self, monkeypatch, n):
         train_set, _ = bars_sets(n_train=n)
@@ -664,12 +751,12 @@ class TestOverlappedHelper:
             open_overlap(one_cpu, cpus=(0,))
             one_cpu.setattr(threading, "Thread", None)  # any thread start fails
             assert evaluate(model, train_set, Rng(56)) == want
-        open_overlap(monkeypatch)  # per chunk, the second half of its encode and its estimate
+        open_overlap(monkeypatch)  # per pair of chunks one, one per other chunk
         jobs = self.handed_jobs(monkeypatch)
         assert evaluate(model, train_set, Rng(56)) == want
-        assert len(jobs) == 2 * math.ceil(n / 100)
+        assert len(jobs) == forward_jobs(n)
 
-    # halves of 0|1, 1|1 and 1|2, and three chunks halved 50|50, 50|50 and 25|25
+    # halves of 0|1, 1|1 and 1|2, and a pair of whole chunks and a chunk halved 25|25
     @pytest.mark.parametrize("n", [1, 2, 3, 250])
     def test_evaluate_halves_are_bit_identical_to_halves_in_turn(self, monkeypatch, n):
         train_set, _ = bars_sets(n_train=n)
@@ -677,7 +764,7 @@ class TestOverlappedHelper:
         serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: evaluate(model, train_set, Rng(57)))
         assert both == serial
-        assert jobs == 2 * math.ceil(n / 100)  # each chunk's encode and estimate halves
+        assert jobs == forward_jobs(n)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
     @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # fork with threads
@@ -694,8 +781,9 @@ class TestOverlappedHelper:
             try:
                 got = evaluate(model, train_set, Rng(57))
                 os.write(write, np.array(dataclasses.astuple(got)).tobytes())
-                helper = trainer._callers.helper  # 3 chunks, two jobs each
-                code = 0 if jobs == [helper] * 6 and helper.pid == os.getpid() else 2
+                helper = trainer._callers.helper
+                handed = jobs == [helper] * forward_jobs(250)
+                code = 0 if handed and helper.pid == os.getpid() else 2
             finally:
                 os._exit(code)
         os.close(write)
@@ -712,10 +800,11 @@ class TestOverlappedHelper:
         assert got == want
         got = evaluate(model, train_set, Rng(57))  # the parent's helper serves on
         assert np.array(dataclasses.astuple(got)).tobytes() == want
-        assert jobs == [trainer._callers.helper] * 6
+        assert jobs == [trainer._callers.helper] * forward_jobs(250)
 
     def test_epoch_0_row_at_three_samples_is_bit_identical_to_chunks_in_turn(self, monkeypatch):
-        # 230 examples in 7 chunks of at most 33 examples (99 samples), each halved
+        # 230 examples in 7 chunks of at most 33 examples (99 samples): three
+        # pairs of whole chunks and a short chunk halved
         train_set, val_set = bars_sets(n_train=230)
         config = bars_config(max_epochs=1, mc_samples=3)
         model = build_model(config, train_set.p)
@@ -734,10 +823,7 @@ class TestOverlappedHelper:
         serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set)[1][0])
         assert dataclasses.replace(both, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
-        # the init; the epoch-0 row's 7 training and 1 validation chunks, two
-        # jobs each (encode and estimate); epoch 1's first encode, two jobs a
-        # batch, its validation chunk's two and its snapshot
-        assert jobs == 1 + 2 * (7 + 1) + 1 + 2 * 12 + 2 + 1
+        assert jobs == train_jobs(230, 40, 3, 12, epochs=1, snapshots=1, copy_back=0)
         assert (both.train_entropy, both.train_recon) == (entropy / 690, recon / 690)
 
     @pytest.mark.parametrize("mc", [1, 3])
@@ -748,12 +834,8 @@ class TestOverlappedHelper:
         config = bars_config(max_epochs=2, mc_samples=mc)
         (serial_model, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        chunks = math.ceil(230 / (100 // mc))
-        # the init, the epoch-0 row's training chunks and one validation chunk
-        # (two jobs a chunk), then per epoch the first encode, two jobs a
-        # batch, the validation chunk and the snapshot (both epochs improve:
-        # no copy back)
-        assert jobs == 1 + 2 * (chunks + 1) + 2 * (1 + 2 * 12 + 2 + 1)
+        # both epochs improve: no copy back
+        assert jobs == train_jobs(230, 40, mc, 12, epochs=2, snapshots=2, copy_back=0)
         assert [dataclasses.replace(r, seconds=0.0) for r in history] == \
                [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         assert np.array_equal(model.encoder.params, serial_model.encoder.params)
@@ -764,10 +846,7 @@ class TestOverlappedHelper:
         config = bars_config(learning_rate=0.0, max_epochs=3)
         (_, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        # the init, the epoch-0 row's 3 training and 1 validation chunks (two
-        # jobs a chunk), then per epoch the first encode, two jobs a batch and
-        # the validation chunk; no snapshot, one copy back
-        assert jobs == 1 + 2 * (3 + 1) + 3 * (1 + 2 * 12 + 2) + 1
+        assert jobs == train_jobs(230, 40, 1, 12, epochs=3, snapshots=0, copy_back=1)
         rows = [dataclasses.replace(r, seconds=0.0) for r in history]
         assert rows == [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         for row in rows[1:]:  # train rows differ from epoch 0's only in summation order
@@ -791,11 +870,8 @@ class TestOverlappedHelper:
         (serial_history, serial, serial_bytes), (history, both, both_bytes), jobs = \
             self.in_turn_and_overlapped(monkeypatch, run)
         assert len(history) == len(serial_history) < config.max_epochs + 1  # stopped early
-        # the init, the epoch-0 row's 2 training and 1 validation chunks (two
-        # jobs a chunk), then per epoch the first encode, two jobs for each of
-        # 6 batches and the validation chunk; snapshots at epochs 1 and 2, and
-        # one copy back
-        assert jobs == 1 + 2 * (2 + 1) + (len(history) - 1) * (1 + 2 * 6 + 2) + 2 + 1
+        assert jobs == train_jobs(120, 40, 1, 6, epochs=len(history) - 1, snapshots=2,
+                                  copy_back=1)
         assert 0 < both.epoch == serial.epoch
         assert both.rng_state == serial.rng_state != Rng(config.seed + 3).state
         assert both_bytes == serial_bytes
@@ -825,50 +901,61 @@ class TestOverlappedHelper:
         batch_i = int(message.rpartition("batch ")[2])
         assert message.startswith("non-finite ELBO estimate at epoch 1,")
         assert n_steps == 2 * batch_i  # no step after the non-finite estimate
-        # the init, the epoch-0 row's training and validation chunks (two jobs
-        # each), then epoch 1's first encode, two jobs a batch and batch i's
-        # estimate
-        assert jobs == 1 + 2 * (1 + 1) + 1 + 2 * batch_i + 1
+        # the init, the epoch-0 row's passes, then epoch 1's training pass up
+        # to batch i's estimate
+        assert jobs == 1 + forward_jobs(40) + forward_jobs(10) + training_jobs(batch_i) + 1
 
     @staticmethod
-    def raises_from_the_helper(monkeypatch, method, run=None, whole_batch=False):
-        """A MemoryError from the encoder's Mlp.<method> on the helper thread
-        (given whole_batch, only from a call with no out: a whole batch's
-        forward) reaches the caller of run (a one-epoch train by default), no
-        thread is started, and the same helper serves the next call."""
+    def raises_from(monkeypatch, method, head=HEAD_SOFTMAX, helper=True, run=None,
+                    whole_batch=False):
+        """A MemoryError from Mlp.<method> of the net whose head is head, on the
+        helper thread (else on the calling thread; given whole_batch, only
+        from a call with no out: a whole batch's forward), reaches the caller
+        of run (a one-epoch train by default), no thread is started, and the
+        same helper serves the next call."""
         train_set, val_set = bars_sets(n_train=40, n_val=10)
         open_overlap(monkeypatch)
         real = getattr(Mlp, method)
         caller = threading.get_ident()
+        raised = []
 
         def failing(net, *args):
-            if (net.head == HEAD_SOFTMAX and threading.get_ident() != caller
+            if (net.head == head and (threading.get_ident() != caller) == helper
                     and not (whole_batch and len(args) > 1)):
-                raise MemoryError(f"helper {method}")
+                raised.append(threading.get_ident())
+                raise MemoryError(f"{head} {method}")
             return real(net, *args)
 
-        monkeypatch.setattr(Mlp, method, failing)
         first = helper_ident()
         before = threading.active_count()
-        with pytest.raises(MemoryError, match=f"helper {method}"):
+        with monkeypatch.context() as patched, pytest.raises(MemoryError,
+                                                             match=f"{head} {method}"):
+            patched.setattr(Mlp, method, failing)
             if run is None:
                 train(bars_config(max_epochs=1, batch_size=10), train_set, val_set)
             else:
                 run(train_set)
+        assert raised == [first if helper else caller]
         assert threading.active_count() == before and helper_ident() == first
 
     def test_memory_error_in_the_next_encode_reaches_the_caller(self, monkeypatch):
-        # the helper's only whole-batch encoder forward is a training step's
-        # encode of the next batch; the halves of a pass pass out and rows
-        self.raises_from_the_helper(monkeypatch, "forward", whole_batch=True)
+        # the only whole-batch encoder forward is a training step's encode of
+        # the next batch, on the caller; the halves of a pass pass out and rows
+        self.raises_from(monkeypatch, "forward", helper=False, whole_batch=True)
 
     def test_memory_error_in_the_encoder_step_reaches_the_caller(self, monkeypatch):
-        self.raises_from_the_helper(monkeypatch, "backward")
+        # the encoder's side of a step runs on the caller, the decoder's on the helper
+        self.raises_from(monkeypatch, "sga_step", helper=False)
+        self.raises_from(monkeypatch, "backward", helper=False)
+
+    def test_memory_error_in_the_decoder_step_reaches_the_caller(self, monkeypatch):
+        self.raises_from(monkeypatch, "backward", head=HEAD_SIGMOID)
+        self.raises_from(monkeypatch, "sga_step", head=HEAD_SIGMOID)
 
     def test_memory_error_in_the_helpers_half_reaches_the_caller(self, monkeypatch):
         model = build_model(bars_config(), 16)
-        self.raises_from_the_helper(monkeypatch, "forward",
-                                    run=lambda dataset: evaluate(model, dataset, Rng(58)))
+        self.raises_from(monkeypatch, "forward",
+                         run=lambda dataset: evaluate(model, dataset, Rng(58)))
 
 
 def as_float64(dataset):
@@ -899,13 +986,8 @@ class TestByteImages:
                            np.array(dataclasses.astuple(evaluate(model, sets[1], Rng(8))))
                            .tobytes()])
         assert runs[0] == runs[1]
-        # Each train hands over the init, the epoch-0 row's training chunks
-        # and one validation chunk (two jobs a chunk: encode and estimate),
-        # then per epoch the first encode, two jobs a batch, the validation
-        # chunk and the snapshot; each evaluate the validation chunk's two.
-        chunks = math.ceil(230 / (100 // mc))
-        per_train = 1 + 2 * (chunks + 1) + 2 * (1 + 2 * 12 + 2 + 1)
-        assert len(jobs) == (2 * (per_train + 2) if overlap else 0)
+        per_train = train_jobs(230, 40, mc, 12, epochs=2, snapshots=2, copy_back=0)
+        assert len(jobs) == (2 * (per_train + forward_jobs(40)) if overlap else 0)
 
     def test_evaluate_converts_a_chunk_at_a_time(self):
         # one float64 copy of the dataset would be n * p * 8 bytes
