@@ -59,15 +59,18 @@ def uniform_params(d: int, k: int) -> np.ndarray:
     return np.full((d, k), 1.0 / k)
 
 
+def prior_term(d: int, k: int) -> float:
+    """The ELBO's prior term, E_q[ln p(z)] = -D*ln(K) under the uniform
+    prior, whatever q is."""
+    return -d * math.log(k)
+
+
 def elbo_estimate(x: np.ndarray, probs: np.ndarray, xhat: np.ndarray) -> ElboBreakdown:
     """Single-sample ELBO estimate for input x, encoder probabilities probs
     (..., D, K) and reconstruction xhat (already decoded from one latent
     draw); per example for a batch."""
-    d, k = probs.shape[-2:]
-    entropy_term = aggregate_entropy(probs)
-    prior_term = -d * math.log(k)
-    recon_term = -aggregate_bce(xhat, x)
-    return ElboBreakdown.from_terms(entropy_term, prior_term, recon_term)
+    return ElboBreakdown.from_terms(aggregate_entropy(probs), prior_term(*probs.shape[-2:]),
+                                    -aggregate_bce(xhat, x))
 
 
 def d_entropy_d_probs(probs: np.ndarray) -> np.ndarray:
@@ -197,52 +200,49 @@ class DiscreteVae:
         sel = np.take_along_axis(probs, z[..., None], axis=-1)[..., 0]
         return np.log(np.maximum(sel, EPS)).sum(axis=-1)
 
-    def estimate(self, x: np.ndarray, probs: np.ndarray | None, z: np.ndarray | None,
-                 both=None, out: tuple | None = None, u: np.ndarray | None = None) -> tuple:
-        """Decode the latents z drawn from probs, the encoder's output for the
-        float64 inputs x: (breakdown, decoder_pass, encoder_pass), the
-        per-example ELBO terms (recon_term is the detached score coefficient c)
-        and two callables that each overwrite one net's buffers with its ascent
-        gradient summed over the batch. They share no output: either order.
+    def estimate(self, x: np.ndarray, u: np.ndarray, both=None, out: tuple | None = None) -> tuple:
+        """Encode the float64 inputs x, draw one latent per example from its
+        uniforms u (..., D) and decode it: (breakdown, decoder_pass,
+        encoder_pass), the per-example ELBO terms (recon_term is the detached
+        score coefficient c) and two callables that each overwrite one net's
+        buffers with its ascent gradient summed over the batch. They share
+        no output: either order.
 
         Given both and out (each net's Mlp.buffers over at least n rows,
         the encoder's first), a batch (n, ...) is estimated in the row halves
         [0, n // 2) and [n // 2, n), which both(first, second) runs, each
-        writing its rows of batch-sized arrays; without probs and z, each
-        half first encodes its rows and draws their latents from the
-        uniforms u (n, D). A row's bytes are those of the whole batch
-        wherever BLAS gives its rows the same bits at both row counts.
-        Either way decoder_pass takes the decoder's upstream gradient, so a
-        caller that runs neither pass computes no gradient."""
+        encoding, sampling, decoding and estimating its rows into batch-sized
+        arrays. A row's bytes are those of the whole batch wherever BLAS
+        gives its rows the same bits at both row counts. Either way
+        decoder_pass takes the decoder's upstream gradient, so a caller that
+        runs neither pass computes no gradient."""
         if both is None:
-            xhat = self.decoder.forward(self._one_hot(z))
+            probs = self.encode(x)
+            z = self.sample_latent(probs, u)
+            xhat = self.decode(z)
             bd = elbo_estimate(x, probs, xhat)
         else:
             n = len(x)
             encoded, decoded = ([a[:n] for a in net_out] for net_out in out)
+            probs, z = encoded[-1].reshape(n, self.d, self.k), np.empty((n, self.d), np.intp)
             hot, entropy, recon = np.empty((n, self.d * self.k)), np.empty(n), np.empty(n)
-            if encode := probs is None:
-                probs, z = encoded[-1].reshape(n, self.d, self.k), np.empty((n, self.d), np.intp)
 
             def half(rows: slice) -> None:
-                if encode:
-                    z[rows] = self.sample_latent(self.encoder.forward(x, encoded, rows), u[rows])
+                z[rows] = self.sample_latent(self.encoder.forward(x, encoded, rows), u[rows])
                 hot[rows] = self._one_hot(z[rows])
                 part = elbo_estimate(x[rows], probs[rows], self.decoder.forward(hot, decoded, rows))
                 entropy[rows], recon[rows] = part.entropy_term, part.recon_term
 
             both(lambda: half(slice(0, n // 2)), lambda: half(slice(n // 2, n)))
             xhat = decoded[-1]  # the head's output, written in place
-            bd = ElboBreakdown.from_terms(entropy, -self.d * math.log(self.k), recon)
+            bd = ElboBreakdown.from_terms(entropy, prior_term(self.d, self.k), recon)
         return (bd, lambda: self.decoder.backward(d_recon_d_xhat(x, xhat)),
                 lambda: self.encoder.backward(d_elbo_d_probs(probs, z, bd.recon_term)))
 
     def compute_gradients(self, x: np.ndarray, u: np.ndarray) -> ElboBreakdown:
-        """Encode x, sample one latent per example from its uniforms u (..., D),
-        then estimate and run both passes in turn; returns the breakdown."""
-        x = np.asarray(x, dtype=np.float64)
-        probs = self.encode(x)
-        bd, decoder_pass, encoder_pass = self.estimate(x, probs, self.sample_latent(probs, u))
+        """Estimate x under its uniforms u (..., D) and run both passes in
+        turn; returns the breakdown."""
+        bd, decoder_pass, encoder_pass = self.estimate(np.asarray(x, dtype=np.float64), u)
         decoder_pass()
         encoder_pass()
         return bd

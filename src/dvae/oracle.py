@@ -19,7 +19,7 @@ import numpy as np
 
 from dvae.distributions import (EPS, MAX_SEED, Rng, aggregate_bce, aggregate_entropy,
                                 stream_uniforms)
-from dvae.model import CHUNK_ROWS, DiscreteVae, d_entropy_d_probs
+from dvae.model import CHUNK_ROWS, DiscreteVae, d_entropy_d_probs, prior_term
 from dvae.network import Mlp
 
 # Full enumeration beyond this many latent configurations is refused.
@@ -95,9 +95,8 @@ def exact_elbo(table: EnumerationTable) -> float | np.ndarray:
     """Exact ELBO of the table's encoder rows: aggregate entropy of its
     (..., D, K) probs - D*ln(K) + E_q[log p(x|z)] over its (..., K^D)
     q_probs. A float for one table, else one value per leading index."""
-    d, k = table.probs.shape[-2:]
     expected_ll = (table.q_probs * table.log_px_given_z).sum(axis=-1)
-    value = aggregate_entropy(table.probs) - d * math.log(k) + expected_ll
+    value = aggregate_entropy(table.probs) + prior_term(*table.probs.shape[-2:]) + expected_ll
     return float(value) if value.ndim == 0 else value
 
 
@@ -239,10 +238,11 @@ def suite_gradient_checks(seed: int) -> list[CheckResult]:
     seeds = (seed & MAX_SEED) + 1000 * np.arange(GRAD_NETS, dtype=np.uint64)  # wraps mod 2^64
     models, xs = tiny_models_and_inputs(seeds)
     tables = enumerate_table(models, xs)  # log p(x|z) does not depend on phi
-    latents = models.sample_latent(tables.probs, stream_uniforms(seeds + 3, models.d))
+    u = stream_uniforms(seeds + 3, models.d)
+    latents = models.sample_latent(tables.probs, u)
     # One decoder pass, each net on its own one-row batch (a shared batch
-    # would give every net every row).
-    models.estimate(xs[:, None], tables.probs[:, None], latents[:, None])[1]()
+    # would give every net every row), encoding and drawing as the table did.
+    models.estimate(xs[:, None], u[:, None])[1]()
     analytic_enc = exact_encoder_gradient(models, xs, tables)
     hots = np.eye(models.k)[latents].reshape(GRAD_NETS, -1)  # decode's one-hot input rows
     worst_dec = 0.0

@@ -46,12 +46,10 @@ module that starts threads; it uses two cores at most:
   the epoch-0 row) runs schedule's jobs: a pair of whole blocks, one per
   thread, or a block alone. It adds block sums in order and runs neither
   net's pass, so it computes no gradient.
-* A training pass runs a job per batch. After each, the caller runs the
-  encoder's pass and step and encodes and samples the next batch whole
-  (whose job then only decodes and estimates), while the helper takes the
-  decoder's upstream gradient and runs its pass and step. The helper
-  starts its side a median 0.05 ms after the handoff at the benchmark's
-  shape, and peak RSS reads 1 MB lower than with the sides swapped.
+* A training pass runs a job per batch, each a lone block, then hands
+  over once more: the caller runs the encoder's pass and step while the
+  helper takes the decoder's upstream gradient and runs its pass and step.
+  No state passes from one job to the next.
 
 Run in turn, the halves are the same halves, split at the same row, so
 each net runs the same array operations in the same order either way, and
@@ -60,9 +58,11 @@ parameters are byte-identical whichever way a pass runs. The pinned bytes
 are those of one BLAS thread (OPENBLAS_NUM_THREADS=1, as CI and perfbench
 set it); another count may train to other parameter bytes. A half's rows
 (a pair's block's) hold the bytes of any other split's where BLAS gives a
-product's rows the same bits at both row counts; on OpenBLAS 0.3.31
-(Haswell kernels) a product of a few rows may not (a 4-row batch's 2-row
-halves changed the last bits of some parameters).
+product's rows the same bits at both row counts. On OpenBLAS 0.3.31
+(Haswell kernels, one thread), 28x28 inputs, D=20 and K=10, an encoder's
+halves differed from its whole-batch product at batches of 2-5 and 7-13
+rows at hidden 512, and of 2-3 and 7-25 rows at hidden 96 (of batches of
+2 to 200 rows).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ import numpy as np
 
 from dvae.data import Dataset, batches, sized
 from dvae.distributions import MAX_SEED, Rng, stream_uniforms
-from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, layer_sizes
+from dvae.model import CHUNK_ROWS, DiscreteVae, ElboBreakdown, layer_sizes, prior_term
 from dvae.network import Mlp, param_count
 
 ENCODER_INIT_OFFSET = 1
@@ -319,16 +319,14 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, jobs: list[tupl
     (rows, blocks) is the rows images[rows], one per Monte Carlo sample,
     under u[rows], as that many equal blocks, estimated in two row halves
     (a pair's are its blocks). Given lr, each job is a batch: its estimate
-    must be finite, and its mean gradient steps each net (not at lr 0)
-    while the caller encodes the next batch whole; without, the pass is
-    forward-only."""
+    must be finite, and its mean gradient steps each net (not at lr 0),
+    the encoder on the caller and the decoder on the helper; without, the
+    pass is forward-only."""
     both = functools.partial(overlapped, size=model.encoder.params.size)
-    sums, ahead = [0.0, 0.0], None
+    sums = [0.0, 0.0]
     for i, (rows, blocks) in enumerate(jobs):
-        # every forward-only job and a training pass's first are encoded in the halves
-        x, ux, probs, z = ahead or (*_samples(model, images, u, rows), None, None)
-        bd, decoder_pass, encoder_pass = model.estimate(x, probs, z, both,
-                                                        _buffers(model, len(x)), ux)
+        x, ux = _samples(model, images, u, rows)
+        bd, decoder_pass, encoder_pass = model.estimate(x, ux, both, _buffers(model, len(x)))
         for terms in np.split(np.array([bd.entropy_term, bd.recon_term]), blocks, axis=1):
             sums = [total + part.sum() for total, part in zip(sums, terms)]
         if lr is None:
@@ -336,19 +334,12 @@ def _pass(model: DiscreteVae, images: np.ndarray, u: np.ndarray, jobs: list[tupl
         if not np.isfinite(bd.total).all():
             raise TrainingDiverged(f"non-finite ELBO estimate at epoch {epoch}, batch {i}")
 
-        def side(net: Mlp, backward, following) -> tuple | None:
+        def side(net: Mlp, backward) -> None:
             backward()
             if lr > 0.0:  # the step takes the batch mean
                 net.sga_step(lr, 1.0 / len(x))
-            if following is None:
-                return None
-            x_next, u_next = _samples(model, images, u, following)  # encoded and drawn whole
-            probs_next = model.encode(x_next)
-            return x_next, u_next, probs_next, model.sample_latent(probs_next, u_next)
 
-        following = jobs[i + 1][0] if i + 1 < len(jobs) else None
-        ahead, _ = both(lambda: side(model.encoder, encoder_pass, following),
-                        lambda: side(model.decoder, decoder_pass, None))
+        both(lambda: side(model.encoder, encoder_pass), lambda: side(model.decoder, decoder_pass))
     return sums
 
 
@@ -362,8 +353,7 @@ def _estimates(model: DiscreteVae, images: np.ndarray, u: np.ndarray) -> list[fl
 
 def _mean_breakdown(model: DiscreteVae, entropy_sum: float, recon_sum: float,
                     n: int) -> ElboBreakdown:
-    return ElboBreakdown.from_terms(entropy_sum / n, -model.d * math.log(model.k),
-                                    recon_sum / n)
+    return ElboBreakdown.from_terms(entropy_sum / n, prior_term(model.d, model.k), recon_sum / n)
 
 
 def evaluate(model: DiscreteVae, dataset: Dataset, rng: Rng) -> ElboBreakdown:

@@ -317,8 +317,7 @@ class TestComputeGradients:
         reference = model.encoder.grads.tobytes(), model.decoder.grads.tobytes()
         model.encoder.grads[:] = np.nan
         model.decoder.grads[:] = np.nan
-        probs = model.encode(xs)
-        estimate = model.estimate(xs, probs, model.sample_latent(probs, u))
+        estimate = model.estimate(xs, u)
         assert np.array_equal(estimate[0].total, bd_reference.total)
         nets = {1: model.decoder, 2: model.encoder}
         for i in order:

@@ -311,9 +311,9 @@ class TestSuites:
         worst = 0.0
         for i in range(n_nets):
             model, x = tiny_model_and_input(seed + 1000 * i)
-            probs = model.encode(x)
-            z = model.sample_latent(probs, Rng(seed + 1000 * i + 3).uniforms(model.d))
-            model.estimate(x, probs, z)[1]()
+            u = Rng(seed + 1000 * i + 3).uniforms(model.d)
+            z = model.sample_latent(model.encode(x), u)
+            model.estimate(x, u)[1]()
 
             def objective(thetas):
                 return [-aggregate_bce(m.decode(z), x)

@@ -53,7 +53,10 @@ TRAJECTORY = Path(__file__).parent / "data" / "train_trajectory.json"
 # BLAS thread before forward-only passes ran whole blocks one per thread.
 # Both forward-only passes then hold a pair of whole blocks, an unpaired
 # whole block and a short block (at three samples, four pairs of 33-example
-# blocks).
+# blocks). The one-sample entry was recorded again when every training batch
+# came to be encoded in its own row halves: the last batch's 21 rows split
+# 10|11, and at hidden 96 those halves give the encoder other last bits than
+# one 21-row product.
 FORWARD_PIN = Path(__file__).parent / "data" / "forward_pass_pin.json"
 FORWARD_PIN_RUN = """import hashlib, json, os, sys
 from dvae.data import synthetic_bars
@@ -90,10 +93,8 @@ def forward_jobs(n, samples=1):
 
 
 def training_jobs(batches):
-    """The jobs a training pass over this many batches hands the helper: its
-    first batch's encode and estimate halves, then each batch's two nets'
-    steps (the caller encoding the next batch) and each later batch's
-    estimate halves."""
+    """The jobs a training pass over this many batches hands the helper: per
+    batch, its encode and estimate halves, then its two nets' steps."""
     return 2 * batches
 
 
@@ -906,13 +907,11 @@ class TestOverlappedHelper:
         assert jobs == 1 + forward_jobs(40) + forward_jobs(10) + training_jobs(batch_i) + 1
 
     @staticmethod
-    def raises_from(monkeypatch, method, head=HEAD_SOFTMAX, helper=True, run=None,
-                    whole_batch=False):
+    def raises_from(monkeypatch, method, head=HEAD_SOFTMAX, helper=True, run=None):
         """A MemoryError from Mlp.<method> of the net whose head is head, on the
-        helper thread (else on the calling thread; given whole_batch, only
-        from a call with no out: a whole batch's forward), reaches the caller
-        of run (a one-epoch train by default), no thread is started, and the
-        same helper serves the next call."""
+        helper thread (else on the calling thread), reaches the caller of run
+        (a one-epoch train by default), no thread is started, and the same
+        helper serves the next call."""
         train_set, val_set = bars_sets(n_train=40, n_val=10)
         open_overlap(monkeypatch)
         real = getattr(Mlp, method)
@@ -920,8 +919,7 @@ class TestOverlappedHelper:
         raised = []
 
         def failing(net, *args):
-            if (net.head == head and (threading.get_ident() != caller) == helper
-                    and not (whole_batch and len(args) > 1)):
+            if net.head == head and (threading.get_ident() != caller) == helper:
                 raised.append(threading.get_ident())
                 raise MemoryError(f"{head} {method}")
             return real(net, *args)
@@ -938,10 +936,28 @@ class TestOverlappedHelper:
         assert raised == [first if helper else caller]
         assert threading.active_count() == before and helper_ident() == first
 
-    def test_memory_error_in_the_next_encode_reaches_the_caller(self, monkeypatch):
-        # the only whole-batch encoder forward is a training step's encode of
-        # the next batch, on the caller; the halves of a pass pass out and rows
-        self.raises_from(monkeypatch, "forward", helper=False, whole_batch=True)
+    def test_memory_error_in_the_callers_encode_half_reaches_the_caller(self, monkeypatch):
+        # every encoder forward of a pass is a row half's; the caller runs the first
+        self.raises_from(monkeypatch, "forward", helper=False)
+
+    def test_every_encode_of_a_train_runs_in_row_halves(self, monkeypatch):
+        # every job of every pass, training batches included, encodes its rows
+        # in two halves into batch-sized buffers: no softmax-head forward runs
+        # a whole batch
+        train_set, val_set = bars_sets(n_train=40, n_val=10)
+        open_overlap(monkeypatch)
+        real, calls = Mlp.forward, []
+
+        def spied(net, x, out=None, rows=slice(None)):
+            if net.head == HEAD_SOFTMAX:
+                calls.append((out is not None, rows != slice(None)))
+            return real(net, x, out, rows)
+
+        monkeypatch.setattr(Mlp, "forward", spied)
+        train(bars_config(max_epochs=2, batch_size=10), train_set, val_set)
+        # the epoch-0 row's two passes and each epoch's four batches and validation
+        assert set(calls) == {(True, True)}
+        assert len(calls) == 2 * (2 + 2 * (4 + 1))
 
     def test_memory_error_in_the_encoder_step_reaches_the_caller(self, monkeypatch):
         # the encoder's side of a step runs on the caller, the decoder's on the helper
