@@ -157,11 +157,8 @@ class DiscreteVae:
         one = isinstance(encoder_rng, Rng)
 
         def draw(sizes: list[int], rng, softmax_shape=None) -> np.ndarray:
-            # Drawn as a stack, a row per seed, Rng(s) bit for bit: a stack
-            # that runs no backward allocates no gradient buffer to drop.
-            seeds = np.array([rng.state], dtype=np.uint64) if one else rng
-            params = Mlp.create(sizes, seeds, softmax_shape).params
-            return params[0] if one else params
+            # Mlp.create advances the Rng it is given, so it draws from a copy.
+            return Mlp.create(sizes, Rng(rng.state) if one else rng, softmax_shape).params
 
         encoder_sizes, decoder_sizes = layer_sizes(p, d, k, hidden)
         return cls(p, d, k, hidden, *both(lambda: draw(encoder_sizes, encoder_rng, (d, k)),

@@ -6,9 +6,10 @@ weights, then its bias). Layer i maps x to x W^T + b, with a rectifier after
 every layer but the last and a head on top: a row-wise softmax over a
 given (rows, cols) softmax shape of the final output, else a sigmoid.
 net.layers[i] holds layer i's weights, bias, grad_weights and grad_bias as
-reshaped views into params and grads. Each backward() overwrites grads with
-the gradient of that pass alone; sga_step() applies gradient ASCENT,
-p <- p + (grad * scale) * lr, and leaves grads as they are.
+reshaped views into params and grads. A net's first backward() allocates
+grads, so a net that only runs forward holds none; each backward()
+overwrites grads with the gradient of that pass alone. sga_step() applies
+gradient ASCENT, p <- p + (grad * scale) * lr, and leaves grads as they are.
 
 A net built over an (m, n) stack of parameter vectors is m nets in one:
 its weights are (m, out, in) views and its biases (m, 1, out), one forward
@@ -16,10 +17,9 @@ pass runs all m, on one shared input or on an (m, rows, in) stack of
 batches (one per net), and every output gains a leading m axis. Each row of
 that output is bit-identical to the forward pass of a net over that row
 alone on its input. One backward then writes each net's gradient into row i
-of an (m, n) grads, bit-identical to that net's own backward; the stack
-allocates grads on its first backward, so a stack that only runs forward
-has none. A stack takes no sga_step. Mlp.create builds such a stack from m
-seeds, row i bit-identical to the net it builds from Rng(seeds[i]).
+of an (m, n) grads, bit-identical to that net's own backward. A stack
+takes no sga_step. Mlp.create builds such a stack from m seeds, row i
+bit-identical to the net it builds from Rng(seeds[i]).
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def param_count(sizes) -> int:
 
 class Layer(NamedTuple):
     """One affine layer's views: weights (out, in) and bias (out,) into an
-    Mlp's params, and their gradients into its grads (None on a stack that
-    has not run backward)."""
+    Mlp's params, and their gradients into its grads (None before the
+    net's first backward)."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -87,8 +87,6 @@ class Mlp:
         self.layers = [Layer(w, b[:, None] if stacked else b, None, None)
                        for w, b in self._views(self.params)]
         self.grads: np.ndarray | None = None
-        if not stacked:
-            self._allocate_grads()
         self.head = HEAD_SIGMOID if softmax_shape is None else HEAD_SOFTMAX
         self.softmax_shape = softmax_shape
         self._inputs: list[np.ndarray] = []
@@ -104,11 +102,6 @@ class Mlp:
                           flat[..., mid:mid + fan_out]))
             offset = mid + fan_out
         return views
-
-    def _allocate_grads(self) -> None:
-        self.grads = np.zeros(self.params.shape)
-        self.layers = [layer._replace(grad_weights=gw, grad_bias=gb)
-                       for layer, (gw, gb) in zip(self.layers, self._views(self.grads))]
 
     @classmethod
     def create(cls, sizes: list[int], rng: Rng | np.ndarray,
@@ -194,14 +187,16 @@ class Mlp:
 
         upstream_grad is the gradient of the objective with respect to the
         head OUTPUT (same shape as forward's return); grads become its sum
-        over the batch, replacing whatever they held before. A stack of m
-        nets writes net i's gradient into row i of its (m, n) grads, which
-        its first backward allocates.
+        over the batch, replacing whatever they held before; the first
+        backward allocates them. A stack of m nets writes net i's gradient
+        into row i of its (m, n) grads.
         """
         if self._output is None:
             raise RuntimeError("backward before forward")
         if self.grads is None:
-            self._allocate_grads()
+            self.grads = np.zeros(self.params.shape)
+            self.layers = [layer._replace(grad_weights=gw, grad_bias=gb)
+                           for layer, (gw, gb) in zip(self.layers, self._views(self.grads))]
         stacked = self.params.ndim == 2
         y = self._output
         if self.head == HEAD_SIGMOID:
@@ -228,11 +223,14 @@ class Mlp:
     def sga_step(self, lr: float, scale: float = 1.0) -> None:
         """Gradient ascent: params += (grads * scale) * lr, leaving grads
         untouched. One pass over the flat vectors in blocks of BLOCK
-        through one reused buffer, so no step temporary is parameter-sized."""
+        through one reused buffer, so no step temporary is parameter-sized.
+        Before the first backward the gradient is zero: no step."""
         if self.params.ndim == 2:
             raise RuntimeError("a stacked net takes no step")
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
+        if self.grads is None:
+            return
         buf = np.empty(min(BLOCK, self.params.size))
         for start in range(0, self.params.size, BLOCK):
             grad = self.grads[start:start + BLOCK]

@@ -33,9 +33,11 @@ module that starts threads; it uses two cores at most:
   train-mnist784 pinned to one CPU of a 2-vCPU x86-64 host: peak RSS 85.6
   -> 89.6 MB, 7% more time with it).
 * build_model draws the encoder's init on the caller and the decoder's on
-  the helper. The best-parameter snapshot copies one net on each thread,
-  and the copy back after training is skipped when the last epoch is the
-  best.
+  the helper. The best-parameter snapshots copy both nets on the caller,
+  in turn: memory-bound copies gained nothing on two threads (an 8 MB
+  snapshot took 0.63-0.68 ms split over both against 0.59-0.67 ms in
+  turn, three runs of 300 on a 2-vCPU x86-64 host). The copy back after
+  training is skipped when the last epoch is the best.
 * A pass runs jobs, each encoded, sampled, decoded and estimated in two
   row halves (DiscreteVae.estimate), the first on the caller and the
   second on the helper, with no join between: one handoff. The halves
@@ -406,16 +408,14 @@ def train(config: TrainConfig, train_set: Dataset, val_set: Dataset,
 
     params = [model.encoder.params, model.decoder.params]
 
-    def copy_params(sources, targets) -> None:  # one net per thread
-        overlapped(lambda: np.copyto(targets[0], sources[0]),
-                   lambda: np.copyto(targets[1], sources[1]), model.encoder.params.size)
+    def copy_params(sources, targets) -> None:
+        for source, target in zip(sources, targets):
+            np.copyto(target, source)
 
     # A diverging step overflows; the finite checks report it, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         best_val = record(0, _estimates(model, train_set.images, u_train))
         best_epoch = 0
-        # The first copy allocates, on the caller alone: at MNIST shape
-        # faulting its fresh pages in on both threads took 2.2 ms, not 0.9.
         best = [net_params.copy() for net_params in params]
         best_rng_state = shuffle_rng.state
 

@@ -20,6 +20,8 @@ class TestFlatVectors:
         ws = [np.arange(12.0).reshape(4, 3), np.arange(8.0).reshape(2, 4) - 3.0]
         bs = [np.array([0.5, -0.5, 1.5, 2.5]), np.array([7.0, -7.0])]
         net = Mlp([3, 4, 2])
+        net.forward(np.ones(3))
+        net.backward(np.zeros(2))  # allocates grads and the gradient views
         assert not net.params.any() and not net.grads.any()
         for layer, w, b in zip(net.layers, ws, bs):
             layer.weights[:] = w
@@ -101,12 +103,12 @@ class TestBackward:
         # upstream times the sigmoid slope y (1 - y)), grad_W = outer(c, x)
         w = np.array([[0.5, -0.25], [0.25, 0.75]])
         net = Mlp([2, 2])
-        layer = net.layers[0]
-        layer.weights[:] = w
+        net.layers[0].weights[:] = w
         x = np.array([5.0, -1.0])
         y = net.forward(x)
         up = np.array([2.0, -3.0])
         net.backward(up)
+        layer = net.layers[0]  # the first backward gave it gradient views
         c = up * y * (1.0 - y)
         assert np.array_equal(layer.grad_weights, np.outer(c, x))
         assert np.array_equal(layer.grad_bias, c)
@@ -120,6 +122,27 @@ class TestBackward:
         cs = ups * ys * (1.0 - ys)
         assert np.allclose(layer.grad_weights, sum(map(np.outer, cs, xs)), rtol=0, atol=1e-12)
         assert np.allclose(layer.grad_bias, cs.sum(axis=0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [None, (2, 3)], ids=["sigmoid", "softmax"])
+    def test_first_backward_allocates_grads_and_the_gradient_views(self, shape):
+        # as for a stack: a net that only runs forward or steps holds no buffer
+        net = Mlp.create([5, 8, 6], Rng(505), softmax_shape=shape)
+        params = net.params.copy()
+        out = net.forward(Rng(506).uniforms(5))
+        net.sga_step(0.5)
+        assert net.grads is None and net.params.tobytes() == params.tobytes()
+        assert all(layer.grad_weights is None and layer.grad_bias is None
+                   for layer in net.layers)
+        net.backward(Rng(507).uniforms(out.size).reshape(out.shape) - 0.5)
+        grads = net.grads
+        assert grads.shape == net.params.shape and grads.any()
+        for layer in net.layers:
+            assert layer.grad_weights.shape == layer.weights.shape
+            assert layer.grad_bias.shape == layer.bias.shape
+            assert np.shares_memory(layer.grad_weights, grads)
+            assert np.shares_memory(layer.grad_bias, grads)
+        net.backward(np.zeros(out.shape))  # later passes overwrite the same buffer
+        assert net.grads is grads and not grads.any()
 
     def test_backward_before_forward_raises(self):
         net = Mlp([2, 2])
@@ -340,6 +363,8 @@ class TestSgaStep:
 
     def test_unit_lr_adds_gradient(self):
         net = Mlp([1, 1])
+        net.forward(np.zeros(1))
+        net.backward(np.zeros(1))
         layer = net.layers[0]
         layer.weights[0, 0] = 2.0
         layer.grad_weights[0, 0] = 0.25
@@ -374,9 +399,12 @@ class TestSgaStep:
         lr, scale = 1e-3, 1.0 / 7.0
         net = Mlp(sizes, params=Rng(82).uniforms(n) - 0.5)
         assert net.params.size == n
+        old = Mlp(sizes, params=net.params.copy())
+        for each in (net, old):  # the first backward allocates grads
+            each.forward(np.zeros(sizes[0]))
+            each.backward(np.zeros(sizes[-1]))
         net.grads[:] = 100.0 * (Rng(83).uniforms(n) - 0.5)
         grads = net.grads.copy()
-        old = Mlp(sizes, params=net.params.copy())
         old.grads[:] = grads
         old.grads *= scale
         for w, b, grad_w, grad_b in old.layers:

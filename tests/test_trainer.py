@@ -98,14 +98,13 @@ def training_jobs(batches):
     return 2 * batches
 
 
-def train_jobs(n_train, n_val, mc, batches, epochs, snapshots, copy_back):
+def train_jobs(n_train, n_val, mc, batches, epochs):
     """The jobs a train call hands the helper: the model's init, the epoch-0
-    row's forward-only passes over the training and the validation set,
-    each epoch's training pass and validation pass, a best-parameter
-    snapshot per improving epoch and one copy back when the last epoch is
-    not the best."""
+    row's forward-only passes over the training and the validation set, and
+    each epoch's training pass and validation pass (the best-parameter
+    copies run on the caller)."""
     return (1 + forward_jobs(n_train, mc) + (epochs + 1) * forward_jobs(n_val)
-            + epochs * training_jobs(batches) + snapshots + copy_back)
+            + epochs * training_jobs(batches))
 
 
 def bars_config(**overrides):
@@ -476,7 +475,7 @@ class TestSplitStep:
         assert jobs == 1  # the decoder's init
         for net in ("encoder", "decoder"):
             assert getattr(both, net).params.tobytes() == getattr(serial, net).params.tobytes()
-        assert both.encoder.grads is not None and both.decoder.grads is not None
+        assert both.encoder.grads is None and both.decoder.grads is None
 
 
 class TestRecordedTrajectory:
@@ -824,7 +823,7 @@ class TestOverlappedHelper:
         serial, both, jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set)[1][0])
         assert dataclasses.replace(both, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
-        assert jobs == train_jobs(230, 40, 3, 12, epochs=1, snapshots=1, copy_back=0)
+        assert jobs == train_jobs(230, 40, 3, 12, epochs=1)
         assert (both.train_entropy, both.train_recon) == (entropy / 690, recon / 690)
 
     @pytest.mark.parametrize("mc", [1, 3])
@@ -835,8 +834,7 @@ class TestOverlappedHelper:
         config = bars_config(max_epochs=2, mc_samples=mc)
         (serial_model, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        # both epochs improve: no copy back
-        assert jobs == train_jobs(230, 40, mc, 12, epochs=2, snapshots=2, copy_back=0)
+        assert jobs == train_jobs(230, 40, mc, 12, epochs=2)
         assert [dataclasses.replace(r, seconds=0.0) for r in history] == \
                [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         assert np.array_equal(model.encoder.params, serial_model.encoder.params)
@@ -847,7 +845,7 @@ class TestOverlappedHelper:
         config = bars_config(learning_rate=0.0, max_epochs=3)
         (_, serial_history), (model, history), jobs = self.in_turn_and_overlapped(
             monkeypatch, lambda: train(config, train_set, val_set))
-        assert jobs == train_jobs(230, 40, 1, 12, epochs=3, snapshots=0, copy_back=1)
+        assert jobs == train_jobs(230, 40, 1, 12, epochs=3)
         rows = [dataclasses.replace(r, seconds=0.0) for r in history]
         assert rows == [dataclasses.replace(r, seconds=0.0) for r in serial_history]
         for row in rows[1:]:  # train rows differ from epoch 0's only in summation order
@@ -871,8 +869,7 @@ class TestOverlappedHelper:
         (serial_history, serial, serial_bytes), (history, both, both_bytes), jobs = \
             self.in_turn_and_overlapped(monkeypatch, run)
         assert len(history) == len(serial_history) < config.max_epochs + 1  # stopped early
-        assert jobs == train_jobs(120, 40, 1, 6, epochs=len(history) - 1, snapshots=2,
-                                  copy_back=1)
+        assert jobs == train_jobs(120, 40, 1, 6, epochs=len(history) - 1)
         assert 0 < both.epoch == serial.epoch
         assert both.rng_state == serial.rng_state != Rng(config.seed + 3).state
         assert both_bytes == serial_bytes
@@ -1002,7 +999,7 @@ class TestByteImages:
                            np.array(dataclasses.astuple(evaluate(model, sets[1], Rng(8))))
                            .tobytes()])
         assert runs[0] == runs[1]
-        per_train = train_jobs(230, 40, mc, 12, epochs=2, snapshots=2, copy_back=0)
+        per_train = train_jobs(230, 40, mc, 12, epochs=2)
         assert len(jobs) == (2 * (per_train + forward_jobs(40)) if overlap else 0)
 
     def test_evaluate_converts_a_chunk_at_a_time(self):
@@ -1057,10 +1054,25 @@ class TestCheckpoint:
         for net, saved in ((loaded.encoder, model.encoder), (loaded.decoder, model.decoder)):
             assert net.params.flags.writeable
             assert np.array_equal(net.params, saved.params)
+            net.backward(np.zeros_like(net.forward(np.zeros(net.sizes[0]))))  # allocates grads
             net.grads[:] = 1.0
             net.sga_step(0.5)
             assert np.array_equal(net.params, saved.params + 0.5)
             assert all(layer.weights.flags.writeable for layer in net.layers)
+
+    def test_loaded_and_evaluated_model_holds_no_gradient_buffer(self, tmp_path, monkeypatch):
+        # forward passes alone write no gradient, so none is allocated
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(bars_config(), 16), path)
+        model = load_checkpoint(path).model
+        open_overlap(monkeypatch)
+        dataset, _ = bars_sets(n_train=250, n_val=1)
+        for seed in range(3):
+            evaluate(model, dataset, Rng(seed))
+        for net in (model.encoder, model.decoder):
+            assert net.grads is None
+            assert all(layer.grad_weights is None and layer.grad_bias is None
+                       for layer in net.layers)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("cut", [0, 20], ids=["whole", "short"])
@@ -1093,11 +1105,12 @@ class TestCheckpoint:
             assert got[3:] == (model.encoder.params.tobytes(), model.decoder.params.tobytes())
 
     def test_reads_each_tensor_into_the_model(self, tmp_path):
-        # no copy of the file's bytes: the peak is the model's params and grads
+        # no copy of the file's bytes and no gradient buffer: the peak is
+        # the model's params
         model = DiscreteVae(784, 20, 10, 64)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        nbytes = 2 * (model.encoder.params.nbytes + model.decoder.params.nbytes)
+        nbytes = model.encoder.params.nbytes + model.decoder.params.nbytes
         load_checkpoint(path)  # fills the caches a first call makes
         assert traced_peak(lambda: load_checkpoint(path)) <= 1.1 * nbytes
 
